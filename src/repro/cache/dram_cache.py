@@ -24,7 +24,6 @@ probe candidate ways to locate the line.
 
 from __future__ import annotations
 
-import contextlib
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cache.access_path import AccessOutcome, AccessPath
@@ -41,33 +40,7 @@ if TYPE_CHECKING:  # import direction is core -> cache; hints only here
     from repro.core.prediction import WayPredictor
     from repro.core.steering import InstallSteering
 
-__all__ = ["AccessOutcome", "DramCache", "lazy_tag_stores"]
-
-# When set (via lazy_tag_stores), new DramCaches defer building their
-# TagStore until something actually touches ``cache.store``.
-_LAZY_STORE = False
-
-
-@contextlib.contextmanager
-def lazy_tag_stores():
-    """Build caches whose tag store materializes on first touch.
-
-    The array engines (:mod:`repro.sim.engines.vector` and the fused
-    multi-config kernel) keep all resident-line state in their own
-    arrays and never read ``cache.store``; for them the eager dense
-    store is two multi-megabyte allocations per cache build. Inside
-    this context the store is created lazily, so vector-driven builds
-    skip it entirely while any scalar-path access transparently
-    materializes the identical prefilled store. Not thread-safe: the
-    flag is module-global and meant for batch build loops.
-    """
-    global _LAZY_STORE
-    previous = _LAZY_STORE
-    _LAZY_STORE = True
-    try:
-        yield
-    finally:
-        _LAZY_STORE = previous
+__all__ = ["AccessOutcome", "DramCache"]
 
 
 class DramCache:
@@ -90,9 +63,9 @@ class DramCache:
         if isinstance(lookup, WayPredictedLookup) and predictor is None:
             raise PolicyError("way-predicted lookup needs a predictor")
         self.geometry = geometry
+        # The tag store is built on first touch (__getattr__); caches
+        # the array engines drive never allocate it.
         self._prefill = prefill
-        if not _LAZY_STORE:
-            self.store = TagStore(geometry)
         self.lookup = lookup
         self.steering = steering
         self.predictor = predictor
@@ -102,18 +75,13 @@ class DramCache:
         self.path = AccessPath(self)
         for observer in observers:
             self.path.add_observer(observer)
-        if prefill and "store" in self.__dict__:
-            # A gigascale cache in steady state is full; start warm so
-            # replacement (not empty-way filling) governs installs.
-            self.store.prefill_junk()
 
     def __getattr__(self, name):
-        # Lazily materialize the tag store for caches built under
-        # lazy_tag_stores(); identical state to an eager build.
+        # Build the deferred tag store, junk-filled under ``prefill``: a
+        # gigascale cache in steady state is full, so replacement (not
+        # empty-way filling) governs installs.
         if name == "store" and "geometry" in self.__dict__:
-            store = TagStore(self.geometry)
-            if self._prefill:
-                store.prefill_junk()
+            store = TagStore(self.geometry, prefill=self._prefill)
             self.store = store
             return store
         raise AttributeError(

@@ -44,21 +44,28 @@ class _JunkDefaultDict(dict):
 class TagStore:
     """Valid/dirty/tag state for every (set, way) slot."""
 
-    def __init__(self, geometry: CacheGeometry, dense: Optional[bool] = None):
+    def __init__(
+        self, geometry: CacheGeometry, dense: Optional[bool] = None, prefill: bool = False
+    ):
         self.geometry = geometry
         self.ways = geometry.ways
         if dense is None:
             dense = geometry.num_lines <= _DENSE_LIMIT_LINES
         self.dense = dense
-        if dense:
-            self._tags: Optional[List[int]] = [_INVALID] * geometry.num_lines
-            self._dirty: Optional[bytearray] = bytearray(geometry.num_lines)
+        self._fill(prefill)
+
+    def _fill(self, junk: bool) -> None:
+        """(Re)build the backing: every slot invalid, or junk-filled."""
+        lines = self.geometry.num_lines
+        if self.dense:
+            self._tags: Optional[List[int]] = [JUNK_TAG if junk else _INVALID] * lines
+            self._dirty: Optional[bytearray] = bytearray(lines)
             self._sparse: Optional[Dict[int, List[List[int]]]] = None
         else:
             self._tags = None
             self._dirty = None
-            self._sparse = {}
-        self.valid_lines = 0
+            self._sparse = _JunkDefaultDict(self.ways) if junk else {}
+        self.valid_lines = lines if junk else 0
 
     # -- set access -------------------------------------------------------
 
@@ -204,12 +211,7 @@ class TagStore:
         cache is effectively always full, so replacement decisions start
         from "evict something" rather than "use an empty way". Junk
         lines are clean and never hit, so they only influence victim
-        selection.
+        selection. ``TagStore(geometry, prefill=True)`` builds the same
+        state without first allocating the all-invalid backing.
         """
-        if self.dense:
-            self._tags = [JUNK_TAG] * self.geometry.num_lines
-            self._dirty = bytearray(self.geometry.num_lines)
-            self._sparse = None
-        else:
-            self._sparse = _JunkDefaultDict(self.geometry.ways)
-        self.valid_lines = self.geometry.num_lines
+        self._fill(True)

@@ -23,6 +23,8 @@ in annotations only.
 
 from __future__ import annotations
 
+import inspect
+import typing
 from typing import (
     TYPE_CHECKING,
     Optional,
@@ -281,6 +283,39 @@ def cache_is_replay_vectorizable(cache) -> bool:
     return not unreplayable_roles(cache)
 
 
+#: (protocol, policy class) -> members to re-check on each instance;
+#: recorded only once an instance of that class has conformed.
+_CONFORMING_CLASSES: dict = {}
+
+
+def _conforms(policy, protocol) -> bool:
+    """``isinstance(policy, protocol)``, memoized per policy class.
+
+    After one conforming instance, later instances of its class re-check
+    only members the class cannot vouch for: attributes set in
+    ``__init__`` and data descriptors (properties, ``__slots__``).
+    """
+    cls = type(policy)
+    members = _CONFORMING_CLASSES.get((protocol, cls))
+    if members is not None:
+        return all(hasattr(policy, name) for name in members)
+    if not isinstance(policy, protocol):
+        return False
+    _CONFORMING_CLASSES[(protocol, cls)] = tuple(
+        name for name in typing._get_protocol_attrs(protocol)
+        if not _class_resolves(cls, name)
+    )
+    return True
+
+
+def _class_resolves(cls, name: str) -> bool:
+    try:
+        kind = type(inspect.getattr_static(cls, name))
+    except AttributeError:
+        return False
+    return not (hasattr(kind, "__set__") or hasattr(kind, "__delete__"))
+
+
 def ensure_policy_conformance(cache) -> None:
     """Validate a cache's policies against the protocols.
 
@@ -299,7 +334,7 @@ def ensure_policy_conformance(cache) -> None:
             if optional:
                 continue
             raise PolicyError(f"cache has no {role} policy")
-        if not isinstance(policy, protocol):
+        if not _conforms(policy, protocol):
             raise PolicyError(
                 f"{role} policy {type(policy).__name__} does not conform to "
                 f"{protocol.__name__}"

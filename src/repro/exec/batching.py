@@ -50,7 +50,6 @@ from repro.sim.engines.multi import (
     fusion_plan,
     plan_signature,
 )
-from repro.cache.dram_cache import lazy_tag_stores
 from repro.sim.system import RunResult, build_dram_cache
 from repro.sim.timing_model import IntervalTimingModel
 from repro.sim.trace import Trace
@@ -318,11 +317,7 @@ def run_batch(keys: Sequence[JobKey], trace: Trace) -> List[RunResult]:
     sequential: List[Tuple] = []
     for index, key in enumerate(keys):
         config = scaled_system(ways=key.design.ways, scale=key.scale)
-        # Lazy store: members that fuse (or vectorize) never touch the
-        # tag store, so skip its multi-MB allocation; scalar-path
-        # members materialize an identical prefilled store on demand.
-        with lazy_tag_stores():
-            cache = build_dram_cache(key.design, config, seed=key.seed)
+        cache = build_dram_cache(key.design, config, seed=key.seed)
         engine = resolve_engine(cache, requested=key.engine, design=key.design)
         warm = int(n * key.warmup)
         segments = serial_segments(trace, warm, key.epoch)

@@ -16,7 +16,6 @@ from repro.mem.channel import Channel
 from repro.mem.request import DeviceResponse
 from repro.params.system import TRANSFER_BYTES
 from repro.params.timing import BusConfig, DramTiming
-from repro.utils.bitops import ilog2
 
 SETS_PER_ROW = 32  # 72B units per 2KB-ish row buffer region per way
 
@@ -72,8 +71,3 @@ class DramDevice:
     def bytes_transferred(self) -> int:
         return sum(c.bytes_transferred for c in self.channels)
 
-
-def make_hbm_device(timing: DramTiming, bus: BusConfig) -> DramDevice:
-    """Factory used by the detailed simulator."""
-    ilog2(SETS_PER_ROW)  # sanity: keep the constant a power of two
-    return DramDevice(timing=timing, bus=bus)

@@ -40,6 +40,8 @@ from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
+from repro.cache.dram_cache import DramCache
+from repro.cache.storage import _DENSE_LIMIT_LINES, TagStore
 from repro.sim.phases import PhaseSeries
 from repro.sim.trace import Trace
 
@@ -116,6 +118,24 @@ class TraceStream:
         return self._split().tags
 
 
+def has_fresh_dense_store(cache) -> bool:
+    """True when ``cache.store`` is, or will be, a fresh prefilled dense store.
+
+    The array engines replay from build-time defaults and never touch
+    the store. A plain :class:`~repro.cache.dram_cache.DramCache` that
+    has not built its store yet is judged from its geometry and
+    ``prefill`` flag, so the check never forces the allocation.
+    """
+    geometry = cache.geometry
+    store = cache.__dict__.get("store")
+    if store is None:
+        if type(cache) is DramCache and "geometry" in cache.__dict__:
+            return cache._prefill and geometry.num_lines <= _DENSE_LIMIT_LINES
+        store = getattr(cache, "store", None)
+    return (type(store) is TagStore and store.dense
+            and store.valid_lines == geometry.num_lines)
+
+
 def serial_segments(
     trace: Trace, warm: int, epoch: Optional[int]
 ) -> List[Segment]:
@@ -150,4 +170,6 @@ def serial_segments(
     ]
 
 
-__all__ = ["Engine", "Segment", "TraceStream", "serial_segments"]
+__all__ = [
+    "Engine", "Segment", "TraceStream", "has_fresh_dense_store", "serial_segments",
+]

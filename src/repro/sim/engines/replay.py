@@ -62,7 +62,7 @@ from repro.cache.ca_cache import ColumnAssociativeCache
 from repro.cache.dcp import DcpDirectory
 from repro.cache.lookup import WayPredictedLookup
 from repro.cache.replacement import RandomReplacement
-from repro.cache.storage import JUNK_TAG, TagStore
+from repro.cache.storage import JUNK_TAG
 from repro.core.dueling import DuelingPwsSteering
 from repro.core.gws import GangedWayPredictor, GangedWaySteering
 from repro.core.prediction import RandomPredictor, StaticPreferredPredictor
@@ -71,7 +71,7 @@ from repro.core.pws import ProbabilisticWaySteering
 from repro.core.steering import UnbiasedSteering
 from repro.core.sws import SkewedWaySteering
 from repro.errors import SimulationError
-from repro.sim.engines.base import Segment
+from repro.sim.engines.base import Segment, has_fresh_dense_store
 from repro.sim.engines.vector import (
     _Outcome,
     _Plan,
@@ -131,12 +131,9 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
     path = getattr(cache, "path", None)
     if path is None or path.observers:
         return None
-    store = getattr(cache, "store", None)
-    if type(store) is not TagStore or not store.dense:
-        return None
+    if not has_fresh_dense_store(cache):
+        return None  # fresh-cache contract: junk-prefilled dense store
     geometry = cache.geometry
-    if store.valid_lines != geometry.num_lines:
-        return None  # fresh-cache contract: junk-prefilled store
     if type(cache.lookup) is not WayPredictedLookup:
         return None
     if type(cache.replacement) is not RandomReplacement:

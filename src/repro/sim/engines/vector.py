@@ -49,7 +49,7 @@ import numpy as np
 from repro.cache.dcp import DcpDirectory
 from repro.cache.lookup import ParallelLookup, SerialLookup, WayPredictedLookup
 from repro.cache.replacement import RandomReplacement
-from repro.cache.storage import JUNK_TAG, TagStore
+from repro.cache.storage import JUNK_TAG
 from repro.core.prediction import (
     MruPredictor,
     PartialTagPredictor,
@@ -66,7 +66,7 @@ from repro.core.steering import (
 )
 from repro.core.sws import SkewedWaySteering, _TAG_SCAN_GROUPS
 from repro.errors import SimulationError
-from repro.sim.engines.base import Segment
+from repro.sim.engines.base import Segment, has_fresh_dense_store
 from repro.sim.phases import PhaseSample, PhaseSeries
 from repro.sim.stats import CacheStats
 from repro.utils.bitops import mask
@@ -95,25 +95,9 @@ def _build_plan(cache) -> Optional[_Plan]:
     path = getattr(cache, "path", None)
     if path is None or path.observers:
         return None
+    if not has_fresh_dense_store(cache):
+        return None  # fresh-cache contract: junk-prefilled dense store
     geometry = cache.geometry
-    store = cache.__dict__.get("store")
-    if store is None:
-        from repro.cache.dram_cache import DramCache
-        from repro.cache.storage import _DENSE_LIMIT_LINES
-
-        if type(cache) is DramCache and "geometry" in cache.__dict__:
-            # Deferred store (lazy_tag_stores): it materializes as a
-            # fresh TagStore, so validate the contract from the
-            # geometry without forcing the multi-MB allocation.
-            if not cache._prefill or geometry.num_lines > _DENSE_LIMIT_LINES:
-                return None
-        else:
-            store = getattr(cache, "store", None)
-    if store is not None:
-        if type(store) is not TagStore or not store.dense:
-            return None
-        if store.valid_lines != geometry.num_lines:
-            return None  # fresh-cache contract: junk-prefilled store
     plan = _Plan()
     plan.ways = geometry.ways
     plan.num_sets = geometry.num_sets

@@ -194,13 +194,15 @@ def mru_accuracy_at_level(trace_like: Tuple, geometry: CacheGeometry,
 
     ``trace_like`` is an iterable of (addr, is_write); writes are
     ignored. Used to compare MRU's accuracy on the raw stream (L1-like
-    locality) vs the L3-filtered stream (DRAM-cache reality).
+    locality) vs the L3-filtered stream (DRAM-cache reality). The reads
+    run on the engine :func:`~repro.sim.engines.resolve_engine` picks.
     """
     from repro.cache.dram_cache import DramCache
     from repro.cache.lookup import WayPredictedLookup
     from repro.cache.replacement import RandomReplacement
     from repro.core.prediction import MruPredictor
     from repro.core.steering import UnbiasedSteering
+    from repro.sim.engines import TraceStream, resolve_engine, serial_segments
 
     cache = DramCache(
         geometry,
@@ -209,7 +211,10 @@ def mru_accuracy_at_level(trace_like: Tuple, geometry: CacheGeometry,
         predictor=MruPredictor(geometry),
         replacement=RandomReplacement(XorShift64(seed)),
     )
-    for addr, is_write in trace_like:
-        if not is_write:
-            cache.read(addr)
+    reads = [addr for addr, is_write in trace_like if not is_write]
+    trace = Trace("mru", reads, bytearray(len(reads)), 1.0)
+    resolve_engine(cache).drive(
+        cache, TraceStream(trace, geometry), 0,
+        serial_segments(trace, 0, None), None,
+    )
     return cache.stats.prediction_accuracy

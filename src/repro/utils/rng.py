@@ -187,16 +187,3 @@ def set_stream_seeds(base: int, set_indices):
     sets = set_indices.astype(np.uint64, copy=False)
     mixed = np.uint64(base) ^ (sets * np.uint64(SetLocalRng._STREAM_MULT))
     return mix64_array(mixed)
-
-
-def stream_draws(seeds, counts):
-    """Vectorized *n*-th draw of per-set streams: ``mix64(seed + n)``.
-
-    ``seeds`` are per-element stream seeds (:func:`set_stream_seeds`);
-    ``counts`` the 0-based draw ordinals. Returns the same uint64 values
-    :meth:`SetLocalRng.next_u64` would produce on its ``counts[i]``-th
-    call for that set.
-    """
-    import numpy as np
-
-    return mix64_array(seeds + counts.astype(np.uint64, copy=False))

@@ -36,6 +36,78 @@ class TestAnalyticExperiments:
         assert "PIP=50%" in report
         assert "128" in report
 
+    @pytest.mark.parametrize(
+        "pip,iterations,trials", [(0.5, 2, 3), (0.7, 16, 5), (0.9, 64, 4)]
+    )
+    def test_fig6_fused_matches_per_address_loop(self, pip, iterations, trials):
+        """The fused pass reproduces one ``cache.read`` per address exactly."""
+        from repro.cache.geometry import CacheGeometry
+        from repro.core.accord import AccordDesign, make_design
+        from repro.experiments import fig6_cyclic
+        from repro.workloads.cyclic import (
+            cyclic_trace,
+            same_preferred_conflicting_addresses,
+        )
+
+        capacity = fig6_cyclic._KERNEL_CAPACITY
+        addresses = same_preferred_conflicting_addresses(capacity, ways=2, count=2)
+        trace = cyclic_trace(addresses, iterations)
+        total = 0.0
+        for trial in range(trials):
+            cache = make_design(
+                AccordDesign(kind="pws", ways=2, pip=pip),
+                CacheGeometry(capacity, 2),
+                seed=trial + 1,
+            )
+            for addr in trace.addrs:
+                cache.read(addr)
+            total += cache.stats.hit_rate
+        expected = total / trials
+        assert fig6_cyclic.simulated_hit_rate(pip, iterations, trials) == expected
+
+    def test_fig6_pips_fuse_like_single_pip_runs(self):
+        from repro.experiments import fig6_cyclic
+
+        rates = fig6_cyclic.simulated_hit_rates(fig6_cyclic.PIPS, 8, trials=3)
+        assert rates == [
+            fig6_cyclic.simulated_hit_rate(pip, 8, trials=3)
+            for pip in fig6_cyclic.PIPS
+        ]
+
+
+class TestPaperGeometryFootprint:
+    """Table IX's 4 GB-geometry cache never allocates its tag store."""
+
+    LIMIT = 16 * 1024 * 1024
+
+    @staticmethod
+    def _peak_bytes(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_make_design_at_paper_geometry(self):
+        from repro.cache.geometry import CacheGeometry
+        from repro.core.accord import AccordDesign, make_design
+        from repro.experiments.table9_storage import PAPER_CAPACITY
+
+        geometry = CacheGeometry(PAPER_CAPACITY, 2)
+        peak = self._peak_bytes(
+            lambda: make_design(AccordDesign(kind="accord", ways=2), geometry)
+        )
+        assert peak < self.LIMIT
+
+    def test_table9_run(self):
+        from repro.experiments import table9_storage
+
+        table9_storage.run()  # warm imports outside the measurement
+        assert self._peak_bytes(table9_storage.run) < self.LIMIT
+
 
 class TestModuleRegistry:
     def test_all_modules_importable(self):

@@ -111,3 +111,43 @@ class TestMruFilteringEffect:
         )
         assert raw_accuracy > 0.95
         assert filtered_accuracy < raw_accuracy - 0.05
+
+
+class TestMruAccuracyEngine:
+    def test_matches_per_address_loop(self):
+        """The engine-driven measurement equals reading one address at a time."""
+        from repro.cache.dram_cache import DramCache
+        from repro.cache.lookup import WayPredictedLookup
+        from repro.cache.replacement import RandomReplacement
+        from repro.core.prediction import MruPredictor
+        from repro.core.steering import UnbiasedSteering
+        from repro.utils.rng import XorShift64
+
+        spec = FrontendSpec()
+        raw = 120_000
+        result = run_frontend(
+            spec, raw, seed=7,
+            l1=CacheGeometry(16 * 1024, 8),
+            l2=CacheGeometry(128 * 1024, 8),
+            l3=CacheGeometry(1024 * 1024, 16),
+        )
+        geometry = CacheGeometry(8 * 1024 * 1024, 2)
+        streams = (
+            lambda: RawAccessGenerator(spec, seed=7).accesses(raw),
+            lambda: zip(
+                result.dram_cache_trace.addrs, result.dram_cache_trace.writes
+            ),
+        )
+        for stream in streams:
+            cache = DramCache(
+                geometry,
+                lookup=WayPredictedLookup(),
+                steering=UnbiasedSteering(geometry),
+                predictor=MruPredictor(geometry),
+                replacement=RandomReplacement(XorShift64(1)),
+            )
+            for addr, is_write in stream():
+                if not is_write:
+                    cache.read(addr)
+            expected = cache.stats.prediction_accuracy
+            assert mru_accuracy_at_level(stream(), geometry) == expected

@@ -9,11 +9,16 @@ runs — and compare the full stats dictionaries.
 
 import pytest
 
-from repro.cache.dram_cache import lazy_tag_stores
+from repro.cache.storage import TagStore
 from repro.core.accord import AccordDesign
 from repro.core.sws import SkewedWaySteering
 from repro.params.system import scaled_system
-from repro.sim.engines import TraceStream, serial_segments
+from repro.sim.engines import (
+    TraceStream,
+    get_engine,
+    resolve_engine,
+    serial_segments,
+)
 from repro.sim.engines.multi import (
     FusedRun,
     drive_fused,
@@ -194,31 +199,57 @@ class TestPlanSignature:
 
 
 class TestLazyTagStore:
-    def test_vector_build_skips_store_allocation(self):
-        design = AccordDesign(kind="pws", ways=2, pip=0.5)
+    """Every DramCache defers its tag store until first touch."""
+
+    def _build(self, kind="pws"):
+        design = AccordDesign(kind=kind, ways=2, pip=0.5)
         config = scaled_system(ways=2, scale=SCALE)
-        with lazy_tag_stores():
-            cache = build_dram_cache(design, config, seed=SEED)
+        return build_dram_cache(design, config, seed=SEED)
+
+    def test_vector_build_skips_store_allocation(self):
+        cache = self._build()
         assert "store" not in cache.__dict__
-        # planning and fused driving never materialize it
-        plan = fusion_plan(cache)
-        assert plan is not None
+        # planning and driving on the array engines never materialize it
+        assert fusion_plan(cache) is not None
+        trace = _trace()
+        stream = TraceStream(trace, cache.geometry)
+        VectorEngine().drive(cache, stream, 0, serial_segments(trace, 0, None), None)
+        assert "store" not in cache.__dict__
+
+    def test_replay_drive_skips_store_allocation(self):
+        cache = self._build(kind="accord")
+        trace = _trace()
+        engine = resolve_engine(cache)
+        assert engine.name == "replay"
+        stream = TraceStream(trace, cache.geometry)
+        engine.drive(cache, stream, 0, serial_segments(trace, 0, None), None)
         assert "store" not in cache.__dict__
 
     def test_scalar_touch_materializes_prefilled_store(self):
-        design = AccordDesign(kind="pws", ways=2, pip=0.5)
-        config = scaled_system(ways=2, scale=SCALE)
-        with lazy_tag_stores():
-            cache = build_dram_cache(design, config, seed=SEED)
-        eager = build_dram_cache(design, config, seed=SEED)
+        cache = self._build()
+        eager = TagStore(cache.geometry)
+        eager.prefill_junk()
         store = cache.store  # first touch materializes
         assert "store" in cache.__dict__
-        assert store.dense == eager.store.dense
-        assert store.valid_lines == eager.store.valid_lines
-        assert store.valid_lines == cache.geometry.num_lines
+        assert store.dense == eager.dense
+        assert store.valid_lines == eager.valid_lines == cache.geometry.num_lines
+        assert store._tags == eager._tags
+        assert store._dirty == eager._dirty
 
-    def test_flag_restored_outside_context(self):
-        design = AccordDesign(kind="pws", ways=2, pip=0.5)
-        config = scaled_system(ways=2, scale=SCALE)
-        cache = build_dram_cache(design, config, seed=SEED)
-        assert "store" in cache.__dict__
+    @pytest.mark.parametrize("engine", ["stream", "loop"])
+    def test_scalar_drive_matches_eager_store(self, engine):
+        """A store materialized mid-drive ends where an eager one does."""
+        trace = _trace()
+        lazy = self._build()
+        eager = self._build()
+        eager.store = TagStore(eager.geometry)
+        eager.store.prefill_junk()
+        for cache in (lazy, eager):
+            stream = TraceStream(trace, cache.geometry)
+            get_engine(engine).drive(
+                cache, stream, 0, serial_segments(trace, 0, None), None
+            )
+        assert lazy.stats.to_dict() == eager.stats.to_dict()
+        assert lazy.store.valid_lines == eager.store.valid_lines
+        assert lazy.store._tags == eager.store._tags
+        assert lazy.store._dirty == eager.store._dirty

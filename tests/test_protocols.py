@@ -131,3 +131,64 @@ class TestEnsureConformance:
         )
         assert cache.predictor is None and cache.dcp is None
         ensure_policy_conformance(cache)  # must not raise
+
+
+class _DcpBase:
+    authoritative = True
+
+    def lookup(self, line_addr):
+        return None
+
+    def insert(self, line_addr, way):
+        pass
+
+    def hit_rate(self):
+        return 0.0
+
+
+class _CompleteDcp(_DcpBase):
+    def remove(self, line_addr):
+        pass
+
+
+class _DcpWithoutRemove(_DcpBase):
+    pass
+
+
+class _InstanceFlagDcp(_CompleteDcp):
+    """Declares ``authoritative`` per instance rather than on the class."""
+
+    authoritative = property(lambda self: self._flag)
+
+    def __init__(self):
+        self._flag = True
+
+
+class TestConformanceMemo:
+    """Per-class memoization never lets a non-conforming policy through."""
+
+    def test_nonconforming_sibling_raises_on_every_build(self):
+        for _ in range(3):
+            cache = make_design(AccordDesign("serial", ways=2), GEOMETRY)
+            cache.dcp = _CompleteDcp()
+            ensure_policy_conformance(cache)  # cached as conforming
+            cache.dcp = _DcpWithoutRemove()
+            with pytest.raises(PolicyError, match="dcp"):
+                ensure_policy_conformance(cache)
+
+    def test_instance_level_members_checked_per_object(self):
+        cache = make_design(AccordDesign("serial", ways=2), GEOMETRY)
+        cache.dcp = _InstanceFlagDcp()
+        ensure_policy_conformance(cache)
+        broken = _InstanceFlagDcp()
+        del broken._flag
+        cache.dcp = broken
+        with pytest.raises(PolicyError, match="dcp"):
+            ensure_policy_conformance(cache)
+
+    def test_instance_attribute_checked_per_object(self):
+        cache = make_design(AccordDesign("serial", ways=2), GEOMETRY)
+        ensure_policy_conformance(cache)
+        del cache.steering.geometry
+        with pytest.raises(PolicyError, match="steering"):
+            ensure_policy_conformance(cache)

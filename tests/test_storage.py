@@ -82,6 +82,17 @@ class TestPrefill:
         assert store.find_way(7, 99) == 1
         assert store.valid_lines == store.geometry.num_lines
 
+    def test_prefill_at_construction_matches_prefill_junk(self, store):
+        built = TagStore(store.geometry, dense=store.dense, prefill=True)
+        store.prefill_junk()
+        assert built.valid_lines == store.valid_lines
+        assert built._tags == store._tags
+        assert built._dirty == store._dirty
+        assert type(built._sparse) is type(store._sparse)
+        for set_index in (0, 9):
+            for way in (0, 1):
+                assert built.tag_at(set_index, way) == store.tag_at(set_index, way)
+
 
 class TestEvictSlot:
     """evict_slot == tag_at + is_dirty + invalidate, in one store call."""
