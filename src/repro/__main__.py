@@ -181,7 +181,7 @@ def _cmd_profile(args: argparse.Namespace,
                  parser: argparse.ArgumentParser) -> int:
     from repro.errors import ReproError
     from repro.params.system import scaled_system
-    from repro.sim.profile import profile_shards, profile_trace, shard_summary
+    from repro.sim.profile import profile_trace
     from repro.sim.runner import TraceFactory
     from repro.workloads.trace_cache import shared_trace_cache
 
@@ -189,8 +189,6 @@ def _cmd_profile(args: argparse.Namespace,
         parser.error("--scale must be in (0, 1]")
     if args.accesses <= 0:
         parser.error("--accesses must be positive")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
     try:
         factory = TraceFactory(
             scaled_system(ways=1, scale=args.scale), args.accesses, args.seed
@@ -212,17 +210,6 @@ def _cmd_profile(args: argparse.Namespace,
         print(f"trace cache: {counters.hits} hits, "
               f"{counters.misses} misses, "
               f"{counters.bytes_read} bytes read")
-    if args.shards > 1:
-        try:
-            shard_profiles = profile_shards(
-                trace, args.shards, scale=args.scale, seed=args.seed,
-                engine=args.engine,
-            )
-        except ReproError as exc:
-            parser.error(str(exc))
-        print()
-        print(f"Shard attribution ({args.shards} set-range shards):")
-        print(shard_summary(shard_profiles))
     return 0
 
 
@@ -405,11 +392,9 @@ def _cmd_bench(args: argparse.Namespace,
         compare_sweep_to_baseline,
         compare_to_baseline,
         format_report,
-        format_scaling_report,
         format_sweep_report,
         load_report,
         run_bench,
-        run_shard_scaling,
         run_sweep_bench,
         save_report,
     )
@@ -423,15 +408,9 @@ def _cmd_bench(args: argparse.Namespace,
         parser.error("--scale must be in (0, 1]")
     if not 0.0 <= args.max_regression < 1.0:
         parser.error("--max-regression must be a fraction in [0, 1)")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.shard_scaling and args.shards < 2:
-        parser.error("--shard-scaling needs --shards >= 2")
     if args.configs is not None and not args.sweep:
         parser.error("--configs only applies with --sweep")
     if args.sweep:
-        if args.shards != 1 or args.shard_scaling:
-            parser.error("--sweep and --shards are mutually exclusive")
         configs = SWEEP_CONFIGS if args.configs is None else args.configs
         if configs < 2:
             parser.error("--configs must be >= 2")
@@ -468,24 +447,6 @@ def _cmd_bench(args: argparse.Namespace,
                 f"{baseline['speedup']:.2f}x in {args.baseline})"
             )
         return 0
-    if args.shard_scaling:
-        try:
-            report = run_shard_scaling(
-                workload=args.workload,
-                num_accesses=accesses,
-                seed=args.seed,
-                scale=args.scale,
-                repeats=args.repeats,
-                shards=args.shards,
-            )
-        except ReproError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        print(format_scaling_report(report))
-        if args.json:
-            save_report(report, args.json)
-            print(f"wrote {args.json}")
-        return 0
     try:
         report = run_bench(
             workload=args.workload,
@@ -493,7 +454,6 @@ def _cmd_bench(args: argparse.Namespace,
             seed=args.seed,
             scale=args.scale,
             repeats=args.repeats,
-            shards=args.shards,
             engine=args.engine,
         )
     except ReproError as exc:
@@ -543,7 +503,6 @@ def _cmd_serve(args: argparse.Namespace,
             host=args.host,
             port=args.port,
             jobs=args.jobs,
-            shards=args.shards,
             retries=args.retries,
             timeout=args.timeout,
             results_dir=args.results_dir,
@@ -767,15 +726,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     profile_parser.add_argument("--no-reuse", action="store_true",
                                 help="skip the reuse-distance estimate "
                                      "(faster on long traces)")
-    profile_parser.add_argument("--shards", type=int, default=1,
-                                help="also time each of N set-range shards "
-                                     "to attribute where a sharded run's "
-                                     "wall-clock goes (default: off)")
-    profile_parser.add_argument("--engine", default="stream",
-                                choices=("auto", "vector", "replay", "stream", "loop"),
-                                help="drive engine the shard attribution is "
-                                     "timed under (default stream, the shard "
-                                     "workers' batched loop)")
     bench_parser = sub.add_parser(
         "bench",
         help="measure functional-simulator throughput (accesses/sec)",
@@ -803,14 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               dest="max_regression",
                               help="tolerated aggregate slowdown vs the "
                                    "baseline, as a fraction (default 0.30)")
-    bench_parser.add_argument("--shards", type=int, default=1,
-                              help="set-range shards per run; shardable "
-                                   "designs split across a worker pool with "
-                                   "a bit-identical merge (default 1)")
-    bench_parser.add_argument("--shard-scaling", action="store_true",
-                              dest="shard_scaling",
-                              help="run the bench at shards=1 and --shards N "
-                                   "and report the speedup (BENCH_shard.json)")
     bench_parser.add_argument("--engine", default="auto",
                               choices=("auto", "vector", "replay", "stream", "loop"),
                               help="drive engine to benchmark; designs the "
@@ -836,9 +778,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_endpoint_arguments(serve_parser)
     serve_parser.add_argument("--jobs", "-j", type=int, default=1,
                               help="parallel worker processes (default 1)")
-    serve_parser.add_argument("--shards", type=int, default=1,
-                              help="set-range shards per simulation "
-                                   "(default 1)")
     serve_parser.add_argument("--retries", type=int, default=1,
                               help="attempts per failing job (default 1)")
     serve_parser.add_argument("--timeout", type=float, default=None,
@@ -971,8 +910,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         passthrough += ["--quick"]
     if args.jobs != 1:
         passthrough += ["--jobs", str(args.jobs)]
-    if args.shards != 1:
-        passthrough += ["--shards", str(args.shards)]
     if args.results_dir is not None:
         passthrough += ["--results-dir", args.results_dir]
     if args.no_store:

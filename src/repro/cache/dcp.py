@@ -22,11 +22,9 @@ class DcpDirectory:
     """
 
     authoritative = True
-    # Each line address maps to exactly one set, so the exact directory
-    # partitions cleanly by set range — safe to shard. It mirrors the
-    # tag store exactly, so the vector kernel models it as residency in
-    # its own tag arrays.
-    shardable = True
+    # Each line address maps to exactly one set and the directory
+    # mirrors the tag store exactly, so the vector kernel models it as
+    # residency in its own tag arrays.
     vectorizable = True
 
     def __init__(self):
@@ -67,10 +65,6 @@ class FiniteDcpDirectory:
     """
 
     authoritative = False
-    # The LRU capacity bound is global: whether set s's entry survives
-    # depends on every other set's insertions, so sharding would change
-    # which writebacks must probe. Falls back to the serial path.
-    shardable = False
 
     def __init__(self, capacity: int = 128 * 1024):
         if capacity <= 0:

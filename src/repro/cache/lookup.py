@@ -87,7 +87,6 @@ class ParallelLookup:
     """
 
     kind = LookupKind.PARALLEL
-    shardable = True  # stateless flow
     vectorizable = True  # fixed-cost flow, replayed as array ops
 
     def lookup(
@@ -116,7 +115,6 @@ class SerialLookup:
     """
 
     kind = LookupKind.SERIAL
-    shardable = True  # stateless flow
     vectorizable = True  # probe costs are a pure function of the hit way
 
     def lookup(
@@ -150,7 +148,6 @@ class WayPredictedLookup:
     """
 
     kind = LookupKind.WAY_PREDICTED
-    shardable = True  # stateless flow
     vectorizable = True  # probe costs derive from (prediction, hit way)
 
     def lookup(

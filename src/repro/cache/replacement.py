@@ -45,12 +45,11 @@ class RandomReplacement:
 
     Victim draws come from a per-set counter-based stream
     (:class:`SetLocalRng`), so the choice sequence for one set does not
-    depend on accesses to other sets — the property set-sharded runs
-    rely on for bit-identical merges.
+    depend on accesses to other sets — the property the vector kernel
+    relies on when it reorders accesses across sets.
     """
 
     update_transfers_on_hit = 0
-    shardable = True
     vectorizable = True  # counter-based per-set stream, replayed exactly
 
     def __init__(self, rng: Optional[XorShift64] = None):
@@ -78,10 +77,6 @@ class LruReplacement:
     """
 
     update_transfers_on_hit = 1
-    # The global clock is shared across sets, but victim() only compares
-    # stamps *within* one set, and within a set their relative order is
-    # exactly the set's own touch order — interleaving-invariant.
-    shardable = True
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
@@ -115,7 +110,6 @@ class NruReplacement:
     """
 
     update_transfers_on_hit = 1
-    shardable = True
 
     def __init__(self, geometry: CacheGeometry, rng: Optional[XorShift64] = None):
         self.geometry = geometry
@@ -170,7 +164,6 @@ class RripReplacement:
     """
 
     update_transfers_on_hit = 1
-    shardable = True
 
     def __init__(self, geometry: CacheGeometry, bits: int = 2,
                  rng: Optional[XorShift64] = None):

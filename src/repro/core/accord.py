@@ -52,8 +52,7 @@ class _IdealizedLookup:
     """
 
     kind = None
-    shardable = True  # stateless oracle over the (set-local) tag store
-    vectorizable = True
+    vectorizable = True  # stateless oracle over the (set-local) tag store
     replay_vectorizable = True  # implied by vectorizable; no global state
 
     def lookup(self, set_index, tag, addr, store: TagStore, candidates, predictor=None):

@@ -38,10 +38,8 @@ class DuelingPwsSteering(InstallSteering):
     """PWS whose PIP is chosen at runtime by set-dueling."""
 
     name = "dueling-pws"
-    # PSEL is one global counter bumped by leader sets of *all* shards;
-    # followers read it, so the install choice for set s depends on
-    # other sets' misses. Not shardable.
-    shardable = False
+    # PSEL is one global counter bumped by leader sets; followers read
+    # it, so the install choice for set s depends on other sets' misses.
     # PSEL mutates only on leader-set misses and is read as one integer
     # compare per install — exactly the sparse event shape the replay
     # engine reproduces in trace order.

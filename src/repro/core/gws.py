@@ -88,12 +88,10 @@ class GangedWaySteering(InstallSteering):
 
     name = "gws"
     # The RIT/RLT are *global* LRU tables updated by every region's
-    # traffic; splitting by set range changes their contents, so GWS
-    # must run on the serial path (cache_is_shardable -> False).
-    shardable = False
-    # The table updates themselves are a sparse event stream the replay
-    # engine reproduces exactly (lookup = LRU refresh, record = insert
-    # + evict-oldest), so GWS opts into sparse-replay execution.
+    # traffic, so GWS is not set-local. The table updates themselves are
+    # a sparse event stream the replay engine reproduces exactly (lookup
+    # = LRU refresh, record = insert + evict-oldest), so GWS opts into
+    # sparse-replay execution.
     replay_vectorizable = True
 
     def __init__(
@@ -154,12 +152,10 @@ class GangedWayPredictor(WayPredictor):
 
     name = "gws"
     # The RIT/RLT are *global* LRU tables updated by every region's
-    # traffic; splitting by set range changes their contents, so GWS
-    # must run on the serial path (cache_is_shardable -> False).
-    shardable = False
-    # The table updates themselves are a sparse event stream the replay
-    # engine reproduces exactly (lookup = LRU refresh, record = insert
-    # + evict-oldest), so GWS opts into sparse-replay execution.
+    # traffic, so GWS is not set-local. The table updates themselves are
+    # a sparse event stream the replay engine reproduces exactly (lookup
+    # = LRU refresh, record = insert + evict-oldest), so GWS opts into
+    # sparse-replay execution.
     replay_vectorizable = True
 
     def __init__(

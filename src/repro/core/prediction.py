@@ -32,10 +32,6 @@ class WayPredictor:
     """Base class; default implementation is stateless."""
 
     name = "base"
-    # Set-sharding capability (see repro.core.protocols): True means all
-    # mutable state consulted for set s depends only on accesses to set
-    # s. Conservative default is False; set-local subclasses opt in.
-    shardable = False
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
@@ -65,8 +61,7 @@ class RandomPredictor(WayPredictor):
     """Uniformly random first probe — the 0-byte strawman of Table II."""
 
     name = "rand"
-    shardable = True  # per-set counter-based stream
-    vectorizable = True
+    vectorizable = True  # per-set counter-based stream
 
     def __init__(self, geometry: CacheGeometry, rng: Optional[XorShift64] = None):
         super().__init__(geometry)
@@ -80,8 +75,7 @@ class StaticPreferredPredictor(WayPredictor):
     """ACCORD's stateless prediction: the tag's preferred way."""
 
     name = "preferred"
-    shardable = True  # stateless
-    vectorizable = True
+    vectorizable = True  # stateless
 
     def predict(self, set_index: int, tag: int, addr: int) -> int:
         return preferred_way(tag, self.ways)
@@ -96,8 +90,7 @@ class MruPredictor(WayPredictor):
     """
 
     name = "mru"
-    shardable = True  # one MRU way per set
-    vectorizable = True
+    vectorizable = True  # one MRU way per set
 
     def __init__(self, geometry: CacheGeometry):
         super().__init__(geometry)
@@ -129,8 +122,7 @@ class PartialTagPredictor(WayPredictor):
     """
 
     name = "partial_tag"
-    shardable = True  # partial tags are per (set, way)
-    vectorizable = True
+    vectorizable = True  # partial tags are per (set, way)
 
     def __init__(self, geometry: CacheGeometry, bits: int = 4):
         super().__init__(geometry)
@@ -170,8 +162,7 @@ class PerfectPredictor(WayPredictor):
     """
 
     name = "perfect"
-    shardable = True  # reads the (set-local) tag store only
-    vectorizable = True
+    vectorizable = True  # reads the (set-local) tag store only
 
     def __init__(self, geometry: CacheGeometry, store: TagStore):
         super().__init__(geometry)

@@ -29,12 +29,10 @@ class ProbabilisticWaySteering(InstallSteering):
     """Install into the tag-preferred way with probability ``pip``."""
 
     name = "pws"
-    # The PIP coin is drawn from a per-set counter-based stream, so the
-    # install choices for one set are independent of other sets' traffic
-    # and set-sharded runs merge bit-identically. The coin and the
-    # spill pick are counter-based per-set draws, so the vector engine
-    # replays them exactly.
-    shardable = True
+    # The PIP coin and the spill pick are drawn from per-set
+    # counter-based streams, so the install choices for one set are
+    # independent of other sets' traffic and the vector engine replays
+    # them exactly.
     vectorizable = True
 
     def __init__(

@@ -94,10 +94,8 @@ class SkewedWaySteering(InstallSteering):
 
     name = "sws"
     # Candidates are pure in the tag and the install coin is per-set
-    # (via PWS's set-local stream), so SWS is safe to shard by set —
-    # and, the candidate scan being a pure function of the tag, safe
-    # for the vector engine to replay as whole-array ops.
-    shardable = True
+    # (via PWS's set-local stream), so the vector engine can replay the
+    # candidate scan as whole-array ops.
     vectorizable = True
     # Implied by vectorizable, declared for symmetry with the GWS
     # wrapper that embeds SWS as its install fallback: the candidate

@@ -32,15 +32,11 @@ from repro.exec.faults import (
 from repro.exec.jobs import (
     RESULT_SCHEMA_VERSION,
     JobKey,
-    ShardTask,
     clear_engine_plans,
     execute_job,
-    execute_job_sharded,
     execute_job_traced,
-    execute_shard,
-    execute_shard_traced,
     parse_design_spec,
-    plan_shards,
+    resolve_job_engine,
 )
 from repro.exec.resilience import BackoffPolicy, SweepJournal, quarantine_entry
 from repro.exec.store import (
@@ -60,19 +56,15 @@ __all__ = [
     "RESULT_SCHEMA_VERSION",
     "RESULTS_DIR_ENV",
     "ResultStore",
-    "ShardTask",
     "StoreStats",
     "SweepJournal",
     "clear_engine_plans",
     "default_store_root",
     "execute_job",
-    "execute_job_sharded",
     "execute_job_traced",
-    "execute_shard",
-    "execute_shard_traced",
     "fault_point",
     "parse_design_spec",
-    "plan_shards",
     "quarantine_entry",
+    "resolve_job_engine",
     "suppressed",
 ]

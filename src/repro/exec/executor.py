@@ -7,16 +7,6 @@ Jobs are independent (design, workload) simulations named by
 over a ``ProcessPoolExecutor`` (or runs them inline for ``jobs=1``),
 and reports progress through an optional callback.
 
-With ``shards > 1``, each cold job whose design declares the
-``shardable`` capability is additionally split into set-range
-:class:`~repro.exec.jobs.ShardTask` items that share the same pool —
-intra-run parallelism, so even a single long simulation spreads over
-the cores — and the shard outcomes merge into a result bit-identical
-to the serial run (:func:`repro.sim.shard.merge_outcomes`). Completed
-shards are journaled individually, so ``--resume`` restarts a
-half-finished job from its surviving shards. Serial-only designs run
-whole, with a one-time fallback warning.
-
 Failure handling distinguishes three classes:
 
 * **Deterministic simulation errors** (:class:`~repro.errors.ReproError`
@@ -79,14 +69,10 @@ from repro.exec.batching import (
 )
 from repro.exec.jobs import (
     JobKey,
-    ShardTask,
     _trace_factory,
     execute_job,
-    execute_job_sharded,
     execute_job_traced,
-    execute_shard,
-    execute_shard_traced,
-    plan_shards,
+    resolve_job_engine,
 )
 from repro.exec.resilience import (
     BackoffPolicy,
@@ -96,8 +82,7 @@ from repro.exec.resilience import (
     read_claim,
 )
 from repro.exec.store import ResultStore
-from repro.params.system import scaled_system
-from repro.sim.shard import ShardOutcome, mark_worker_process, merge_outcomes
+from repro.sim.engines import mark_worker_process
 from repro.sim.system import RunResult
 
 #: progress(done, total, key, source) with source in
@@ -174,7 +159,6 @@ class Executor:
         journal: Optional[SweepJournal] = None,
         pool_break_limit: Optional[int] = None,
         poll_interval: float = 0.2,
-        shards: int = 1,
         verify_fraction: float = 0.0,
         verify_engine: str = "stream",
         on_verify: Optional[VerifyFn] = None,
@@ -183,8 +167,6 @@ class Executor:
     ):
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
         if batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
         if retries < 0:
@@ -205,7 +187,6 @@ class Executor:
                 f"poll_interval must be positive, got {poll_interval}"
             )
         self.jobs = jobs
-        self.shards = shards
         self.store = store
         self.retries = retries
         self.progress = progress
@@ -274,7 +255,7 @@ class Executor:
         """The persistent pool if one is alive, else a fresh pool."""
         if self._pool is not None:
             return self._pool
-        workers = self.jobs * self.shards
+        workers = self.jobs
         if not self._persistent:
             workers = min(workers, items)
         self._pool = ProcessPoolExecutor(
@@ -394,10 +375,8 @@ class Executor:
             return results
         if self.jobs == 1 or len(pending) == 1:
             # Inline batching still shares one trace + plan per group
-            # (no shared memory needed in-process). With shards > 1 the
-            # intra-job shard pool already owns the parallelism, so
-            # jobs run whole.
-            if self.batch and self.shards == 1 and len(pending) > 1:
+            # (no shared memory needed in-process).
+            if self.batch and len(pending) > 1:
                 items = plan_batches(pending, self.batch_size)
             else:
                 items = list(pending)
@@ -477,11 +456,7 @@ class Executor:
     def _shadow_verify(self, key: JobKey, result: RunResult) -> RunResult:
         from repro.verify import breaker
         from repro.verify.digest import result_digest
-        from repro.verify.shadow import (
-            quarantine_mismatch,
-            reference_result,
-            resolve_job_engine,
-        )
+        from repro.verify.shadow import quarantine_mismatch, reference_result
 
         if self.journal is not None:
             self.journal.record_verify(
@@ -538,21 +513,10 @@ class Executor:
 
     # -- serial path (jobs=1, single pending job, or degraded) ------------
 
-    def _execute_serial(
-        self, key: JobKey, attempts: int = 0, allow_shards: bool = True
-    ) -> RunResult:
-        """Run a job inline, retrying transient failures with backoff.
-
-        With ``shards > 1`` the single job still fans its set shards
-        out over an intra-run pool (:func:`execute_job_sharded`) —
-        unless ``allow_shards`` is False, which the degraded path uses
-        to avoid spawning pools right after pools kept breaking.
-        """
-        use_shards = allow_shards and self.shards > 1
+    def _execute_serial(self, key: JobKey, attempts: int = 0) -> RunResult:
+        """Run a job inline, retrying transient failures with backoff."""
         while True:
             try:
-                if use_shards:
-                    return execute_job_sharded(key, self.shards)
                 return execute_job(key)
             except TRANSIENT_EXCEPTIONS as exc:
                 attempts += 1
@@ -564,25 +528,6 @@ class Executor:
                 if attempts > self.retries:
                     raise ExecutionError(
                         f"{key.display} kept failing transiently "
-                        f"(gave up after {attempts} attempts): {exc}"
-                    ) from exc
-                self._backoff.sleep(attempts)
-
-    def _execute_shard_inline(self, task: ShardTask, attempts: int = 0):
-        """Run one shard in-process with the same transient-retry loop."""
-        while True:
-            try:
-                return execute_shard(task)
-            except TRANSIENT_EXCEPTIONS as exc:
-                attempts += 1
-                self.stats.transient_retries += 1
-                self._note(
-                    "retry", key=task.digest(), attempt=attempts,
-                    error=str(exc),
-                )
-                if attempts > self.retries:
-                    raise ExecutionError(
-                        f"{task.display} kept failing transiently "
                         f"(gave up after {attempts} attempts): {exc}"
                     ) from exc
                 self._backoff.sleep(attempts)
@@ -608,100 +553,30 @@ class Executor:
 
     # -- parallel path ----------------------------------------------------
 
-    def _flatten(
-        self, pending: Sequence[JobKey], results: Dict[JobKey, RunResult]
-    ) -> List:
-        """Expand shardable jobs into per-shard work items.
+    def _plan_items(self, pending: Sequence[JobKey]) -> List:
+        """Work items for the pool: same-trace batches and whole jobs.
 
-        With ``shards > 1``, each job whose design declares the
-        ``shardable`` capability becomes ``count`` :class:`ShardTask`
-        items (shards of one job spread over the pool alongside other
-        jobs); serial-only designs stay whole-job items. Journaled
-        shard outcomes are absorbed up front — shard-granularity
-        resume — and a job whose every shard was journaled merges on
-        the spot without touching the pool.
+        Explicit engine requests are resolved here, in the parent, so a
+        fallback warning prints once (workers suppress it).
         """
-        self._shard_parts: Dict[JobKey, Dict[int, ShardOutcome]] = {}
-        self._shard_counts: Dict[JobKey, int] = {}
-        items: List = []
-        whole: List[JobKey] = []
         for key in pending:
-            count = plan_shards(key, self.shards)
-            if count <= 1:
-                whole.append(key)
-                continue
-            self._shard_counts[key] = count
-            parts: Dict[int, ShardOutcome] = {}
-            self._shard_parts[key] = parts
-            todo = []
-            for index in range(count):
-                task = ShardTask(key, index, count)
-                outcome = self._shard_from_journal(task)
-                if outcome is not None:
-                    parts[index] = outcome
-                else:
-                    todo.append(task)
-            if todo:
-                items.extend(todo)
-            else:
-                self._merge_job(key, results, source="resumed")
-        if self.batch and len(whole) > 1:
-            for item in plan_batches(whole, self.batch_size):
-                if isinstance(item, BatchTask):
-                    ref = self._publish_for(item.jobs[0])
-                    if ref is not None:
-                        item = replace(item, trace_ref=ref)
-                items.append(item)
-        else:
-            items.extend(whole)
+            if key.engine != "auto":
+                resolve_job_engine(key)
+        if not (self.batch and len(pending) > 1):
+            return list(pending)
+        items: List = []
+        for item in plan_batches(pending, self.batch_size):
+            if isinstance(item, BatchTask):
+                ref = self._publish_for(item.jobs[0])
+                if ref is not None:
+                    item = replace(item, trace_ref=ref)
+            items.append(item)
         return items
-
-    def _shard_from_journal(self, task: ShardTask) -> Optional[ShardOutcome]:
-        if self.journal is None:
-            return None
-        record = self.journal.lookup_shard(task)
-        if record is None:
-            return None
-        try:
-            return ShardOutcome.from_dict(record)
-        except (ReproError, KeyError, TypeError, ValueError):
-            return None  # malformed shard record: just re-run the shard
-
-    def _merge_job(
-        self,
-        key: JobKey,
-        results: Dict[JobKey, RunResult],
-        source: str = "run",
-    ) -> None:
-        """All shards of ``key`` are in: merge them into its RunResult."""
-        parts = self._shard_parts.pop(key)
-        count = self._shard_counts.pop(key)
-        outcomes = [parts[index] for index in range(count)]
-        config = scaled_system(ways=key.design.ways, scale=key.scale)
-        result = merge_outcomes(key.design, config, outcomes, epoch=key.epoch)
-        if source == "resumed":
-            results[key] = result
-            self.stats.resumed += 1
-            if self.store is not None:
-                self.store.put(key, result)
-            if self.journal is not None:
-                self.journal.record_done(key, result)
-            self._report(key, "resumed")
-        else:
-            self._record(key, result, results)
 
     def _absorb(self, item, result, results: Dict[JobKey, RunResult]) -> None:
         """Fold one completed work item into job-level results."""
         if isinstance(item, BatchTask):
             self._absorb_batch(item, result, results)
-        elif isinstance(item, ShardTask):
-            if self.journal is not None:
-                self.journal.record_shard(item, result)
-            key = item.job
-            parts = self._shard_parts[key]
-            parts[item.index] = result
-            if len(parts) == self._shard_counts[key]:
-                self._merge_job(key, results)
         else:
             self._record(item, result, results)
 
@@ -735,16 +610,12 @@ class Executor:
     def _submit(self, pool: ProcessPoolExecutor, item, claims: str):
         if isinstance(item, BatchTask):
             return pool.submit(execute_batch_traced, item, claims)
-        if isinstance(item, ShardTask):
-            return pool.submit(execute_shard_traced, item, claims)
         return pool.submit(execute_job_traced, item, claims)
 
     def _run_parallel(
         self, pending: Sequence[JobKey], results: Dict[JobKey, RunResult]
     ) -> None:
-        items = self._flatten(pending, results)
-        if not items:
-            return
+        items = self._plan_items(pending)
         attempts: Dict[object, int] = {item: 0 for item in items}
         remaining: Dict[object, None] = dict.fromkeys(items)
         claims = tempfile.mkdtemp(prefix="repro-claims-")
@@ -967,15 +838,8 @@ class Executor:
                     item, self._execute_batch_inline(item, attempts[item]),
                     results,
                 )
-            elif isinstance(item, ShardTask):
-                outcome = self._execute_shard_inline(item, attempts[item])
-                self._absorb(item, outcome, results)
             else:
                 self._record(
-                    item,
-                    self._execute_serial(
-                        item, attempts[item], allow_shards=False
-                    ),
-                    results,
+                    item, self._execute_serial(item, attempts[item]), results
                 )
             del remaining[item]

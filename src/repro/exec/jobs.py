@@ -33,9 +33,7 @@ from repro.sim.system import RunResult
 #: metrics and JobKey gained the ``epoch`` knob.
 #: v3: randomized policies draw from per-set counter-based streams
 #: (:class:`repro.utils.rng.SetLocalRng`) instead of one sequential
-#: stream, so every random-policy result changed. The sharding knob
-#: itself is deliberately *not* part of the key: sharded execution is
-#: bit-identical to serial, so both populate the same store slot.
+#: stream, so every random-policy result changed.
 #: v4: stored results carry a ``payload_digest`` (sha256 over the
 #: canonical stats + phases payload, :mod:`repro.verify.digest`) that
 #: :meth:`ResultStore.get` verifies on read — older records lack it,
@@ -136,113 +134,17 @@ def _trace_factory(key: JobKey) -> TraceFactory:
     return factory
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """One set-range shard of a :class:`JobKey`'s simulation.
+def resolve_job_engine(key: JobKey) -> str:
+    """The concrete engine name ``key``'s request resolves to right now.
 
-    The parallel executor flattens shardable jobs into these so one
-    job's shards spread over the worker pool; shard outcomes are merged
-    back into the job's :class:`RunResult` by
-    :func:`repro.sim.shard.merge_outcomes`. Mirrors JobKey's
-    ``digest()``/``display`` surface so claims, retries, the watchdog
-    and the journal handle both item kinds uniformly.
-    """
-
-    job: JobKey
-    index: int
-    count: int
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ConfigError(f"shard count must be >= 2, got {self.count}")
-        if not 0 <= self.index < self.count:
-            raise ConfigError(
-                f"shard index {self.index} out of range for {self.count} shards"
-            )
-
-    def digest(self) -> str:
-        return f"{self.job.digest()}-s{self.index}of{self.count}"
-
-    @property
-    def display(self) -> str:
-        return f"{self.job.display} [shard {self.index + 1}/{self.count}]"
-
-
-def plan_shards(key: JobKey, shards: int) -> int:
-    """Effective shard count for a job: 1 means run it whole.
-
-    Builds the (scaled) cache once per distinct (design, scale) to
-    consult the declared ``shardable`` capabilities; a design with
-    global policy state gets 1 (after a one-time fallback warning —
-    never sharded silently wrong), and a shardable one gets at most one
-    shard per cache set. Memoized: a 16-design sweep probes each design
-    once, not once per workload.
-
-    Also the parent-side home of the engine-fallback warning: workers
-    suppress it (warn-once state is per-process, so N workers would
-    each print a copy), so an explicitly requested engine is resolved
-    here, in the planning process, exactly once per design.
-    """
-    if key.engine != "auto":
-        _shard_engine(key)  # parent-side resolve; fallback warns here
-    if shards <= 1:
-        return 1
-    from repro.core.protocols import cache_is_shardable
-    from repro.sim.shard import effective_shard_count, warn_serial_fallback
-    from repro.sim.system import build_dram_cache
-
-    cache_key = (repr(key.design), key.scale)
-    plan = _SHARD_PLAN_CACHE.get(cache_key)
-    if plan is None:
-        config = scaled_system(ways=key.design.ways, scale=key.scale)
-        cache = build_dram_cache(key.design, config, seed=key.seed)
-        shardable = cache_is_shardable(cache)
-        if not shardable:
-            warn_serial_fallback(key.design, cache)
-        plan = (shardable, cache.geometry.num_sets)
-        _SHARD_PLAN_CACHE[cache_key] = plan
-    shardable, num_sets = plan
-    if not shardable:
-        return 1
-    return effective_shard_count(shards, num_sets)
-
-
-_SHARD_PLAN_CACHE: Dict[Tuple[str, float], Tuple[bool, int]] = {}
-
-
-def execute_shard(task: ShardTask):
-    """Run one shard of a job (worker entry point; picklable).
-
-    Rebuilds the trace through the per-process factory memo (shared
-    disk trace cache underneath), slices out this shard's records, and
-    returns the picklable :class:`~repro.sim.shard.ShardOutcome`.
-    """
-    from repro.sim.shard import run_shard
-
-    key = task.job
-    fault_point(SITE_JOB, token=task.digest())
-    config = scaled_system(ways=key.design.ways, scale=key.scale)
-    trace = _trace_factory(key).trace_for(key.workload)
-    return run_shard(
-        config,
-        key.design,
-        trace,
-        task.index,
-        task.count,
-        warmup=key.warmup,
-        epoch=key.epoch,
-        seed=key.seed,
-        engine=_shard_engine(key),
-    )
-
-
-def _shard_engine(key: JobKey) -> str:
-    """Concrete engine name for one shard of ``key``'s simulation.
-
-    Shard workers need a non-"auto" engine (drive_shard does not
-    resolve); resolve the request against a probe cache once per
-    (design, scale, engine) — fallback warnings fire here, in whichever
-    process plans or executes first, and at most once.
+    Resolves the request against a probe cache once per (design, scale,
+    engine); a fallback warning fires here, at most once. The executor
+    calls it in the parent before dispatching to a pool, because workers
+    suppress warnings (warn-once state is per-process, so N workers
+    would each print a copy). Shadow verification calls it to attribute
+    a mismatch to the engine that produced the suspect result
+    (``key.engine`` is usually just ``"auto"``), and must do so *before*
+    tripping the breaker, which changes the resolution.
     """
     from repro.sim.engines import resolve_engine
     from repro.sim.system import build_dram_cache
@@ -263,24 +165,14 @@ _ENGINE_PLAN_CACHE: Dict[Tuple[str, float, str], str] = {}
 
 
 def clear_engine_plans() -> None:
-    """Flush the per-process engine and shard plan memos.
+    """Flush the per-process engine plan memo.
 
     The circuit breaker (:mod:`repro.verify.breaker`) calls this when
-    it demotes an engine: the memos cache pre-trip resolutions, and a
+    it demotes an engine: the memo caches pre-trip resolutions, and a
     stale entry would keep routing jobs onto the engine that was just
     caught producing a wrong answer.
     """
     _ENGINE_PLAN_CACHE.clear()
-    _SHARD_PLAN_CACHE.clear()
-
-
-def execute_shard_traced(task: ShardTask, claims_dir: str):
-    """Shard worker entry with claim markers (see execute_job_traced)."""
-    digest = task.digest()
-    write_claim(claims_dir, digest)
-    result = execute_shard(task)
-    complete_claim(claims_dir, digest)
-    return result
 
 
 def execute_job(key: JobKey) -> RunResult:
@@ -296,35 +188,6 @@ def execute_job(key: JobKey) -> RunResult:
         warmup=key.warmup,
         seed=key.seed,
         epoch=key.epoch,
-        engine=key.engine,
-    )
-    fault_point(SITE_ENGINE_RESULT, token=key.digest(), obj=result)
-    return result
-
-
-def execute_job_sharded(key: JobKey, shards: int) -> RunResult:
-    """Run one job split over an intra-run shard pool.
-
-    Entry point for the ``jobs=1, shards>1`` configuration: the single
-    simulation itself fans out over ``shards`` worker processes
-    (:func:`repro.sim.shard.run_sharded`). Falls back to the exact
-    serial path for non-shardable designs and never nests pools (the
-    worker-process guard runs shards inline there). Bit-identical to
-    :func:`execute_job`.
-    """
-    from repro.sim.shard import run_sharded
-
-    fault_point(SITE_JOB, token=key.digest())
-    config = scaled_system(ways=key.design.ways, scale=key.scale)
-    trace = _trace_factory(key).trace_for(key.workload)
-    result = run_sharded(
-        config,
-        key.design,
-        trace,
-        warmup=key.warmup,
-        epoch=key.epoch,
-        shards=shards,
-        seed=key.seed,
         engine=key.engine,
     )
     fault_point(SITE_ENGINE_RESULT, token=key.digest(), obj=result)

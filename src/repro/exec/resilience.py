@@ -240,12 +240,6 @@ class SweepJournal:
     torn tail line). Because results ride in the journal itself, a
     resumed sweep replays them without depending on the result store.
 
-    Shard-parallel sweeps additionally append a ``shard`` line per
-    completed shard (``key`` is the shard task's digest, ``result`` its
-    serialized outcome), so ``--resume`` restarts a half-finished job
-    from its surviving shards rather than from scratch. Shard lines are
-    additive — journals without them load exactly as before.
-
     Sweeps run with ``--verify-fraction`` additionally append
     ``verify_sampled`` / ``verify_ok`` / ``verify_mismatch`` lines
     (:meth:`record_verify`); :meth:`load` collects the ok/mismatch
@@ -257,7 +251,6 @@ class SweepJournal:
         self.path = Path(path)
         self.header: Optional[Dict[str, Any]] = None
         self._done: Dict[str, Dict[str, Any]] = {}
-        self._shards: Dict[str, Dict[str, Any]] = {}
         self._verify: Dict[str, str] = {}
         self._write_failed = False
 
@@ -291,7 +284,6 @@ class SweepJournal:
             ) from exc
         self.header = header
         self._done = {}
-        self._shards = {}
         self._verify = {}
 
     def load(self) -> int:
@@ -334,7 +326,6 @@ class SweepJournal:
             )
         self.header = records[0]
         self._done = {}
-        self._shards = {}
         self._verify = {}
         for record in records[1:]:
             event = record.get("event")
@@ -351,8 +342,6 @@ class SweepJournal:
                 continue
             if event == "done":
                 self._done[key] = record["result"]
-            elif event == "shard":
-                self._shards[key] = record["result"]
         return len(self._done)
 
     def lookup(self, key: Any) -> Optional[Dict[str, Any]]:
@@ -367,25 +356,6 @@ class SweepJournal:
             "event": "done",
             "key": key.digest(),
             "display": key.display,
-            "result": payload,
-        })
-
-    def lookup_shard(self, task: Any) -> Optional[Dict[str, Any]]:
-        """The journaled outcome dict for one shard task, or None."""
-        return self._shards.get(task.digest())
-
-    def record_shard(self, task: Any, outcome: Any) -> None:
-        """Append one completed shard (``outcome`` must have ``to_dict``).
-
-        Lets a resumed sweep skip re-running shards that finished
-        before the crash even when their job never merged.
-        """
-        payload = outcome.to_dict()
-        self._shards[task.digest()] = payload
-        self._append({
-            "event": "shard",
-            "key": task.digest(),
-            "display": task.display,
             "result": payload,
         })
 

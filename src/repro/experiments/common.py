@@ -15,8 +15,6 @@ because trace generation is seeded per key.
 from __future__ import annotations
 
 import argparse
-import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -47,9 +45,6 @@ class Settings:
     scale: float = DEFAULT_SCALE
     suite: List[str] = field(default_factory=main_suite)
     jobs: int = 1
-    # Set-range shards per individual run (--shards); intra-run
-    # parallelism with a bit-identical merge (see repro.sim.shard).
-    shards: int = 1
     results_dir: Optional[str] = None
     use_store: bool = True
     # Demand reads per phase-metrics sample (--epoch-metrics); None
@@ -96,35 +91,10 @@ class Settings:
             progress=progress,
             timeout=self.timeout,
             journal=journal,
-            shards=self.shards,
             verify_fraction=self.verify_fraction,
             verify_engine=self.verify_engine,
             batch=self.batch,
         )
-
-    def budgeted(self) -> "Settings":
-        """Clamp the jobs × shards product to the machine's core count.
-
-        Shards multiply the worker count (each job fans out ``shards``
-        ways), so ``-j 8 --shards 4`` would ask for 32 workers. When
-        the product exceeds the available cores, *jobs* is reduced —
-        never the requested shard count, since sharding is what the
-        user asked for and is deterministic at any worker budget — with
-        a warning naming the adjustment.
-        """
-        if self.shards <= 1 or self.jobs <= 1:
-            return self
-        cores = os.cpu_count() or 1
-        if self.jobs * self.shards <= cores:
-            return self
-        jobs = max(1, cores // self.shards)
-        warnings.warn(
-            f"jobs*shards = {self.jobs}*{self.shards} exceeds the "
-            f"{cores} available core(s); reducing jobs to {jobs}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return replace(self, jobs=jobs)
 
 
 def _parse_workloads(text: str, parser: argparse.ArgumentParser) -> List[str]:
@@ -156,11 +126,6 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default 1/128: 32MB cache)")
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         help="worker processes (1 = serial, the default)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="set-range shards per individual run; splits "
-                             "one simulation across cores with a "
-                             "bit-identical merge (designs with global "
-                             "policy state fall back to serial)")
     parser.add_argument("--results-dir", type=str, default=None,
                         help="result-store directory "
                              "(default: $REPRO_RESULTS_DIR or ~/.cache/repro)")
@@ -235,8 +200,6 @@ def settings_from_args(
         settings = replace(settings, suite=_parse_workloads(args.workloads, parser))
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
     if args.epoch_metrics is not None and args.epoch_metrics <= 0:
         parser.error("--epoch-metrics must be positive")
     if args.retries < 0:
@@ -248,7 +211,6 @@ def settings_from_args(
     return replace(
         settings,
         jobs=args.jobs,
-        shards=args.shards,
         results_dir=args.results_dir,
         use_store=not args.no_store,
         epoch=args.epoch_metrics,
@@ -259,7 +221,7 @@ def settings_from_args(
         batch=not args.no_batch,
         verify_fraction=args.verify_fraction,
         verify_engine=args.verify_engine,
-    ).budgeted()
+    )
 
 
 def parse_args(description: str, argv: Optional[Sequence[str]] = None) -> Settings:

@@ -583,7 +583,6 @@ class JobManager:
             },
             "trace_cache": self._trace_cache_metrics(),
             "jobs": self.executor.jobs,
-            "shards": self.executor.shards,
             "counters": dict(self.counters),
         }
 

@@ -51,7 +51,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
     jobs: int = 1
-    shards: int = 1
     retries: int = 1
     timeout: Optional[float] = None
     results_dir: Optional[str] = None
@@ -67,8 +66,6 @@ class ServiceConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
         if not 0 <= self.port <= 65535:
             raise ConfigError(f"port must be in [0, 65535], got {self.port}")
         if self.max_body < 1024:
@@ -100,7 +97,6 @@ class SweepService:
             store=store,
             retries=config.retries,
             timeout=config.timeout,
-            shards=config.shards,
             verify_fraction=config.verify_fraction,
             verify_engine=config.verify_engine,
         )
@@ -287,7 +283,7 @@ async def run_service(config: ServiceConfig) -> None:
     print(
         f"repro sweep service listening on "
         f"http://{config.host}:{service.port} "
-        f"(jobs={config.jobs}, shards={config.shards}, "
+        f"(jobs={config.jobs}, "
         f"store={'on' if config.use_store else 'off'})",
         file=sys.stderr,
     )

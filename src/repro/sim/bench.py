@@ -33,21 +33,14 @@ the same runner class).
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.accord import AccordDesign
-from repro.core.protocols import cache_is_shardable
 from repro.errors import ReproError
 from repro.params.system import scaled_system
 from repro.sim.engines import resolve_engine
 from repro.sim.runner import TraceFactory
-from repro.sim.shard import (
-    effective_shard_count,
-    run_sharded,
-    warn_serial_fallback,
-)
 from repro.sim.system import Simulator, build_dram_cache
 
 BENCH_SCHEMA_VERSION = 1
@@ -92,20 +85,9 @@ def run_bench(
     warmup: float = DEFAULT_WARMUP,
     repeats: int = DEFAULT_REPEATS,
     designs: Sequence[AccordDesign] = BENCH_DESIGNS,
-    shards: int = 1,
     engine: str = "auto",
 ) -> Dict[str, Any]:
     """Time every design on one trace; returns the JSON-ready report.
-
-    With ``shards > 1``, each shardable design's run is split into
-    set-range shards executed by a worker pool and merged
-    (:func:`repro.sim.shard.run_sharded`) — hit rates are bit-identical
-    to serial by construction, which the ``--check-hit-rates`` gate
-    asserts against a serial report. Serial-only designs (GWS, ACCORD,
-    SWS, dueling, CA) keep their exact serial path and record
-    ``"shards": 1``. The shared trace is sharded once up front
-    (memoized per geometry), so shard planning is excluded from the
-    timed region the same way ``split_columns`` precomputation is.
 
     ``engine`` requests a drive engine (:mod:`repro.sim.engines`);
     designs the requested engine cannot drive exactly fall back down
@@ -130,35 +112,15 @@ def run_bench(
         engine_name = resolve_engine(
             probe, requested=engine, design=design
         ).name
-        effective = 1
-        if shards > 1:
-            if cache_is_shardable(probe):
-                effective = effective_shard_count(
-                    shards, probe.geometry.num_sets
-                )
-                # Warm the per-geometry shard memo (and split cache)
-                # outside the timed region, mirroring split_columns.
-                trace.shard(probe.geometry, effective)
-            else:
-                warn_serial_fallback(design, probe)
         best = None
         hit_rate = 0.0
         for _ in range(repeats):
-            if effective > 1:
-                start = time.perf_counter()
-                result = run_sharded(
-                    config, design, trace,
-                    warmup=warmup, shards=effective, seed=seed,
-                    engine=engine_name,
-                )
-                elapsed = time.perf_counter() - start
-            else:
-                simulator = Simulator(config, design, seed=seed)
-                start = time.perf_counter()
-                result = simulator.run(
-                    trace, warmup_fraction=warmup, engine=engine_name
-                )
-                elapsed = time.perf_counter() - start
+            simulator = Simulator(config, design, seed=seed)
+            start = time.perf_counter()
+            result = simulator.run(
+                trace, warmup_fraction=warmup, engine=engine_name
+            )
+            elapsed = time.perf_counter() - start
             if best is None or elapsed < best:
                 best = elapsed
                 hit_rate = result.hit_rate
@@ -167,7 +129,6 @@ def run_bench(
                 "design": design.display_name,
                 "kind": design.kind,
                 "ways": design.ways,
-                "shards": effective,
                 "engine": engine_name,
                 "accesses_per_sec": len(trace) / best,
                 "elapsed_sec": best,
@@ -187,7 +148,6 @@ def run_bench(
         "scale": scale,
         "warmup": warmup,
         "repeats": repeats,
-        "shards": shards,
         "engine": engine,
         "designs": rows,
         "aggregate_accesses_per_sec": total_accesses / total_time,
@@ -252,10 +212,11 @@ def compare_hit_rates(
 ) -> Optional[str]:
     """None if per-design hit rates match ``baseline`` exactly, else why.
 
-    The determinism gate for sharded execution: a ``--shards N`` report
-    must reproduce the serial report's hit rate *byte-identically* per
-    design (exact float equality — both sides round-trip through JSON's
-    shortest-repr float encoding, so equality survives serialization).
+    The engine-parity gate: a report run under one ``--engine`` must
+    reproduce the reference-loop report's hit rate *byte-identically*
+    per design (exact float equality — both sides round-trip through
+    JSON's shortest-repr float encoding, so equality survives
+    serialization).
     """
     ours = {row["design"]: row for row in report.get("designs", [])}
     theirs = {row["design"]: row for row in baseline.get("designs", [])}
@@ -268,98 +229,9 @@ def compare_hit_rates(
         if mine != reference:
             return (
                 f"{name}: hit rate {mine!r} != baseline {reference!r} "
-                f"(sharded execution must be bit-identical to serial)"
+                f"(every engine must be bit-identical to the reference loop)"
             )
     return None
-
-
-def run_shard_scaling(
-    workload: str = DEFAULT_WORKLOAD,
-    num_accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-    scale: float = DEFAULT_SCALE,
-    warmup: float = DEFAULT_WARMUP,
-    repeats: int = DEFAULT_REPEATS,
-    shards: int = 4,
-    designs: Sequence[AccordDesign] = BENCH_DESIGNS,
-) -> Dict[str, Any]:
-    """Measure intra-run shard scaling: serial vs ``--shards N``.
-
-    Runs the full bench twice — shards=1 and shards=N — and reports the
-    aggregate speedup plus the machine's core count (wall-clock scaling
-    is meaningless without it; a 1-core runner can only show overhead).
-    Also records whether the two reports' hit rates were identical,
-    which must always be true.
-    """
-    if shards < 2:
-        raise ReproError("shard scaling needs shards >= 2")
-    serial = run_bench(
-        workload=workload, num_accesses=num_accesses, seed=seed, scale=scale,
-        warmup=warmup, repeats=repeats, designs=designs, shards=1,
-    )
-    sharded = run_bench(
-        workload=workload, num_accesses=num_accesses, seed=seed, scale=scale,
-        warmup=warmup, repeats=repeats, designs=designs, shards=shards,
-    )
-    mismatch = compare_hit_rates(sharded, serial)
-    if mismatch is not None:
-        raise ReproError(f"sharded run diverged from serial: {mismatch}")
-    sharded_rows = {
-        row["design"]: row for row in sharded["designs"] if row["shards"] > 1
-    }
-    serial_sharded_time = sum(
-        row["elapsed_sec"] for row in serial["designs"]
-        if row["design"] in sharded_rows
-    )
-    sharded_time = sum(row["elapsed_sec"] for row in sharded_rows.values())
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "cores": os.cpu_count() or 1,
-        "shards": shards,
-        "serial": serial,
-        "sharded": sharded,
-        "hit_rates_identical": True,
-        # Aggregate over ALL designs (serial-only ones dilute this) and
-        # over just the designs that actually sharded.
-        "aggregate_speedup": (
-            sharded["aggregate_accesses_per_sec"]
-            / serial["aggregate_accesses_per_sec"]
-        ),
-        "shardable_speedup": (
-            serial_sharded_time / sharded_time if sharded_time else 1.0
-        ),
-    }
-
-
-def format_scaling_report(report: Dict[str, Any]) -> str:
-    """Human-readable summary for one :func:`run_shard_scaling` report."""
-    serial = report["serial"]
-    sharded = report["sharded"]
-    sharded_rows = {row["design"]: row for row in sharded["designs"]}
-    lines = [
-        f"Shard scaling: {serial['workload']}, "
-        f"{serial['num_accesses']} accesses, "
-        f"shards=1 vs shards={report['shards']} "
-        f"on {report['cores']} core(s)",
-        "",
-        f"  {'design':<20} {'serial acc/s':>13} {'sharded acc/s':>14} "
-        f"{'shards':>7} {'speedup':>8}",
-    ]
-    for row in serial["designs"]:
-        other = sharded_rows[row["design"]]
-        speedup = other["accesses_per_sec"] / row["accesses_per_sec"]
-        lines.append(
-            f"  {row['design']:<20} {row['accesses_per_sec']:>13,.0f} "
-            f"{other['accesses_per_sec']:>14,.0f} {other['shards']:>7d} "
-            f"{speedup:>7.2f}x"
-        )
-    lines.append("")
-    lines.append(
-        f"  aggregate speedup: {report['aggregate_speedup']:.2f}x "
-        f"(shardable designs only: {report['shardable_speedup']:.2f}x); "
-        f"hit rates identical: {report['hit_rates_identical']}"
-    )
-    return "\n".join(lines)
 
 
 #: Config count of the sweep benchmark's same-trace design matrix.

@@ -17,15 +17,17 @@ contract, ordered fastest-first:
 :func:`resolve_engine` replaces the old scattered ``hasattr`` probes:
 ``auto`` silently picks the fastest supported engine; an explicitly
 requested engine that cannot drive the cache falls down the same chain
-with a one-time warning (mirroring the shard driver's serial fallback),
-or raises under ``strict``. All engines are bit-identical where they
-overlap, so the choice never changes results — which is why
+with a one-time warning, or raises under ``strict``. All engines are
+bit-identical where they overlap, so the choice never changes results —
+which is why
 :class:`~repro.exec.jobs.JobKey` excludes the engine from its canonical
 identity.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import warnings
 from typing import Optional, Tuple
 
@@ -54,6 +56,28 @@ _CHAIN = ("vector", "replay", "stream", "loop")
 
 _ENGINE_FALLBACK_WARNED: set = set()
 
+#: Environment marker set in every job-pool worker so fallback and
+#: breaker warnings print once, in the parent.
+WORKER_ENV = "REPRO_POOL_WORKER"
+
+
+def in_worker_process() -> bool:
+    """True when running inside a worker process.
+
+    Detects both daemonic children (``multiprocessing.Pool`` style) and
+    non-daemonic ``ProcessPoolExecutor`` workers, which advertise
+    themselves through the :data:`WORKER_ENV` marker set by
+    :func:`mark_worker_process` at pool start.
+    """
+    if os.environ.get(WORKER_ENV) == "1":
+        return True
+    return bool(getattr(multiprocessing.current_process(), "daemon", False))
+
+
+def mark_worker_process() -> None:
+    """Pool initializer: brand this process as a worker (see above)."""
+    os.environ[WORKER_ENV] = "1"
+
 
 def get_engine(name: str) -> Engine:
     """The engine registered under ``name`` (not "auto")."""
@@ -68,11 +92,10 @@ def get_engine(name: str) -> Engine:
 def warn_engine_fallback(design, cache, requested: str, fallback: str) -> None:
     """One-time warning that an explicit engine request was downgraded.
 
-    Inside shard/job pool workers the warning is suppressed entirely:
+    Inside job-pool workers the warning is suppressed entirely:
     warn-once state is per-process, so N workers would each print their
-    own copy. The parent resolves (and warns) once when it plans the
-    run — see :func:`repro.sim.shard.run_sharded` and
-    :func:`repro.exec.jobs.plan_shards`.
+    own copy. The parent resolves (and warns) once before dispatch —
+    see :func:`repro.exec.jobs.resolve_job_engine`.
     """
     if requested == "vector":
         roles = tuple(unvectorizable_roles(cache)) or ("cache",)
@@ -89,8 +112,6 @@ def warn_engine_fallback(design, cache, requested: str, fallback: str) -> None:
     if key in _ENGINE_FALLBACK_WARNED:
         return
     _ENGINE_FALLBACK_WARNED.add(key)
-    from repro.sim.shard import in_worker_process  # deferred: shard imports us
-
     if in_worker_process():
         return
     warnings.warn(
@@ -108,8 +129,6 @@ def _warn_breaker_fallback(design, cache, requested: str, fallback: str) -> None
     if key in _ENGINE_FALLBACK_WARNED:
         return
     _ENGINE_FALLBACK_WARNED.add(key)
-    from repro.sim.shard import in_worker_process  # deferred: shard imports us
-
     if in_worker_process():
         return
     warnings.warn(
@@ -196,7 +215,10 @@ __all__ = [
     "StreamEngine",
     "TraceStream",
     "VectorEngine",
+    "WORKER_ENV",
     "get_engine",
+    "in_worker_process",
+    "mark_worker_process",
     "resolve_engine",
     "serial_segments",
     "warn_engine_fallback",

@@ -15,23 +15,14 @@ run: it warms the cache over ``[0, warm)``, resets ``cache.stats`` at
 the warm boundary, drives the measured region described by
 ``segments``, and returns the phase series (or None). ``stream`` is any
 object with ``writes`` / ``set_indices`` / ``tags`` / ``addrs``
-parallel sequences — a :class:`~repro.sim.trace.TraceShard` qualifies
-directly, and :class:`TraceStream` adapts a whole
+parallel sequences; :class:`TraceStream` adapts a whole
 :class:`~repro.sim.trace.Trace`.
 
 ``segments`` is the measurement plan: ``(epoch_id, start, stop)``
 triples covering the post-warm records in order (epoch_id None when the
-run is not phase-resolved). ``global_epochs`` distinguishes the two
-phase-accounting modes:
-
-* False (a serial whole-trace run): epoch ids are local and contiguous
-  from 0; samples carry cumulative ``start_access`` and are delivered
-  to ``phase_sink`` as they close, matching
-  :class:`~repro.sim.phases.PhaseMetrics`.
-* True (one shard of a set-sharded run): epoch ids are *global*; the
-  engine emits bucket-style samples (``start_access=0``) that
-  :meth:`~repro.sim.phases.PhaseSeries.merge` sums across shards,
-  matching the shard driver's ``_EpochBuckets`` observer.
+run is not phase-resolved). Epoch ids are contiguous from 0; samples
+carry cumulative ``start_access`` and are delivered to ``phase_sink``
+as they close, matching :class:`~repro.sim.phases.PhaseMetrics`.
 """
 
 from __future__ import annotations
@@ -69,7 +60,6 @@ class Engine(Protocol):
         segments: Sequence[Segment],
         epoch: Optional[int],
         *,
-        global_epochs: bool = False,
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
         """Warm, reset stats, run the measured segments; return phases."""
@@ -141,12 +131,11 @@ def serial_segments(
 ) -> List[Segment]:
     """Measurement plan for a serial whole-trace run.
 
-    The whole-trace counterpart of :func:`repro.sim.shard.shard_segments`
-    (same epoch-id attribution: a read at post-warmup read ordinal ``r``
-    belongs to epoch ``r // epoch``, a writeback after ``R`` window
-    reads to ``max(R - 1, 0) // epoch``), with record positions being
-    simply ``[warm, len(trace))``. Because the full read sequence is
-    present, the resulting epoch ids are contiguous from 0.
+    A read at post-warmup read ordinal ``r`` belongs to epoch
+    ``r // epoch``; a writeback after ``R`` window reads belongs to
+    ``max(R - 1, 0) // epoch``, mirroring PhaseMetrics' flush-on-next-read
+    attribution. Records ``[warm, len(trace))`` are covered in order, so
+    the resulting epoch ids are contiguous from 0.
     """
     n = len(trace)
     if epoch is None:

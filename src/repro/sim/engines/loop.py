@@ -34,7 +34,6 @@ class PerAccessEngine:
         segments: Sequence[Segment],
         epoch: Optional[int],
         *,
-        global_epochs: bool = False,
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
         writes = stream.writes
@@ -58,33 +57,17 @@ class PerAccessEngine:
                     else:
                         read(a)
             return None
-        if global_epochs:
-            from repro.sim.shard import _EpochBuckets
-
-            observer = _EpochBuckets()
-        else:
-            observer = PhaseMetrics(epoch, sink=phase_sink)
+        observer = PhaseMetrics(epoch, sink=phase_sink)
         add_observer(observer)
         try:
-            if global_epochs:
-                for epoch_id, start, stop in segments:
-                    observer.set_epoch(epoch_id)
-                    for w, a in zip(writes[start:stop], addrs[start:stop]):
-                        if w:
-                            writeback(a)
-                        else:
-                            read(a)
-            else:
-                n = len(addrs)
-                for w, a in zip(writes[warm:n], addrs[warm:n]):
-                    if w:
-                        writeback(a)
-                    else:
-                        read(a)
+            n = len(addrs)
+            for w, a in zip(writes[warm:n], addrs[warm:n]):
+                if w:
+                    writeback(a)
+                else:
+                    read(a)
         finally:
             cache.remove_observer(observer)
-        if global_epochs:
-            return observer.result(epoch)
         return observer.result()
 
 

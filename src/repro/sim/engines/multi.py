@@ -527,7 +527,7 @@ def drive_fused(
         phases = None
         if run.epoch is not None:
             phases = _phase_series(
-                run.plan, writes, out, run.segments, run.epoch, False, None
+                run.plan, writes, out, run.segments, run.epoch, None
             )
         results.append((stats, phases))
     return results

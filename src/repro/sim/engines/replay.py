@@ -816,7 +816,6 @@ class SparseReplayEngine:
         segments: Sequence[Segment],
         epoch: Optional[int],
         *,
-        global_epochs: bool = False,
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
         plan = _build_replay_plan(cache)
@@ -846,9 +845,7 @@ class SparseReplayEngine:
         cache.stats = _window_stats(shim, writes_a, out, warm, len(sets_a))
         if epoch is None:
             return None
-        return _phase_series(
-            shim, writes_a, out, segments, epoch, global_epochs, phase_sink
-        )
+        return _phase_series(shim, writes_a, out, segments, epoch, phase_sink)
 
 
 __all__ = ["SparseReplayEngine"]

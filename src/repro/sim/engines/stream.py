@@ -5,7 +5,7 @@ constant work is hoisted out of the loop and counters accumulate in
 locals (see ``run_stream``). Phase-resolved serial runs attach
 :class:`~repro.sim.phases.PhaseMetrics` over one ``[warm, n)`` drive
 (the observer makes ``run_stream`` fall back to its exact per-access
-path, as before this engine existed); shard runs bucket per segment.
+path, as before this engine existed).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class StreamEngine:
         segments: Sequence[Segment],
         epoch: Optional[int],
         *,
-        global_epochs: bool = False,
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
         path = cache.path
@@ -48,18 +47,6 @@ class StreamEngine:
             for _, start, stop in segments:
                 run_stream(writes, sets, tags, addrs, start, stop)
             return None
-        if global_epochs:
-            from repro.sim.shard import _EpochBuckets
-
-            buckets = _EpochBuckets()
-            cache.add_observer(buckets)
-            try:
-                for epoch_id, start, stop in segments:
-                    buckets.set_epoch(epoch_id)
-                    run_stream(writes, sets, tags, addrs, start, stop)
-            finally:
-                cache.remove_observer(buckets)
-            return buckets.result(epoch)
         observer = PhaseMetrics(epoch, sink=phase_sink)
         cache.add_observer(observer)
         try:

@@ -31,11 +31,10 @@ store, empty DCP, zeroed predictor state): it replays the run against
 its own state arrays initialized to those build-time defaults, and
 never reads or writes the cache's actual store.
 :meth:`repro.sim.system.Simulator.run` upholds the contract by
-rebuilding the cache before a repeat run; the shard workers always
-build fresh caches. ``supports`` declines anything else: non-dense or
-unprefilled stores, registered observers, policy stacks outside the
-exact set of vectorizable types (subclasses do not inherit
-eligibility, even if they inherit the capability flag).
+rebuilding the cache before a repeat run. ``supports`` declines
+anything else: non-dense or unprefilled stores, registered observers,
+policy stacks outside the exact set of vectorizable types (subclasses
+do not inherit eligibility, even if they inherit the capability flag).
 """
 
 from __future__ import annotations
@@ -654,15 +653,12 @@ def _phase_series(
     out: _Outcome,
     segments: Sequence[Segment],
     epoch: int,
-    global_epochs: bool,
     phase_sink,
 ) -> PhaseSeries:
     """Fold outcome columns per epoch segment into a PhaseSeries.
 
-    Serial mode emits :class:`PhaseMetrics`-compatible samples
-    (contiguous indices, cumulative ``start_access``, sink streaming in
-    order); shard mode emits the merge-ready bucket form
-    (``start_access=0``, global epoch indices).
+    Emits :class:`PhaseMetrics`-compatible samples (contiguous indices,
+    cumulative ``start_access``, sink streaming in order).
     """
     samples = []
     start_access = 0
@@ -677,7 +673,7 @@ def _phase_series(
         dirty_evictions = int(out.victim_dirty[start:stop].sum())
         sample = PhaseSample(
             index=int(epoch_id),
-            start_access=0 if global_epochs else start_access,
+            start_access=start_access,
             accesses=accesses,
             hits=hits,
             predicted_hits=hits if plan.flow == "predicted" else 0,
@@ -692,7 +688,7 @@ def _phase_series(
         )
         samples.append(sample)
         start_access += accesses
-        if phase_sink is not None and not global_epochs:
+        if phase_sink is not None:
             phase_sink(sample)
     return PhaseSeries(epoch=epoch, samples=tuple(samples))
 
@@ -713,7 +709,6 @@ class VectorEngine:
         segments: Sequence[Segment],
         epoch: Optional[int],
         *,
-        global_epochs: bool = False,
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
         plan = _build_plan(cache)
@@ -727,9 +722,7 @@ class VectorEngine:
         cache.stats = _window_stats(plan, writes, out, warm, len(sets))
         if epoch is None:
             return None
-        return _phase_series(
-            plan, writes, out, segments, epoch, global_epochs, phase_sink
-        )
+        return _phase_series(plan, writes, out, segments, epoch, phase_sink)
 
 
 __all__ = ["VectorEngine"]

@@ -94,61 +94,6 @@ class PhaseSeries:
         }
 
     @classmethod
-    def merge(cls, series: "List[PhaseSeries]") -> "PhaseSeries":
-        """Combine per-epoch series measured over disjoint access subsets.
-
-        The use case is set-sharded runs: each shard records a series
-        over its own subset of the measurement window, with samples
-        labelled by *global* epoch index; the merged series is the
-        elementwise sum per epoch index, with ``start_access`` rebuilt
-        cumulatively — exactly the series a serial run over the union
-        would have recorded.
-
-        The operation is associative and commutative (integer sums per
-        aligned epoch), and an empty series (or empty list entry) is an
-        identity. All inputs must agree on the epoch length.
-        """
-        parts = [s for s in series if s is not None]
-        if not parts:
-            raise SimulationError("PhaseSeries.merge needs at least one series")
-        epochs = {s.epoch for s in parts}
-        if len(epochs) > 1:
-            raise SimulationError(
-                f"cannot merge phase series with different epoch lengths: "
-                f"{sorted(epochs)}"
-            )
-        totals: Dict[int, List[int]] = {}
-        for part in parts:
-            for sample in part.samples:
-                bucket = totals.setdefault(sample.index, [0] * 7)
-                bucket[0] += sample.accesses
-                bucket[1] += sample.hits
-                bucket[2] += sample.predicted_hits
-                bucket[3] += sample.correct_predictions
-                bucket[4] += sample.nvm_reads
-                bucket[5] += sample.nvm_writes
-                bucket[6] += sample.writebacks
-        merged = []
-        start_access = 0
-        for index in sorted(totals):
-            bucket = totals[index]
-            merged.append(
-                PhaseSample(
-                    index=index,
-                    start_access=start_access,
-                    accesses=bucket[0],
-                    hits=bucket[1],
-                    predicted_hits=bucket[2],
-                    correct_predictions=bucket[3],
-                    nvm_reads=bucket[4],
-                    nvm_writes=bucket[5],
-                    writebacks=bucket[6],
-                )
-            )
-            start_access += bucket[0]
-        return cls(epoch=parts[0].epoch, samples=tuple(merged))
-
-    @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PhaseSeries":
         """Rebuild a series from :meth:`to_dict` output."""
         try:

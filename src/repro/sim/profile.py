@@ -177,97 +177,3 @@ def profile_trace(
         region_reuse_fraction=region_hits / max(region_lookups, 1),
         reuse_histogram=dict(estimator.histogram) if estimator else {},
     )
-
-
-@dataclass(frozen=True)
-class ShardProfile:
-    """Per-shard attribution of one set-sharded run (``--shards``)."""
-
-    index: int
-    records: int
-    sets: int
-    elapsed_sec: float
-
-
-def profile_shards(
-    trace: Trace,
-    n_shards: int,
-    scale: float = 1.0 / 128.0,
-    seed: int = 7,
-    warmup: float = 0.3,
-    engine: str = "stream",
-) -> List[ShardProfile]:
-    """Time each shard of a sharded run to expose load imbalance.
-
-    Runs every shard inline (one process, timed individually) against
-    the baseline 2-way PWS design — a shardable design whose access
-    path exercises steering, prediction and replacement — so the
-    per-shard wall times reflect what each worker of ``--shards N``
-    would spend. The bottleneck shard bounds the parallel speedup:
-    ideal is ``total / max``, not ``n_shards``.
-
-    ``engine`` selects the drive engine each shard is timed under
-    (default ``stream``, the shard workers' historical hot loop;
-    ``auto`` resolves to the fastest supported engine, ``vector``
-    attributes the numpy kernel's per-shard time instead).
-    """
-    import time
-
-    from repro.core.accord import AccordDesign
-    from repro.params.system import scaled_system
-    from repro.sim.engines import resolve_engine
-    from repro.sim.shard import run_shard
-    from repro.sim.system import build_dram_cache
-
-    if n_shards < 1:
-        raise TraceError(f"shard count must be >= 1, got {n_shards}")
-    design = AccordDesign(kind="pws", ways=2)
-    config = scaled_system(ways=design.ways, scale=scale)
-    cache = build_dram_cache(design, config, seed=seed)
-    geometry = cache.geometry
-    engine_name = resolve_engine(cache, requested=engine, design=design).name
-    shards = trace.shard(geometry, n_shards)
-    profiles = []
-    for shard in shards:
-        start = time.perf_counter()
-        run_shard(
-            config, design, trace, shard.index, len(shards),
-            warmup=warmup, seed=seed, engine=engine_name,
-        )
-        elapsed = time.perf_counter() - start
-        profiles.append(
-            ShardProfile(
-                index=shard.index,
-                records=len(shard),
-                sets=len(set(shard.set_indices)),
-                elapsed_sec=elapsed,
-            )
-        )
-    return profiles
-
-
-def shard_summary(profiles: List[ShardProfile]) -> str:
-    """Render :func:`profile_shards` output as an attribution table."""
-    if not profiles:
-        return "no shards"
-    total_records = sum(p.records for p in profiles) or 1
-    total_time = sum(p.elapsed_sec for p in profiles)
-    lines = [
-        f"{'shard':>5} {'records':>9} {'rec %':>6} {'sets':>6} "
-        f"{'time (s)':>9} {'time %':>7}"
-    ]
-    for p in profiles:
-        lines.append(
-            f"{p.index:>5d} {p.records:>9d} "
-            f"{100.0 * p.records / total_records:>5.1f}% {p.sets:>6d} "
-            f"{p.elapsed_sec:>9.3f} "
-            f"{100.0 * p.elapsed_sec / total_time if total_time else 0.0:>6.1f}%"
-        )
-    slowest = max(p.elapsed_sec for p in profiles)
-    ideal = total_time / slowest if slowest else 1.0
-    lines.append(
-        f"bottleneck shard {max(profiles, key=lambda p: p.elapsed_sec).index}: "
-        f"parallel speedup bound {ideal:.2f}x over serial "
-        f"(perfect balance would give {len(profiles)}x)"
-    )
-    return "\n".join(lines)

@@ -138,28 +138,23 @@ def run_suite(
     epoch: Optional[int] = None,
     retries: int = 1,
     timeout: Optional[float] = None,
-    shards: int = 1,
     engine: str = "auto",
 ) -> Dict[str, RunResult]:
     """Run one design across a workload suite.
 
-    With ``jobs > 1``, ``shards > 1`` or a
-    :class:`repro.exec.ResultStore`, execution routes through the
-    parallel executor; that path requires the standard
+    With ``jobs > 1`` or a :class:`repro.exec.ResultStore`, execution
+    routes through the parallel executor; that path requires the standard
     :func:`scaled_system` geometry (workers rebuild the config from
     ``(ways, scale)`` alone), so custom configs/trace factories must
     run serially and unmemoized. ``retries`` bounds per-job retry
     attempts on transient failures and dead workers; ``timeout`` is the
     per-job wall-clock watchdog in seconds (parallel path only).
-    ``shards`` splits each individual run into set-range shards merged
-    bit-identically (:mod:`repro.sim.shard`) — intra-run parallelism,
-    orthogonal to the cross-job ``jobs``.
     """
     if not workloads:
         raise WorkloadError("workload suite is empty")
     config = config or scaled_system(ways=design.ways)
     traces = traces or TraceFactory(config, num_accesses, seed)
-    if jobs != 1 or shards != 1 or store is not None:
+    if jobs != 1 or store is not None:
         from repro.errors import ConfigError
         from repro.exec import Executor, JobKey
 
@@ -187,8 +182,7 @@ def run_suite(
             for workload in workloads
         ]
         resolved = Executor(
-            jobs=jobs, store=store, retries=retries, timeout=timeout,
-            shards=shards,
+            jobs=jobs, store=store, retries=retries, timeout=timeout
         ).run(keys)
         return {key.workload: resolved[key] for key in keys}
     results: Dict[str, RunResult] = {}

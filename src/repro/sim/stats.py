@@ -105,15 +105,6 @@ class CacheStats:
         """Increment a free-form extra counter."""
         self.extras[name] = self.extras.get(name, 0) + amount
 
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another stats block into this one."""
-        for f in fields(self):
-            if f.name == "extras":
-                for key, value in other.extras.items():
-                    self.bump(key, value)
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def to_dict(self) -> Dict[str, object]:
         """Raw counters only (no derived metrics); inverse of :meth:`from_dict`."""
         out: Dict[str, object] = {}

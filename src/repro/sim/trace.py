@@ -67,37 +67,6 @@ class SplitColumns:
         self.line_addrs = line_addrs
 
 
-class TraceShard:
-    """One set-range shard of a trace under one cache geometry.
-
-    Carries the shard's records in arrival order: ``positions`` (their
-    global indices in the parent trace, as an int64 numpy array for
-    ``searchsorted``/epoch math) plus the hot-loop columns as plain
-    Python lists, ready for :meth:`AccessPath.run_stream`. All sets a
-    shard covers form one contiguous, region-aligned range, so every
-    record of one set lands in exactly one shard.
-    """
-
-    __slots__ = ("index", "count", "positions", "writes", "set_indices",
-                 "tags", "addrs")
-
-    def __init__(self, index, count, positions, writes, set_indices, tags, addrs):
-        self.index = index
-        self.count = count
-        self.positions = positions
-        self.writes = writes
-        self.set_indices = set_indices
-        self.tags = tags
-        self.addrs = addrs
-
-    def __len__(self) -> int:
-        return len(self.addrs)
-
-    def warm_index(self, warm: int) -> int:
-        """Local index of the first record at global position >= warm."""
-        return int(np.searchsorted(self.positions, warm, side="left"))
-
-
 class Trace:
     """An in-memory request stream.
 
@@ -117,8 +86,8 @@ class Trace:
     arithmetic).
 
     Columns must not be mutated after construction: the write count,
-    the numpy column views, and the per-geometry split columns and
-    shard partitions are cached.
+    the numpy column views, and the per-geometry split columns are
+    cached.
 
     ``cache_token`` optionally carries a content identity (the
     :class:`~repro.workloads.trace_cache.TraceKey` digest) so plan
@@ -128,7 +97,7 @@ class Trace:
     __slots__ = (
         "name", "instructions_per_access", "cache_token",
         "_addrs_list", "_writes_list", "_write_count", "_split_cache",
-        "_np_addrs", "_np_writes", "_read_prefix_cache", "_shard_cache",
+        "_np_addrs", "_np_writes", "_read_prefix_cache",
         "__weakref__",
     )
 
@@ -178,9 +147,6 @@ class Trace:
         self._write_count: Optional[int] = None
         self._split_cache: Dict[Tuple[int, int], SplitColumns] = {}
         self._read_prefix_cache: Optional[np.ndarray] = None
-        self._shard_cache: Dict[
-            Tuple[int, int, int], Tuple["TraceShard", ...]
-        ] = {}
 
     def __repr__(self) -> str:
         return (
@@ -300,8 +266,8 @@ class Trace:
     def numpy_addrs(self) -> np.ndarray:
         """The address column as int64, converted once and cached.
 
-        Every geometry-dependent derivation (:meth:`split_columns`,
-        :meth:`shard`) starts from this array, so a bench run replaying
+        Every geometry-dependent derivation (:meth:`split_columns`)
+        starts from this array, so a bench run replaying
         one trace against many designs pays the O(n) list-to-array
         conversion a single time.
         """
@@ -328,9 +294,8 @@ class Trace:
     def read_prefix(self) -> np.ndarray:
         """``rp[p]`` = demand reads among the first ``p`` records.
 
-        Length ``len(self) + 1``; cached. Lets shard runners recover any
-        record's global *read ordinal* in O(1) — the quantity phase
-        epochs are counted in.
+        Length ``len(self) + 1``; cached. Gives any record's *read
+        ordinal* in O(1) — the quantity phase epochs are counted in.
         """
         prefix = self._read_prefix_cache
         if prefix is None:
@@ -338,75 +303,6 @@ class Trace:
             prefix = np.concatenate(([0], np.cumsum(reads)))
             self._read_prefix_cache = prefix
         return prefix
-
-    # -- set-range sharding ------------------------------------------------
-
-    def shard(self, geometry: "CacheGeometry", n_shards: int) -> Tuple["TraceShard", ...]:
-        """Partition the trace into set-range shards for one geometry.
-
-        Shard ``i`` receives every record whose set index falls in the
-        contiguous range ``[i * num_sets / n, (i + 1) * num_sets / n)``
-        — region-aligned, so a 4KB region's lines (which share their
-        upper index bits) stay together. Records keep arrival order and
-        their global positions. Reuses the memoized vectorized split
-        (:meth:`split_columns`) and is itself memoized per
-        ``(offset_bits, index_bits, n_shards)``: bench's many designs
-        and repeat runs share one partition.
-
-        ``n_shards`` is clamped to ``num_sets`` (a shard must own at
-        least one set).
-        """
-        if n_shards < 1:
-            raise TraceError(f"n_shards must be positive, got {n_shards}")
-        num_sets = 1 << geometry.index_bits
-        n_shards = min(n_shards, num_sets)
-        key = (geometry.offset_bits, geometry.index_bits, n_shards)
-        shards = self._shard_cache.get(key)
-        if shards is None:
-            from repro.params.system import REGION_SIZE
-
-            columns = self.split_columns(geometry)
-            set_arr = np.asarray(columns.set_indices, dtype=np.int64)
-            # A 4KB region's lines occupy consecutive sets; align shard
-            # boundaries to region-sized set blocks so a region never
-            # straddles two shards (when there are enough blocks).
-            region_sets = max(1, REGION_SIZE >> geometry.offset_bits)
-            num_blocks = num_sets // region_sets
-            if num_blocks >= n_shards:
-                shard_ids = ((set_arr // region_sets) * n_shards) // num_blocks
-            else:
-                shard_ids = (set_arr * n_shards) // num_sets
-            addrs = self.numpy_addrs()
-            writes = self.numpy_writes()
-            tags_arr = np.asarray(columns.tags, dtype=np.int64)
-            built = []
-            for index in range(n_shards):
-                positions = np.flatnonzero(shard_ids == index)
-                built.append(
-                    TraceShard(
-                        index=index,
-                        count=n_shards,
-                        positions=positions,
-                        writes=writes[positions].tolist(),
-                        set_indices=set_arr[positions].tolist(),
-                        tags=tags_arr[positions].tolist(),
-                        addrs=addrs[positions].tolist(),
-                    )
-                )
-            shards = tuple(built)
-            self._shard_cache[key] = shards
-        return shards
-
-    def shard_slice(
-        self, geometry: "CacheGeometry", n_shards: int, index: int
-    ) -> "TraceShard":
-        """One shard of :meth:`shard` (bounds-checked convenience)."""
-        shards = self.shard(geometry, n_shards)
-        if not 0 <= index < len(shards):
-            raise TraceError(
-                f"shard index {index} out of range for {len(shards)} shards"
-            )
-        return shards[index]
 
 
 def trace_from_arrays(

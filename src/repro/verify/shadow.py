@@ -36,7 +36,6 @@ __all__ = [
     "VERIFY_ENGINES",
     "quarantine_mismatch",
     "reference_result",
-    "resolve_job_engine",
     "should_verify",
 ]
 
@@ -53,8 +52,8 @@ def should_verify(digest: str, fraction: float) -> bool:
     Maps ``sha256("shadow-verify:" + digest)`` onto [0, 1) and compares
     against ``fraction`` — uniform over keys, stable across processes
     and resumes, and independent of the store/journal digest itself (a
-    different domain prefix, so sampling never correlates with shard
-    directory layout).
+    different domain prefix, so sampling never correlates with the
+    store's directory fan-out).
     """
     if fraction <= 0.0:
         return False
@@ -78,19 +77,6 @@ def reference_result(key: Any, engine: str = "stream") -> Any:
 
     with suppressed():
         return execute_job(replace(key, engine=engine))
-
-
-def resolve_job_engine(key: Any) -> str:
-    """The concrete engine name ``key``'s request resolves to right now.
-
-    Used to attribute a mismatch to the engine that actually produced
-    the suspect result (``key.engine`` is usually just ``"auto"``).
-    Must be called *before* tripping the breaker, which changes the
-    resolution.
-    """
-    from repro.exec.jobs import _shard_engine
-
-    return _shard_engine(key)
 
 
 def _write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:

@@ -5,11 +5,13 @@ reference loop, the batched ``run_stream`` loop, and the whole-trace
 vectorized numpy kernel are three implementations of one specification.
 The matrix below pins all of them bit-identical — ``CacheStats``, the
 whole ``RunResult`` and the phase series — for every benchmark design
-variant, serial and set-sharded, on randomized traces. That equivalence
+variant, on randomized traces. That equivalence
 is what licenses excluding the engine from :meth:`JobKey.canonical`:
 a result computed under any engine satisfies the same key.
 """
 
+import multiprocessing
+import os
 import warnings
 
 import pytest
@@ -24,12 +26,14 @@ from repro.sim.bench import BENCH_DESIGNS
 from repro.sim.engines import (
     ENGINE_NAMES,
     ENGINES,
+    WORKER_ENV,
     TraceStream,
     get_engine,
+    in_worker_process,
+    mark_worker_process,
     resolve_engine,
     serial_segments,
 )
-from repro.sim.shard import run_sharded
 from repro.sim.system import Simulator, build_dram_cache
 from repro.sim.trace import Trace
 from repro.utils.rng import XorShift64
@@ -78,7 +82,7 @@ def loop_reference(trace):
 
 
 class TestEngineEquivalenceMatrix:
-    """16 designs x {loop, stream, vector, replay} x serial/sharded.
+    """16 designs x {stream, vector, replay}, each against the loop.
 
     Unsupported explicit requests fall down the chain (with a warning we
     silence here), so every cell is still a valid exactness check: the
@@ -94,19 +98,6 @@ class TestEngineEquivalenceMatrix:
             warnings.simplefilter("ignore", RuntimeWarning)
             result = Simulator(config, design, seed=5).run(
                 trace, warmup_fraction=0.3, epoch=EPOCH, engine=engine
-            )
-        assert result.to_dict() == loop_reference(design)
-
-    @pytest.mark.parametrize("engine", ["loop", "stream", "vector", "replay"])
-    @pytest.mark.parametrize("design", BENCH_DESIGNS, ids=_design_id)
-    def test_sharded_engines_match_loop(self, design, engine, trace,
-                                        loop_reference):
-        config = scaled_system(ways=design.ways, scale=SCALE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = run_sharded(
-                config, design, trace, warmup=0.3, epoch=EPOCH,
-                shards=3, seed=5, inline=True, engine=engine,
             )
         assert result.to_dict() == loop_reference(design)
 
@@ -335,10 +326,9 @@ class TestResolver:
 
     def test_worker_processes_suppress_fallback_warning(self, monkeypatch):
         """Warn-once state is per-process; inside pool workers the
-        warning is suppressed entirely (the parent warns at planning
-        time), so --shards N cannot print N copies."""
+        warning is suppressed entirely (the parent warns before
+        dispatch), so -j N cannot print N copies."""
         from repro.sim.engines import _ENGINE_FALLBACK_WARNED
-        from repro.sim.shard import WORKER_ENV
 
         _ENGINE_FALLBACK_WARNED.clear()
         cache, design = self._cache(AccordDesign(kind="gws", ways=2))
@@ -395,6 +385,26 @@ class TestResolver:
             trace, warmup_fraction=0.3, engine="loop"
         )
         assert first.to_dict() == second.to_dict() == fresh.to_dict()
+
+
+class TestWorkerMarker:
+    """Pool workers are recognisable, so they can stay silent."""
+
+    def test_env_marker_detected(self, monkeypatch):
+        monkeypatch.setenv(WORKER_ENV, "1")
+        assert in_worker_process()
+        monkeypatch.delenv(WORKER_ENV)
+        if not multiprocessing.current_process().daemon:
+            assert not in_worker_process()
+
+    def test_mark_worker_process_sets_marker(self, monkeypatch):
+        monkeypatch.delenv(WORKER_ENV, raising=False)
+        mark_worker_process()
+        try:
+            assert os.environ.get(WORKER_ENV) == "1"
+            assert in_worker_process()
+        finally:
+            os.environ.pop(WORKER_ENV, None)
 
 
 class TestJobKeyEngine:

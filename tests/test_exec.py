@@ -153,7 +153,7 @@ class TestResultStore:
         assert (qdir / path.name).read_text(encoding="utf-8") == "{ not json"
         why = json.loads((qdir / f"{path.name}.why").read_text("utf-8"))
         assert "unreadable" in why["reason"]
-        assert len(store) == 0  # the quarantine shard is not an entry
+        assert len(store) == 0  # the quarantine directory is not an entry
 
     def test_mismatched_schema_entry_quarantined_and_rerun(self, tmp_path):
         # An entry whose result no longer matches the RunResult schema

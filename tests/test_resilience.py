@@ -134,6 +134,48 @@ class TestSweepJournal:
         assert fresh.lookup(keys[0]) == result.to_dict()
         assert fresh.lookup(keys[1]) is None
 
+    def test_journal_with_retired_shard_lines_still_resumes(self, tmp_path):
+        """Journals written by set-sharded sweeps carry ``shard`` lines.
+
+        The event is retired; such a journal must still resume under the
+        same JOURNAL_VERSION: its ``done`` lines replay and the ``shard``
+        lines are ignored, so the half-finished job simply re-runs.
+        """
+        from repro.exec import Executor, execute_job
+        from repro.exec.resilience import JOURNAL_VERSION
+
+        assert JOURNAL_VERSION == 1
+        path = tmp_path / "old.journal.jsonl"
+        keys = self.keys()
+        journal = SweepJournal(path)
+        journal.begin(keys)
+        done = execute_job(keys[0])
+        journal.record_done(keys[0], done)
+        partial = execute_job(keys[1])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({
+                "event": "shard",
+                "key": f"{keys[1].digest()}-s0of2",
+                "display": f"{keys[1].display} [shard 1/2]",
+                "result": {
+                    "stats": partial.stats.to_dict(),
+                    "phases": None,
+                    "workload": keys[1].workload,
+                    "instructions_per_access": 40.0,
+                },
+            }) + "\n")
+
+        resumed = SweepJournal(path)
+        assert resumed.load() == 1
+        assert resumed.lookup(keys[0]) == done.to_dict()
+        assert resumed.lookup(keys[1]) is None
+        executor = Executor(jobs=1, journal=resumed)
+        results = executor.run(keys)
+        assert executor.stats.resumed == 1
+        assert executor.stats.executed == 2
+        assert results[keys[0]].to_dict() == done.to_dict()
+        assert results[keys[1]].to_dict() == partial.to_dict()
+
     def test_sweep_digest_order_insensitive(self):
         keys = self.keys()
         assert SweepJournal.sweep_digest(keys) == \

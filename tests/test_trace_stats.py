@@ -107,15 +107,6 @@ class TestCacheStats:
         assert stats.probes_per_read == 1.5
         assert stats.extra_probes == 5
 
-    def test_merge(self):
-        a = CacheStats(hits=1, misses=2)
-        a.bump("custom", 5)
-        b = CacheStats(hits=3, misses=4)
-        b.bump("custom", 2)
-        a.merge(b)
-        assert a.hits == 4 and a.misses == 6
-        assert a.extras["custom"] == 7
-
     def test_as_dict_includes_derived(self):
         stats = CacheStats(hits=1, misses=1, demand_reads=2, first_probes=2)
         d = stats.as_dict()
