@@ -153,7 +153,6 @@ def run_dcp_modes(settings: Settings) -> str:
         ("no DCP (always probe)", "none"),
     ):
         design = AccordDesign(kind="accord", ways=2, dcp=mode)
-        runner.run(label, design)
         results = runner.run(label, design)
         probes = sum(r.stats.writeback_probe_accesses for r in results.values())
         writebacks = sum(r.stats.writebacks_in for r in results.values())
@@ -180,16 +179,15 @@ def run_mru_filtering(settings: Settings) -> str:
     from repro.cache.geometry import CacheGeometry
     from repro.sim.frontend import (
         FrontendSpec,
-        RawAccessGenerator,
+        filtered_frontend,
         mru_accuracy_at_level,
-        run_frontend,
     )
 
     spec = FrontendSpec()
     raw_accesses = min(settings.num_accesses * 2, 400_000)
     # SRAM hierarchy scaled like the DRAM cache (Table III / 8), so the
     # hot working set spills past the L3 into the DRAM cache.
-    result = run_frontend(
+    result, raw_reads = filtered_frontend(
         spec,
         raw_accesses,
         seed=settings.seed,
@@ -203,10 +201,10 @@ def run_mru_filtering(settings: Settings) -> str:
     # filtered-stream hits come from capacity churn where several live
     # lines share a set and alternate (MRU confused).
     geometry = CacheGeometry(8 * 1024 * 1024, 2)
-    raw_stream = RawAccessGenerator(spec, seed=settings.seed).accesses(raw_accesses)
-    raw_acc = mru_accuracy_at_level(raw_stream, geometry, seed=settings.seed)
-    filtered = zip(result.dram_cache_trace.addrs, result.dram_cache_trace.writes)
-    filtered_acc = mru_accuracy_at_level(filtered, geometry, seed=settings.seed)
+    raw_acc = mru_accuracy_at_level(raw_reads, geometry, seed=settings.seed)
+    filtered_acc = mru_accuracy_at_level(
+        result.dram_cache_trace, geometry, seed=settings.seed
+    )
 
     rows = [
         ["L1 hit rate", format_percent(result.l1_hit_rate)],

@@ -11,12 +11,20 @@ temporal locality visible at L1 is *filtered out* by the SRAM levels,
 which is why MRU way prediction works for L1 but collapses at the
 DRAM cache. `repro.experiments.ablations` exposes this as the
 ``mru-filtering`` study and `tests/test_frontend.py` asserts it.
+
+A front-end run is a pure function of its inputs, so
+:func:`filtered_frontend` memoizes its output in the shared trace cache
+(:mod:`repro.workloads.trace_cache`) under a :class:`FrontendKey`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import hashlib
+import json
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import CacheHierarchy
@@ -24,6 +32,15 @@ from repro.errors import SimulationError, WorkloadError
 from repro.params.system import LINE_SIZE
 from repro.sim.trace import Trace
 from repro.utils.rng import XorShift64, mix64
+from repro.workloads.trace_cache import TRACE_SCHEMA_VERSION, shared_trace_cache
+
+#: Version of the code a :class:`FrontendKey` memoizes: bump it whenever
+#: ``RawAccessGenerator``, :mod:`repro.cache.sram` or
+#: :mod:`repro.cache.hierarchy` changes the streams or hit counters a
+#: front-end run produces.
+FRONTEND_VERSION = 1
+
+_LEVELS = ("l1", "l2", "l3")
 
 
 @dataclass(frozen=True)
@@ -144,6 +161,130 @@ class _RecordingSink:
         return True
 
 
+@dataclass(frozen=True)
+class FrontendKey:
+    """Everything that determines one front-end run's output.
+
+    A run is memoized as two trace-cache entries: ``part="filtered"``
+    holds the L4-bound trace (its sidecar ``meta`` carries the SRAM
+    levels' hit counters) and ``part="raw-reads"`` the raw stream's
+    reads. ``levels`` are the resolved L1/L2/L3 geometries.
+    """
+
+    spec: FrontendSpec
+    raw_accesses: int
+    seed: int
+    levels: Tuple[CacheGeometry, CacheGeometry, CacheGeometry]
+    instructions_per_access: float
+    part: str = "filtered"
+
+    def canonical(self) -> str:
+        """Deterministic JSON form of the key (hashed for the address)."""
+        payload = {
+            # `repro audit` quarantines trace-cache keys of any other schema.
+            "schema": TRACE_SCHEMA_VERSION,
+            "frontend": FRONTEND_VERSION,
+            "part": self.part,
+            "spec": asdict(self.spec),
+            "raw_accesses": self.raw_accesses,
+            "seed": self.seed,
+            "instructions_per_access": repr(float(self.instructions_per_access)),
+            "levels": {
+                name: [level.capacity_bytes, level.ways, level.line_size]
+                for name, level in zip(_LEVELS, self.levels)
+            },
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def digest(self) -> str:
+        return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
+
+
+def _counters(hierarchy: CacheHierarchy) -> Dict[str, Any]:
+    """The hierarchy's integer counters (a cached entry's ``meta``)."""
+    levels = (hierarchy.l1, hierarchy.l2, hierarchy.l3)
+    counters: Dict[str, Any] = {"cpu_accesses": hierarchy.stats.cpu_accesses}
+    for name, level in zip(_LEVELS, levels):
+        counters[name] = [level.hits, level.accesses]
+    return counters
+
+
+def _parse_counters(meta: Any) -> Dict[str, Any]:
+    """Validate a cached entry's counters; ValueError if malformed."""
+    if not isinstance(meta, dict) or set(meta) != {"cpu_accesses", *_LEVELS}:
+        raise ValueError(f"expected front-end counters, got {meta!r}")
+
+    def is_count(value) -> bool:
+        return type(value) is int and value >= 0
+
+    if not is_count(meta["cpu_accesses"]):
+        raise ValueError(f"bad cpu_accesses {meta['cpu_accesses']!r}")
+    for name in _LEVELS:
+        pair = meta[name]
+        if not (
+            isinstance(pair, list) and len(pair) == 2
+            and all(map(is_count, pair)) and pair[0] <= pair[1]
+        ):
+            raise ValueError(f"bad {name} (hits, accesses) {pair!r}")
+    return meta
+
+
+def _result(counters: Dict[str, Any], trace: Trace) -> FrontendResult:
+    def rate(hits: int, accesses: int) -> float:
+        # SramCache.hit_rate's expression: cached rates are bit-identical.
+        return hits / accesses if accesses else 0.0
+
+    return FrontendResult(
+        raw_accesses=counters["cpu_accesses"],
+        l1_hit_rate=rate(*counters["l1"]),
+        l2_hit_rate=rate(*counters["l2"]),
+        l3_hit_rate=rate(*counters["l3"]),
+        dram_cache_reads=len(trace) - trace.write_count,
+        dram_cache_trace=trace,
+    )
+
+
+def _hierarchy(
+    raw_accesses: int,
+    l1: Optional[CacheGeometry],
+    l2: Optional[CacheGeometry],
+    l3: Optional[CacheGeometry],
+) -> CacheHierarchy:
+    if raw_accesses < 1:
+        raise SimulationError("need at least one access")
+    return CacheHierarchy(_RecordingSink(), l1_geometry=l1, l2_geometry=l2,
+                          l3_geometry=l3)
+
+
+def _simulate(
+    hierarchy: CacheHierarchy,
+    spec: FrontendSpec,
+    raw_accesses: int,
+    seed: int,
+    instructions_per_access: float,
+) -> Tuple[FrontendResult, Dict[str, Any], Trace]:
+    """Push one raw stream through ``hierarchy``.
+
+    Returns the result, its counters and the raw stream's reads.
+    """
+    sink = hierarchy.dram_cache
+    access = hierarchy.access
+    raw_reads: List[int] = []
+    generator = RawAccessGenerator(spec, seed=seed)
+    for addr, is_write in generator.accesses(raw_accesses):
+        access(addr, is_write)
+        if not is_write:
+            raw_reads.append(addr)
+
+    ipa = (
+        instructions_per_access * raw_accesses / max(sink.writes.count(0), 1)
+    )
+    counters = _counters(hierarchy)
+    result = _result(counters, Trace("frontend", sink.addrs, sink.writes, ipa))
+    raw = Trace("frontend-raw-reads", raw_reads, bytearray(len(raw_reads)), 1.0)
+    return result, counters, raw
+
+
 def run_frontend(
     spec: FrontendSpec,
     raw_accesses: int,
@@ -160,42 +301,66 @@ def run_frontend(
     instruction weight is rescaled to the filtered stream so CPI math
     stays consistent.
     """
-    if raw_accesses < 1:
-        raise SimulationError("need at least one access")
-    sink = _RecordingSink()
-    hierarchy = CacheHierarchy(sink, l1_geometry=l1, l2_geometry=l2,
-                               l3_geometry=l3)
-    generator = RawAccessGenerator(spec, seed=seed)
-    for addr, is_write in generator.accesses(raw_accesses):
-        hierarchy.access(addr, is_write)
+    hierarchy = _hierarchy(raw_accesses, l1, l2, l3)
+    return _simulate(
+        hierarchy, spec, raw_accesses, seed, instructions_per_access
+    )[0]
 
-    stats = hierarchy.stats
-    l1_rate = hierarchy.l1.hit_rate()
-    l2_rate = hierarchy.l2.hit_rate()
-    l3_rate = hierarchy.l3.hit_rate()
-    reads = sum(1 for w in sink.writes if not w)
-    ipa = (
-        instructions_per_access * raw_accesses / max(reads, 1)
+
+def filtered_frontend(
+    spec: FrontendSpec,
+    raw_accesses: int,
+    seed: int = 1,
+    l1: Optional[CacheGeometry] = None,
+    l2: Optional[CacheGeometry] = None,
+    l3: Optional[CacheGeometry] = None,
+    instructions_per_access: float = 3.0,
+) -> Tuple[FrontendResult, Trace]:
+    """:func:`run_frontend`, memoized, plus the raw stream's reads.
+
+    Returns what :func:`run_frontend` returns for the same arguments
+    (equal field for field) and the raw stream's read addresses as a
+    write-free :class:`Trace`, both from one generation of the raw
+    stream. They are stored in the shared trace cache under the two
+    :class:`FrontendKey` parts, so a warm call loads both and simulates
+    nothing. ``REPRO_TRACE_CACHE=0`` turns the memo off.
+    """
+    hierarchy = _hierarchy(raw_accesses, l1, l2, l3)
+    key = FrontendKey(
+        spec, raw_accesses, seed,
+        (hierarchy.l1.geometry, hierarchy.l2.geometry, hierarchy.l3.geometry),
+        instructions_per_access,
     )
-    trace = Trace("frontend", sink.addrs, sink.writes, ipa)
-    return FrontendResult(
-        raw_accesses=stats.cpu_accesses,
-        l1_hit_rate=l1_rate,
-        l2_hit_rate=l2_rate,
-        l3_hit_rate=l3_rate,
-        dram_cache_reads=reads,
-        dram_cache_trace=trace,
+    raw_key = replace(key, part="raw-reads")
+    disk = shared_trace_cache()
+    if disk is not None:
+        entry = disk.get_with_meta(key, _parse_counters)
+        raw_reads = disk.get(raw_key) if entry is not None else None
+        if raw_reads is not None:
+            trace, counters = entry
+            return _result(counters, trace), raw_reads
+    result, counters, raw_reads = _simulate(
+        hierarchy, spec, raw_accesses, seed, instructions_per_access
     )
+    if disk is not None:
+        disk.put(key, result.dram_cache_trace, meta=counters)
+        disk.put(raw_key, raw_reads)
+    return result, raw_reads
 
 
-def mru_accuracy_at_level(trace_like: Tuple, geometry: CacheGeometry,
-                          seed: int = 1) -> float:
+def mru_accuracy_at_level(
+    trace_like: Union[Trace, Iterable[Tuple[int, bool]]],
+    geometry: CacheGeometry,
+    seed: int = 1,
+) -> float:
     """Measure MRU way-prediction accuracy over an access stream.
 
-    ``trace_like`` is an iterable of (addr, is_write); writes are
-    ignored. Used to compare MRU's accuracy on the raw stream (L1-like
-    locality) vs the L3-filtered stream (DRAM-cache reality). The reads
-    run on the engine :func:`~repro.sim.engines.resolve_engine` picks.
+    ``trace_like`` is a :class:`Trace` or an iterable of (addr,
+    is_write); writes are ignored. A Trace's columns are driven as they
+    are (masked to its reads if it has writes). Used to compare MRU's
+    accuracy on the raw stream (L1-like locality) vs the L3-filtered
+    stream (DRAM-cache reality). The reads run on the engine
+    :func:`~repro.sim.engines.resolve_engine` picks.
     """
     from repro.cache.dram_cache import DramCache
     from repro.cache.lookup import WayPredictedLookup
@@ -211,8 +376,14 @@ def mru_accuracy_at_level(trace_like: Tuple, geometry: CacheGeometry,
         predictor=MruPredictor(geometry),
         replacement=RandomReplacement(XorShift64(seed)),
     )
-    reads = [addr for addr, is_write in trace_like if not is_write]
-    trace = Trace("mru", reads, bytearray(len(reads)), 1.0)
+    if isinstance(trace_like, Trace):
+        trace = trace_like
+        if trace.write_count:
+            reads = trace.numpy_addrs()[trace.numpy_writes() == 0]
+            trace = Trace("mru", reads, np.zeros(len(reads), np.uint8), 1.0)
+    else:
+        reads = [addr for addr, is_write in trace_like if not is_write]
+        trace = Trace("mru", reads, bytearray(len(reads)), 1.0)
     resolve_engine(cache).drive(
         cache, TraceStream(trace, geometry), 0,
         serial_segments(trace, 0, None), None,

@@ -26,10 +26,23 @@ The root defaults to ``$REPRO_TRACE_DIR``, else
 ``$REPRO_RESULTS_DIR/traces``, else ``~/.cache/repro/traces``. Setting
 ``REPRO_TRACE_CACHE=0`` disables the cache entirely.
 
-``TRACE_SCHEMA_VERSION`` doubles as the generator version: bump it
-whenever :mod:`repro.workloads.synthetic` or the mix interleaving in
+The cache holds two kinds of entry, told apart by their key:
+
+* :class:`TraceKey` — a generated workload trace (the DRAM-cache
+  request stream every simulation job replays);
+* :class:`repro.sim.frontend.FrontendKey` — the output of one CPU
+  front-end run: the L3-filtered stream, whose sidecar also carries the
+  SRAM levels' hit counters as ``meta``, and the raw stream's reads.
+
+Both satisfy :class:`CacheKey` (``canonical()``/``digest()``), which is
+all the cache asks of a key. ``TRACE_SCHEMA_VERSION`` doubles as the
+workload generator version: bump it whenever
+:mod:`repro.workloads.synthetic` or the mix interleaving in
 :mod:`repro.workloads.mixes` changes the bytes they produce, so stale
-cached traces can never leak into new results.
+cached traces can never leak into new results. Bump
+``repro.sim.frontend.FRONTEND_VERSION`` whenever ``RawAccessGenerator``,
+:mod:`repro.cache.sram` or :mod:`repro.cache.hierarchy` changes the
+streams or hit counters a front-end run produces.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple, TypeVar, Union
 
 # NOTE: repro.exec.{faults,resilience} are imported lazily inside the
 # methods that need them: importing anything under repro.exec at module
@@ -59,6 +72,17 @@ TRACE_SCHEMA_VERSION = 1
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 TRACE_CACHE_TOGGLE_ENV = "REPRO_TRACE_CACHE"
 _RESULTS_DIR_ENV = "REPRO_RESULTS_DIR"
+
+
+M = TypeVar("M")
+
+
+class CacheKey(Protocol):
+    """What the cache needs of a key: a canonical form and its address."""
+
+    def canonical(self) -> str: ...
+
+    def digest(self) -> str: ...
 
 
 def trace_cache_enabled() -> bool:
@@ -150,21 +174,21 @@ class TraceCacheStats:
 
 
 class TraceCache:
-    """Memoizes generated :class:`Trace` objects keyed by :class:`TraceKey`."""
+    """Memoizes :class:`Trace` objects under any :class:`CacheKey`."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root) if root is not None else default_trace_root()
         self.stats = TraceCacheStats()
         self._warned_write = False
 
-    def path_for(self, key: TraceKey) -> Path:
+    def path_for(self, key: CacheKey) -> Path:
         digest = key.digest()
         return self.root / digest[:2] / f"{digest}.npz"
 
     def _key_path(self, path: Path) -> Path:
         return path.with_suffix(".key.json")
 
-    def get(self, key: TraceKey) -> Optional[Trace]:
+    def get(self, key: CacheKey) -> Optional[Trace]:
         """Stored trace for ``key``, or None (quarantining bad entries).
 
         Warm hits are loaded with memory-mapped column arrays (the list
@@ -172,6 +196,24 @@ class TraceCache:
         with ``cache_token = key.digest()`` so engine plan memos can
         recognize the same trace across loads and processes.
         """
+        entry = self._load(key, None)
+        return None if entry is None else entry[0]
+
+    def get_with_meta(
+        self, key: CacheKey, parse_meta: Callable[[Any], M]
+    ) -> Optional[Tuple[Trace, M]]:
+        """Like :meth:`get`, plus ``parse_meta`` of the ``meta`` the entry
+        was :meth:`put` with.
+
+        ``parse_meta`` receives the sidecar's ``meta`` object (None when
+        the entry has none) and raises ``ValueError``/``TypeError`` to
+        reject it; a rejected entry is quarantined like any corrupt one.
+        """
+        return self._load(key, parse_meta)
+
+    def _load(
+        self, key: CacheKey, parse_meta: Optional[Callable[[Any], M]]
+    ) -> Optional[Tuple[Trace, Optional[M]]]:
         path = self.path_for(key)
         key_path = self._key_path(path)
         try:
@@ -188,6 +230,14 @@ class TraceCache:
             self._quarantine(path, "key sidecar does not match lookup key")
             self.stats.misses += 1
             return None
+        meta = None
+        if parse_meta is not None:
+            try:
+                meta = parse_meta(record.get("meta"))
+            except (TypeError, ValueError) as exc:
+                self._quarantine(path, f"bad meta in key sidecar: {exc}")
+                self.stats.misses += 1
+                return None
         try:
             size = path.stat().st_size
             trace = load_trace_npz(str(path), mmap=True)
@@ -202,10 +252,16 @@ class TraceCache:
         trace.cache_token = key.digest()
         self.stats.hits += 1
         self.stats.bytes_read += size
-        return trace
+        return trace, meta
 
-    def put(self, key: TraceKey, trace: Trace) -> None:
-        """Persist a trace; a failed write is counted, never fatal."""
+    def put(
+        self, key: CacheKey, trace: Trace, meta: Optional[Any] = None
+    ) -> None:
+        """Persist a trace; a failed write is counted, never fatal.
+
+        ``meta`` (any JSON value) rides in the same atomic sidecar write
+        as the key; :meth:`get_with_meta` reads it back.
+        """
         from repro.exec.faults import (
             SITE_TRACE_ENTRY,
             SITE_TRACE_WRITE,
@@ -217,7 +273,7 @@ class TraceCache:
             fault_point(SITE_TRACE_WRITE, token=key.digest())
             path.parent.mkdir(parents=True, exist_ok=True)
             self._write_atomic_npz(path, trace)
-            self._write_atomic_key(self._key_path(path), key)
+            self._write_atomic_key(self._key_path(path), key, meta)
         except (OSError, TraceError) as exc:
             self.stats.degraded_writes += 1
             if not self._warned_write:
@@ -251,16 +307,18 @@ class TraceCache:
             raise
 
     @staticmethod
-    def _write_atomic_key(key_path: Path, key: TraceKey) -> None:
+    def _write_atomic_key(
+        key_path: Path, key: CacheKey, meta: Optional[Any]
+    ) -> None:
+        record = {"schema": TRACE_SCHEMA_VERSION, "key": key.canonical()}
+        if meta is not None:
+            record["meta"] = meta
         fd, tmp = tempfile.mkstemp(
             prefix=".tmp-", suffix=".json", dir=str(key_path.parent)
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"schema": TRACE_SCHEMA_VERSION, "key": key.canonical()},
-                    handle,
-                )
+                json.dump(record, handle)
             os.replace(tmp, key_path)
         except BaseException:
             try:
@@ -269,7 +327,7 @@ class TraceCache:
                 pass
             raise
 
-    def __contains__(self, key: TraceKey) -> bool:
+    def __contains__(self, key: CacheKey) -> bool:
         return self.path_for(key).is_file()
 
     def __len__(self) -> int:
@@ -295,7 +353,7 @@ class TraceCache:
             f"trace cache entry {path.name} quarantined "
             f"under {self.root / 'quarantine'}: {reason}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 

@@ -126,6 +126,32 @@ class TestTraceCache:
         assert len(cache) == 1
         assert_traces_equal(cache.get(key), trace)
 
+    def test_meta_rides_in_the_sidecar(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        key, bare = self.key(), self.key(seed=4)
+        cache.put(key, small_trace(), meta={"hits": [3, 4]})
+        cache.put(bare, small_trace())
+        trace, meta = cache.get_with_meta(key, lambda meta: meta)
+        assert meta == {"hits": [3, 4]}
+        assert_traces_equal(trace, small_trace())
+        assert_traces_equal(cache.get(key), small_trace())  # meta ignored
+        assert cache.get_with_meta(bare, lambda meta: meta)[1] is None
+        record = json.loads(cache._key_path(cache.path_for(bare)).read_text())
+        assert "meta" not in record  # plain trace sidecars are unchanged
+
+    def test_rejected_meta_is_quarantined(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        key = self.key()
+        cache.put(key, small_trace(), meta=[1])
+
+        def reject(meta):
+            raise ValueError(f"not a dict: {meta!r}")
+
+        with pytest.warns(RuntimeWarning, match="bad meta"):
+            assert cache.get_with_meta(key, reject) is None
+        assert len(cache) == 0
+        assert cache.stats.quarantined == 1
+
     def test_distinct_keys_distinct_entries(self, tmp_path):
         cache = TraceCache(tmp_path)
         for key in (self.key(), self.key(seed=4), self.key(num_accesses=501),
