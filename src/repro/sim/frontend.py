@@ -200,15 +200,6 @@ class FrontendKey:
         return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
 
 
-def _counters(hierarchy: CacheHierarchy) -> Dict[str, Any]:
-    """The hierarchy's integer counters (a cached entry's ``meta``)."""
-    levels = (hierarchy.l1, hierarchy.l2, hierarchy.l3)
-    counters: Dict[str, Any] = {"cpu_accesses": hierarchy.stats.cpu_accesses}
-    for name, level in zip(_LEVELS, levels):
-        counters[name] = [level.hits, level.accesses]
-    return counters
-
-
 def _parse_counters(meta: Any) -> Dict[str, Any]:
     """Validate a cached entry's counters; ValueError if malformed."""
     if not isinstance(meta, dict) or set(meta) != {"cpu_accesses", *_LEVELS}:
@@ -265,7 +256,8 @@ def _simulate(
 ) -> Tuple[FrontendResult, Dict[str, Any], Trace]:
     """Push one raw stream through ``hierarchy``.
 
-    Returns the result, its counters and the raw stream's reads.
+    Returns the result, its integer counters (a cached entry's
+    ``meta``) and the raw stream's reads.
     """
     sink = hierarchy.dram_cache
     access = hierarchy.access
@@ -279,7 +271,9 @@ def _simulate(
     ipa = (
         instructions_per_access * raw_accesses / max(sink.writes.count(0), 1)
     )
-    counters = _counters(hierarchy)
+    counters: Dict[str, Any] = {"cpu_accesses": hierarchy.stats.cpu_accesses}
+    for name, level in zip(_LEVELS, (hierarchy.l1, hierarchy.l2, hierarchy.l3)):
+        counters[name] = [level.hits, level.accesses]
     result = _result(counters, Trace("frontend", sink.addrs, sink.writes, ipa))
     raw = Trace("frontend-raw-reads", raw_reads, bytearray(len(raw_reads)), 1.0)
     return result, counters, raw
