@@ -768,9 +768,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "(default 16)")
     bench_parser.add_argument("--check-hit-rates", default=None,
                               dest="check_hit_rates", metavar="PATH",
-                              help="assert per-design hit rates are exactly "
-                                   "identical to a reference report; exit 1 "
-                                   "on any difference (CI determinism gate)")
+                              help="assert per-design hit rates (and result "
+                                   "digests, where both reports record them) "
+                                   "are exactly identical to a reference "
+                                   "report; exit 1 on any difference (CI "
+                                   "determinism gate)")
     serve_parser = sub.add_parser(
         "serve",
         help="run the long-lived sweep service (HTTP, see docs/service.md)",

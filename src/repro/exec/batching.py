@@ -56,8 +56,8 @@ from repro.sim.trace import Trace
 from repro.workloads.trace_cache import TraceKey
 
 #: Largest number of jobs packed into one worker task. Bounds both the
-#: fused kernel's config axis (memory scales with K × sets × ways) and
-#: the work lost when a batch has to be retried whole.
+#: fused kernel's config axis (memory scales with K × touched sets ×
+#: ways) and the work lost when a batch has to be retried whole.
 DEFAULT_BATCH_SIZE = 16
 
 

@@ -16,7 +16,8 @@ The JSON report (``BENCH_hotloop.json``) is self-describing::
       "scale": 0.0078125, "warmup": 0.3, "repeats": 3,
       "designs": [
         {"design": "direct-1way", "kind": "direct", "ways": 1,
-         "accesses_per_sec": ..., "elapsed_sec": ..., "hit_rate": ...},
+         "accesses_per_sec": ..., "elapsed_sec": ..., "hit_rate": ...,
+         "result_digest": ...},
         ...
       ],
       "aggregate_accesses_per_sec": ...
@@ -42,6 +43,7 @@ from repro.params.system import scaled_system
 from repro.sim.engines import resolve_engine
 from repro.sim.runner import TraceFactory
 from repro.sim.system import Simulator, build_dram_cache
+from repro.verify.digest import result_digest
 
 BENCH_SCHEMA_VERSION = 1
 
@@ -113,7 +115,7 @@ def run_bench(
             probe, requested=engine, design=design
         ).name
         best = None
-        hit_rate = 0.0
+        best_result = None
         for _ in range(repeats):
             simulator = Simulator(config, design, seed=seed)
             start = time.perf_counter()
@@ -123,7 +125,7 @@ def run_bench(
             elapsed = time.perf_counter() - start
             if best is None or elapsed < best:
                 best = elapsed
-                hit_rate = result.hit_rate
+                best_result = result
         rows.append(
             {
                 "design": design.display_name,
@@ -132,7 +134,8 @@ def run_bench(
                 "engine": engine_name,
                 "accesses_per_sec": len(trace) / best,
                 "elapsed_sec": best,
-                "hit_rate": hit_rate,
+                "hit_rate": best_result.hit_rate,
+                "result_digest": result_digest(best_result),
             }
         )
         total_accesses += len(trace)
@@ -210,13 +213,16 @@ def save_report(report: Dict[str, Any], path: str) -> None:
 def compare_hit_rates(
     report: Dict[str, Any], baseline: Dict[str, Any]
 ) -> Optional[str]:
-    """None if per-design hit rates match ``baseline`` exactly, else why.
+    """None if per-design results match ``baseline`` exactly, else why.
 
     The engine-parity gate: a report run under one ``--engine`` must
     reproduce the reference-loop report's hit rate *byte-identically*
     per design (exact float equality — both sides round-trip through
     JSON's shortest-repr float encoding, so equality survives
-    serialization).
+    serialization). Where both rows carry a ``result_digest`` (reports
+    from before it was recorded do not), the digests must match too,
+    which covers every ``CacheStats`` field: prediction, probes,
+    writebacks, not only the hit rate.
     """
     ours = {row["design"]: row for row in report.get("designs", [])}
     theirs = {row["design"]: row for row in baseline.get("designs", [])}
@@ -229,6 +235,13 @@ def compare_hit_rates(
         if mine != reference:
             return (
                 f"{name}: hit rate {mine!r} != baseline {reference!r} "
+                f"(every engine must be bit-identical to the reference loop)"
+            )
+        mine = ours[name].get("result_digest")
+        reference = theirs[name].get("result_digest")
+        if mine is not None and reference is not None and mine != reference:
+            return (
+                f"{name}: result digest {mine} != baseline {reference} "
                 f"(every engine must be bit-identical to the reference loop)"
             )
     return None

@@ -74,7 +74,6 @@ from repro.errors import SimulationError
 from repro.sim.engines.base import Segment, has_fresh_dense_store
 from repro.sim.engines.vector import (
     _Outcome,
-    _Plan,
     _phase_series,
     _skewed_matrix,
     _stream_arrays,
@@ -827,7 +826,7 @@ class SparseReplayEngine:
         if plan.family == "ca":
             cache.stats = _replay_ca(cache, stream, warm)
             return None  # the CA model is never phase-resolved
-        sets_a, tags_a, writes_a, _steps = _stream_arrays(
+        sets_a, tags_a, writes_a, _steps, _compact = _stream_arrays(
             stream, cache.geometry
         )
         trace = getattr(stream, "trace", None)
@@ -840,12 +839,11 @@ class SparseReplayEngine:
         else:
             codes = _replay_generic(plan, sets_a, tags_a, writes_a, addrs)
         out = _decode(plan, len(sets_a), codes)
-        shim = _Plan()
-        shim.flow = "predicted"  # all GWS-family designs way-predict
-        cache.stats = _window_stats(shim, writes_a, out, warm, len(sets_a))
+        # All GWS-family designs way-predict.
+        cache.stats = _window_stats(True, writes_a, out, warm, len(sets_a))
         if epoch is None:
             return None
-        return _phase_series(shim, writes_a, out, segments, epoch, phase_sink)
+        return _phase_series(True, writes_a, out, segments, epoch, phase_sink)
 
 
 __all__ = ["SparseReplayEngine"]

@@ -5,12 +5,15 @@ declare the ``vectorizable`` capability: every quantity consulted on an
 access to set *s* — resident tags, dirty bits, MRU/partial-tag
 predictor state, per-set counter-based random streams — depends only on
 the *prior accesses to s*. That makes the trace a bundle of independent
-per-set recurrences, which this engine evaluates breadth-first:
+per-set recurrences, which this module's one kernel (:func:`_simulate`)
+evaluates breadth-first:
 
 1. **Plan** (cached per trace × geometry): stable-sort accesses by set,
    compute each access's *rank* (how many earlier accesses touch the
    same set), and group accesses by rank. Within one rank group every
-   access touches a distinct set.
+   access touches a distinct set. The same sort numbers the touched
+   sets densely, so kernel state covers the trace's footprint, not the
+   cache geometry.
 2. **Precompute** per-access constants in single vectorized passes:
    tag hashes and preferred ways, SWS candidate matrices, partial-tag
    hashes, per-set RNG stream seeds (:func:`repro.utils.rng.mix64_array`
@@ -25,6 +28,13 @@ per-set recurrences, which this engine evaluates breadth-first:
    :class:`~repro.sim.stats.CacheStats` and
    :class:`~repro.sim.phases.PhaseSeries` bit-identical to the
    per-access reference loop (asserted by ``tests/test_engines.py``).
+
+The kernel carries a **config axis**: K configs whose plans share one
+control flow (:func:`repro.sim.engines.multi.plan_signature`) step
+together, sharing every per-access precompute and gather while keeping
+per-config state as an extra array dimension. A sweep's fused pass
+(:func:`repro.sim.engines.multi.drive_fused`) is K configs; a
+:class:`VectorEngine` drive is K = 1.
 
 The engine assumes a *freshly built* cache (junk-prefilled dense tag
 store, empty DCP, zeroed predictor state): it replays the run against
@@ -184,10 +194,10 @@ def _build_plan(cache) -> Optional[_Plan]:
 # -- trace-order plan (sort by set, group by rank) ---------------------------
 
 #: id(trace) -> (weakref, {(offset_bits, index_bits): (sets, tags,
-#: writes, steps)}). Keyed by id with a weakref eviction callback
-#: (Trace is unhashable); holds the sorted step structure that costs an
-#: argsort to build and is shared by every design and repeat run over
-#: the same trace.
+#: writes, steps, compact)}). Keyed by id with a weakref eviction
+#: callback (Trace is unhashable); holds the sorted step structure and
+#: compact-set map that cost an argsort to build and are shared by every
+#: design and repeat run over the same trace.
 _TRACE_PLANS: dict = {}
 
 #: cache_token -> per-trace plan dict, for traces that carry a content
@@ -236,23 +246,29 @@ def _plans_for(trace) -> dict:
 
 def _sort_steps(
     sets: np.ndarray, writes: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Group access indices by within-set rank; split reads/writebacks.
 
-    Returns one ``(read_rows, writeback_rows)`` pair per rank. All rows
-    of one rank touch pairwise-distinct sets, so a step's state updates
-    never collide; processing ranks in order preserves each set's own
-    access order, which is the only order the set-local recurrences
-    depend on.
+    Returns ``(steps, compact)``. ``steps`` holds one ``(read_rows,
+    writeback_rows)`` pair per rank. All rows of one rank touch
+    pairwise-distinct sets, so a step's state updates never collide;
+    processing ranks in order preserves each set's own access order,
+    which is the only order the set-local recurrences depend on.
+    ``compact`` maps each access to a dense id of its set (touched sets
+    numbered in set order), the kernel's state index. It is int32 (ids
+    are below the access count) because the memo keeps it per trace ×
+    geometry.
     """
     n = len(sets)
     if n == 0:
-        return []
+        return [], np.zeros(0, dtype=np.int32)
     order = np.argsort(sets, kind="stable")
     sorted_sets = sets[order]
     new_group = np.empty(n, dtype=bool)
     new_group[0] = True
     new_group[1:] = sorted_sets[1:] != sorted_sets[:-1]
+    compact = np.empty(n, dtype=np.int32)
+    compact[order] = np.cumsum(new_group) - 1
     group_starts = np.flatnonzero(new_group)
     group_lengths = np.diff(np.append(group_starts, n))
     ranks_sorted = np.arange(n, dtype=np.int64) - np.repeat(
@@ -268,11 +284,11 @@ def _sort_steps(
         rows = rank_order[offsets[k]:offsets[k + 1]]
         is_wb = writes[rows] != 0
         steps.append((rows[~is_wb], rows[is_wb]))
-    return steps
+    return steps, compact
 
 
 def _stream_arrays(stream, geometry):
-    """(sets, tags, writes, steps) for a stream, cached per trace."""
+    """(sets, tags, writes, steps, compact) for a stream, cached per trace."""
     global _PLAN_BUILDS
     trace = getattr(stream, "trace", None)
     if trace is None:
@@ -280,7 +296,7 @@ def _stream_arrays(stream, geometry):
         tags = np.asarray(stream.tags, dtype=np.int64)
         writes = np.asarray(stream.writes, dtype=np.uint8)
         _PLAN_BUILDS += 1
-        return sets, tags, writes, _sort_steps(sets, writes)
+        return (sets, tags, writes) + _sort_steps(sets, writes)
     key = (geometry.offset_bits, geometry.index_bits)
     per_trace = _plans_for(trace)
     entry = per_trace.get(key)
@@ -290,7 +306,7 @@ def _stream_arrays(stream, geometry):
         tags = lines >> geometry.index_bits
         writes = trace.numpy_writes()
         _PLAN_BUILDS += 1
-        entry = (sets, tags, writes, _sort_steps(sets, writes))
+        entry = (sets, tags, writes) + _sort_steps(sets, writes)
         per_trace[key] = entry
     return entry
 
@@ -371,28 +387,99 @@ class _Outcome:
         self.wb_probes = np.zeros(n, dtype=np.int64)
 
 
-def _simulate(plan: _Plan, sets, tags, writes, steps) -> _Outcome:
-    """Run the per-set recurrences over the whole stream."""
+def _simulate(
+    plans: Sequence[_Plan], sets, tags, writes, steps, compact
+) -> List[_Outcome]:
+    """Run K same-signature configs' recurrences in one pass.
+
+    ``plans`` must share one control flow (equal
+    :func:`repro.sim.engines.multi.plan_signature`); a solo drive is
+    K = 1. Shared per-access quantities stay 1-D ``(rows,)`` and
+    broadcast, per-config quantities carry a config axis, and the
+    divergent scatters (miss fills, writeback absorption) go through
+    ``np.nonzero`` pair lists into flattened per-config state. Draw
+    counter advancement is masked — a config consumes a stream value
+    only where the scalar model would — so every config's RNG sequence
+    is bit-identical to its scalar run.
+
+    State is allocated over the trace's *touched* sets only: ``compact``
+    (from the per-trace plan memo) maps each access's set to a dense id,
+    so the resident/dirty/counter arrays scale with the trace footprint
+    rather than the geometry (a short trace touches a few tens of
+    thousands of a gigascale geometry's millions of sets). Untouched
+    sets hold junk tags and zero counters in the scalar model and are
+    never read, so dropping them changes nothing; the per-access RNG
+    stream seeds are still derived from the *original* set indices,
+    keeping every draw bit-identical.
+    """
+    K = len(plans)
+    p0 = plans[0]
     n = len(sets)
-    ways = plan.ways
-    flow = plan.flow
-    steer = plan.steer
-    pred = plan.pred
-    out = _Outcome(n)
+    ways = p0.ways
+    flow = p0.flow
+    steer = p0.steer
+    pred = p0.pred
+
+    # Config-last layout: every per-access quantity is ``(rows, K)`` and
+    # every state array is ``(slots, K)``, so all gathers and scatters
+    # indexed by a row list touch contiguous K-wide strips (one memcpy
+    # per row) instead of K strided columns. Outcomes are accumulated
+    # ``(n, K)`` — probe counts as int16, large enough for any value up
+    # to ``ways + 2`` — and transposed/widened once at decode time into
+    # the int64 columns the reductions expect. ``transfers`` equals
+    # ``serialized`` for every flow except parallel; decode shares the
+    # array rather than accumulating both.
+    hit = np.zeros((n, K), dtype=bool)
+    serialized_out = np.zeros((n, K), dtype=np.int16)
+    transfers_out = (
+        np.zeros((n, K), dtype=np.int16) if flow == "parallel" else None
+    )
+    correct = np.zeros((n, K), dtype=bool)
+    victim_dirty = np.zeros((n, K), dtype=bool)
+    wb_absorbed = np.zeros((n, K), dtype=bool)
+    wb_probes = np.zeros((n, K), dtype=np.int16)
+
+    def decode() -> List[_Outcome]:
+        serializedT = np.ascontiguousarray(serialized_out.T).astype(np.int64)
+        if transfers_out is None:
+            transfersT = serializedT
+        else:
+            transfersT = np.ascontiguousarray(
+                transfers_out.T
+            ).astype(np.int64)
+        probesT = np.ascontiguousarray(wb_probes.T).astype(np.int64)
+        hitT = np.ascontiguousarray(hit.T)
+        correctT = np.ascontiguousarray(correct.T)
+        victimT = np.ascontiguousarray(victim_dirty.T)
+        absorbedT = np.ascontiguousarray(wb_absorbed.T)
+        outs = []
+        for k in range(K):
+            out = _Outcome.__new__(_Outcome)
+            out.hit = hitT[k]
+            out.serialized = serializedT[k]
+            out.transfers = transfersT[k]
+            out.correct = correctT[k]
+            out.victim_dirty = victimT[k]
+            out.wb_absorbed = absorbedT[k]
+            out.wb_probes = probesT[k]
+            outs.append(out)
+        return outs
+
     if n == 0:
-        return out
+        return decode()
 
     # Candidate geometry: m candidate ways per access. ``cand_matrix``
     # is materialized only when candidates vary by tag; for "all"
     # steering, candidate j is simply way j.
     if steer == "sws":
-        m = plan.hashes
+        m = p0.hashes
     elif steer == "direct":
         m = 1
     else:
         m = ways
 
-    slot0 = sets * ways
+    num_slots = int(compact.max()) + 1
+    slot0 = compact.astype(np.int64) * ways
 
     need_pref = (
         steer in ("pws", "sws")
@@ -405,121 +492,175 @@ def _simulate(plan: _Plan, sets, tags, writes, steps) -> _Outcome:
 
     cand_matrix = None
     if steer == "sws":
-        cand_matrix = _skewed_matrix(_tag_hash_array(tags), pref, ways, plan.hashes)
+        cand_matrix = _skewed_matrix(
+            _tag_hash_array(tags), pref, ways, p0.hashes
+        )
     elif steer == "direct":
         cand0 = pref if ways > 1 else np.zeros(n, dtype=np.int64)
         cand_matrix = cand0[:, None]
 
     wanted = None
     if pred == "ptag":
-        wanted = (
-            (mix64_array(tags.astype(_U64)) & _U64(plan.ptag_mask))
-            | _U64(1 << plan.ptag_bits)
-        ).astype(np.int64)
+        # The partial-tag layout is per-config data (bits are not part
+        # of the signature), so the wanted-tag matrix gets a config axis.
+        hashed_tags = mix64_array(tags.astype(_U64))
+        wanted = np.stack(
+            [
+                (
+                    (hashed_tags & _U64(p.ptag_mask))
+                    | _U64(1 << p.ptag_bits)
+                ).astype(np.int64)
+                for p in plans
+            ],
+            axis=1,
+        )
+
+    def config_seeds(attr: str) -> np.ndarray:
+        """Per-set stream seeds: ``(n,)`` when every config shares the
+        stream base (the common sweep case — bases derive from the run
+        seed, not the swept parameter), ``(n, K)`` otherwise."""
+        bases = [getattr(p, attr) for p in plans]
+        memo = {}
+        for b in bases:
+            if b not in memo:
+                memo[b] = set_stream_seeds(b, sets)
+        if len(memo) == 1:
+            return memo[bases[0]]
+        return np.stack([memo[b] for b in bases], axis=1)
+
+    def seed_rows(seeds, rows):
+        """Seed block broadcastable against ``(len(rows), K)``."""
+        return seeds[rows][:, None] if seeds.ndim == 1 else seeds[rows]
+
+    def seed_pairs(seeds, prows, kk):
+        """Seeds for a ``(row, config)`` pair list."""
+        return seeds[prows] if seeds.ndim == 1 else seeds[prows, kk]
 
     # Per-set counter-based RNG streams: per-access seeds precomputed,
     # per-set draw counters advanced as the recurrence consumes draws.
+    # Counters live in the seeds' uint64 domain so the per-draw
+    # ``seed + count`` additions need no widening casts.
     repl_seeds = repl_count = None
     if steer == "all":
-        repl_seeds = set_stream_seeds(plan.repl_base, sets)
-        repl_count = np.zeros(plan.num_sets, dtype=np.int64)
+        repl_seeds = config_seeds("repl_base")
+        repl_count = np.zeros((num_slots, K), dtype=_U64)
     steer_seeds = steer_count = None
     if steer in ("pws", "sws") and m > 1:
-        steer_seeds = set_stream_seeds(plan.steer_base, sets)
-        steer_count = np.zeros(plan.num_sets, dtype=np.int64)
+        steer_seeds = config_seeds("steer_base")
+        steer_count = np.zeros((num_slots, K), dtype=_U64)
     pred_seeds = pred_count = None
     if pred == "random":
-        pred_seeds = set_stream_seeds(plan.pred_base, sets)
-        pred_count = np.zeros(plan.num_sets, dtype=np.int64)
+        pred_seeds = config_seeds("pred_base")
+        pred_count = np.zeros((num_slots, K), dtype=_U64)
 
     # Cache state, initialized to the freshly built defaults.
-    tags_state = np.full(plan.num_sets * ways, JUNK_TAG, dtype=np.int64)
-    dirty = np.zeros(plan.num_sets * ways, dtype=np.uint8)
-    mru = np.zeros(plan.num_sets, dtype=np.int64) if pred == "mru" else None
+    tags_state = np.full((num_slots * ways, K), JUNK_TAG, dtype=np.int64)
+    dirty = np.zeros((num_slots * ways, K), dtype=np.uint8)
+    mru = np.zeros((num_slots, K), dtype=np.int64) if pred == "mru" else None
     ptags = (
-        np.zeros(plan.num_sets * ways, dtype=np.int64) if pred == "ptag" else None
+        np.zeros((num_slots * ways, K), dtype=np.int64)
+        if pred == "ptag"
+        else None
     )
+    # Flat views for the pair-list scatters (C-contiguous by construction;
+    # element (slot, k) lives at flat index slot * K + k).
+    tags_flat = tags_state.reshape(-1)
+    dirty_flat = dirty.reshape(-1)
+    ptags_flat = ptags.reshape(-1) if ptags is not None else None
 
-    def candidate_col(j, rows, base):
-        """(way, slot) arrays of candidate position j for these rows."""
-        if cand_matrix is not None:
-            way = cand_matrix[rows, j]
-            return way, base + way
-        return j, base + j
+    way_range = np.arange(m, dtype=np.int64)
 
     def scan(rows, row_tags, base):
-        """First candidate position/way holding the tag (probe order)."""
-        found = np.zeros(len(rows), dtype=bool)
-        way_pos = np.zeros(len(rows), dtype=np.int64)
-        way_phys = np.zeros(len(rows), dtype=np.int64)
-        for j in range(m):
-            way_j, slot_j = candidate_col(j, rows, base)
-            match = ~found & (tags_state[slot_j] == row_tags)
-            if match.any():
-                way_pos[match] = j
-                way_phys[match] = (
-                    way_j[match] if isinstance(way_j, np.ndarray) else way_j
-                )
-                found |= match
+        """First candidate position/way holding the tag, per config.
+
+        One block gather pulls all m candidate slots of every row —
+        ``(rows, m, K)`` — and ``argmax`` over the candidate axis finds
+        the first match (a tag resides in at most one way of a set, so
+        "first" and "only" coincide). ``way_pos``/``way_phys`` are
+        meaningless where ``found`` is False; every consumer masks.
+        ``m == 2`` (the common associativity) takes a flat path: two
+        2-D gathers and a select beat the 3-D gather + argmax.
+        """
+        if m == 2:
+            wide = row_tags[:, None]
+            if cand_matrix is None:
+                eq0 = tags_state[base] == wide
+                eq1 = tags_state[base + 1] == wide
+                way_phys = way_pos = np.where(eq0, 0, 1)
+            else:
+                c0 = cand_matrix[rows, 0]
+                c1 = cand_matrix[rows, 1]
+                eq0 = tags_state[base + c0] == wide
+                eq1 = tags_state[base + c1] == wide
+                way_pos = np.where(eq0, 0, 1)
+                way_phys = np.where(eq0, c0[:, None], c1[:, None])
+            return eq0 | eq1, way_pos, way_phys
+        if cand_matrix is not None:
+            cand_rows = cand_matrix[rows]
+            block = tags_state[base[:, None] + cand_rows]
+        else:
+            cand_rows = None
+            block = tags_state[base[:, None] + way_range]
+        eq = block == row_tags[:, None, None]
+        found = eq.any(axis=1)
+        way_pos = eq.argmax(axis=1)
+        if cand_rows is None:
+            way_phys = way_pos
+        else:
+            way_phys = cand_rows[
+                np.arange(len(rows))[:, None], way_pos
+            ]
         return found, way_pos, way_phys
 
-    def draw(seeds, counts, rows, row_sets):
-        """Next per-set stream value for each row (sets are distinct)."""
-        u = mix64_array(seeds[rows] + counts[row_sets].astype(_U64))
-        counts[row_sets] += 1
-        return u
-
     two_pow_64 = float(2.0 ** 64)
-    pip = plan.pip
+    pip_arr = np.array([p.pip for p in plans], dtype=np.float64)
 
     def step_reads(rows):
-        row_sets = sets[rows]
+        shape = (len(rows), K)
+        row_sets = compact[rows]
         row_tags = tags[rows]
         base = slot0[rows]
         found, way_pos, way_phys = scan(rows, row_tags, base)
         # -- flow costs ----------------------------------------------------
         if flow == "parallel":
-            serialized = np.ones(len(rows), dtype=np.int64)
-            transfers = np.full(len(rows), m, dtype=np.int64)
+            serialized = np.ones(shape, dtype=np.int16)
+            transfers = np.full(shape, m, dtype=np.int16)
         elif flow == "ideal":
-            serialized = np.ones(len(rows), dtype=np.int64)
+            serialized = np.ones(shape, dtype=np.int16)
             transfers = serialized
         elif flow == "serial":
             serialized = np.where(found, way_pos + 1, m)
             transfers = serialized
         else:  # predicted
             if pred == "static":
-                predicted = pref[rows]
+                predicted = np.broadcast_to(pref[rows][:, None], shape)
             elif pred == "random":
-                predicted = (
-                    draw(pred_seeds, pred_count, rows, row_sets) % _U64(ways)
-                ).astype(np.int64)
+                u = mix64_array(
+                    seed_rows(pred_seeds, rows) + pred_count[row_sets]
+                )
+                pred_count[row_sets] += 1
+                predicted = (u % _U64(ways)).astype(np.int64)
             elif pred == "mru":
                 predicted = mru[row_sets]
             elif pred == "perfect":
-                predicted = np.where(found, way_phys, pref[rows])
+                predicted = np.where(found, way_phys, pref[rows][:, None])
             else:  # ptag: first way (over ALL ways) whose partial tag matches
-                predicted = pref[rows].copy()
-                ptag_found = np.zeros(len(rows), dtype=bool)
-                row_wanted = wanted[rows]
-                for way_j in range(ways):
-                    match = ~ptag_found & (ptags[base + way_j] == row_wanted)
-                    if match.any():
-                        predicted[match] = way_j
-                        ptag_found |= match
+                pblock = ptags[base[:, None] + np.arange(ways)]
+                peq = pblock == wanted[rows][:, None, :]
+                predicted = np.where(
+                    peq.any(axis=1),
+                    peq.argmax(axis=1),
+                    pref[rows][:, None],
+                )
             if cand_matrix is not None:
                 # Clamp to candidates[0] when the predicted way is not a
                 # legal residence for this tag, as the lookup flow does.
-                in_cand = np.zeros(len(rows), dtype=bool)
-                pos_pred = np.zeros(len(rows), dtype=np.int64)
-                for j in range(m):
-                    way_j, _ = candidate_col(j, rows, base)
-                    match = ~in_cand & (way_j == predicted)
-                    if match.any():
-                        pos_pred[match] = j
-                        in_cand |= match
-                predicted = np.where(in_cand, predicted, cand_matrix[rows, 0])
-                pos_pred = np.where(in_cand, pos_pred, 0)
+                ceq = cand_matrix[rows][:, :, None] == predicted[:, None, :]
+                in_cand = ceq.any(axis=1)
+                pos_pred = ceq.argmax(axis=1)
+                predicted = np.where(
+                    in_cand, predicted, cand_matrix[rows, 0][:, None]
+                )
             else:
                 pos_pred = predicted  # candidate j is way j
             hit_on_pred = found & (way_phys == predicted)
@@ -533,82 +674,98 @@ def _simulate(plan: _Plan, sets, tags, writes, steps) -> _Outcome:
                 ),
             )
             transfers = serialized
-            out.correct[rows] = hit_on_pred
-        out.hit[rows] = found
-        out.serialized[rows] = serialized
-        out.transfers[rows] = transfers
+            correct[rows] = hit_on_pred
+        hit[rows] = found
+        serialized_out[rows] = serialized
+        if transfers_out is not None:
+            transfers_out[rows] = transfers
         # -- hit-side state ------------------------------------------------
         if pred == "mru" and found.any():
-            mru[row_sets[found]] = way_phys[found]
-        # -- miss fill -----------------------------------------------------
-        miss = ~found
-        if not miss.any():
+            rr, kk = np.nonzero(found)
+            mru[row_sets[rr], kk] = way_phys[rr, kk]
+        # -- miss fill (pair space: one entry per missing (row, config)) ---
+        rr, kk = np.nonzero(~found)
+        if not len(rr):
             return
-        miss_rows = rows[miss]
-        miss_sets = row_sets[miss]
-        miss_base = base[miss]
-        miss_tags = row_tags[miss]
+        miss_rows = rows[rr]
+        base_p = base[rr]
         if steer == "direct":
-            install = cand_matrix[miss_rows, 0]
+            install_p = cand_matrix[miss_rows, 0]
         elif steer == "all":
-            u = draw(repl_seeds, repl_count, miss_rows, miss_sets)
-            install = (u % _U64(ways)).astype(np.int64)
+            sets_p = row_sets[rr]
+            u = mix64_array(
+                seed_pairs(repl_seeds, miss_rows, kk) + repl_count[sets_p, kk]
+            )
+            repl_count[sets_p, kk] += 1
+            install_p = (u % _U64(ways)).astype(np.int64)
         else:  # pws / sws: the PIP coin over the candidate set
-            miss_pref = pref[miss_rows]
+            pref_p = pref[miss_rows]
             if m == 1:
-                install = miss_pref
+                install_p = pref_p
             else:
-                u1 = draw(steer_seeds, steer_count, miss_rows, miss_sets)
-                spill = ~((u1.astype(np.float64) / two_pow_64) < pip)
-                install = miss_pref.copy()
-                if spill.any():
-                    spill_rows = miss_rows[spill]
-                    u2 = draw(
-                        steer_seeds, steer_count, spill_rows, miss_sets[spill]
+                # Sequential draws of one stream: u1 at counter c, u2 at
+                # c + 1; a config's counter advances once per miss and
+                # once more per spill, exactly as the scalar streams.
+                # Only miss pairs consume draws, so only they compute.
+                sets_p = row_sets[rr]
+                seeds_p = seed_pairs(steer_seeds, miss_rows, kk)
+                counter = steer_count[sets_p, kk]
+                u1 = mix64_array(seeds_p + counter)
+                spill = ~(
+                    (u1.astype(np.float64) / two_pow_64) < pip_arr[kk]
+                )
+                u2 = mix64_array(seeds_p + counter + _U64(1))
+                steer_count[sets_p, kk] += spill + _U64(1)
+                if steer == "pws":
+                    alt = (u2 % _U64(ways - 1)).astype(np.int64)
+                    install_p = np.where(
+                        spill, alt + (alt >= pref_p), pref_p
                     )
-                    if steer == "pws":
-                        alt = (u2 % _U64(ways - 1)).astype(np.int64)
-                        spill_pref = miss_pref[spill]
-                        install[spill] = alt + (alt >= spill_pref)
-                    else:
-                        alt = (u2 % _U64(m - 1)).astype(np.int64)
-                        install[spill] = cand_matrix[spill_rows, 1 + alt]
-        slot = miss_base + install
-        out.victim_dirty[miss_rows] = dirty[slot] != 0
-        tags_state[slot] = miss_tags
-        dirty[slot] = 0
+                else:
+                    alt = (u2 % _U64(m - 1)).astype(np.int64)
+                    alt_way = cand_matrix[miss_rows, 1 + alt]
+                    install_p = np.where(spill, alt_way, pref_p)
+        slots = (base_p + install_p) * K + kk
+        victim_dirty[miss_rows, kk] = dirty_flat[slots] != 0
+        tags_flat[slots] = tags[miss_rows]
+        dirty_flat[slots] = 0
         if pred == "mru":
-            mru[miss_sets] = install
+            mru[row_sets[rr], kk] = install_p
         elif pred == "ptag":
             # on_evict zeroes the slot, on_install overwrites it.
-            ptags[slot] = wanted[miss_rows]
+            ptags_flat[slots] = wanted[miss_rows, kk]
 
     def step_writebacks(rows):
         row_tags = tags[rows]
         base = slot0[rows]
         found, way_pos, way_phys = scan(rows, row_tags, base)
-        if not plan.dcp_exact:
+        if not p0.dcp_exact:
             # No way information: probe the candidate ways in order.
-            out.wb_probes[rows] = np.where(found, way_pos + 1, m)
-        out.wb_absorbed[rows] = found
-        if found.any():
-            dirty[base[found] + way_phys[found]] = 1
+            wb_probes[rows] = np.where(found, way_pos + 1, m)
+        wb_absorbed[rows] = found
+        rr, kk = np.nonzero(found)
+        if len(rr):
+            dirty_flat[(base[rr] + way_phys[rr, kk]) * K + kk] = 1
 
     for read_rows, wb_rows in steps:
         if len(read_rows):
             step_reads(read_rows)
         if len(wb_rows):
             step_writebacks(wb_rows)
-    return out
+    return decode()
 
 
 # -- reductions --------------------------------------------------------------
 
 
 def _window_stats(
-    plan: _Plan, writes, out: _Outcome, start: int, stop: int
+    predicted: bool, writes, out: _Outcome, start: int, stop: int
 ) -> CacheStats:
-    """Fold outcome columns over ``[start, stop)`` into CacheStats."""
+    """Fold outcome columns over ``[start, stop)`` into CacheStats.
+
+    ``predicted`` says whether the lookup flow way-predicts, which is
+    what populates the prediction counters.
+    """
     stats = CacheStats()
     is_read = writes[start:stop] == 0
     hit = out.hit[start:stop]
@@ -631,7 +788,7 @@ def _window_stats(
     stats.cache_read_transfers = (
         int((out.transfers[start:stop] * is_read).sum()) + wb_probes
     )
-    if plan.flow == "predicted":
+    if predicted:
         stats.predicted_hits = hits
         stats.correct_predictions = int(out.correct[start:stop].sum())
     stats.installs = misses
@@ -648,7 +805,7 @@ def _window_stats(
 
 
 def _phase_series(
-    plan: _Plan,
+    predicted: bool,
     writes,
     out: _Outcome,
     segments: Sequence[Segment],
@@ -676,11 +833,9 @@ def _phase_series(
             start_access=start_access,
             accesses=accesses,
             hits=hits,
-            predicted_hits=hits if plan.flow == "predicted" else 0,
+            predicted_hits=hits if predicted else 0,
             correct_predictions=(
-                int(out.correct[start:stop].sum())
-                if plan.flow == "predicted"
-                else 0
+                int(out.correct[start:stop].sum()) if predicted else 0
             ),
             nvm_reads=misses,
             nvm_writes=dirty_evictions + (wb_total - absorbed),
@@ -717,12 +872,17 @@ class VectorEngine:
                 "vector engine cannot drive this cache exactly; use the "
                 "resolver (repro.sim.engines.resolve_engine) to fall back"
             )
-        sets, tags, writes, steps = _stream_arrays(stream, cache.geometry)
-        out = _simulate(plan, sets, tags, writes, steps)
-        cache.stats = _window_stats(plan, writes, out, warm, len(sets))
+        sets, tags, writes, steps, compact = _stream_arrays(
+            stream, cache.geometry
+        )
+        out = _simulate([plan], sets, tags, writes, steps, compact)[0]
+        predicted = plan.flow == "predicted"
+        cache.stats = _window_stats(predicted, writes, out, warm, len(sets))
         if epoch is None:
             return None
-        return _phase_series(plan, writes, out, segments, epoch, phase_sink)
+        return _phase_series(
+            predicted, writes, out, segments, epoch, phase_sink
+        )
 
 
 __all__ = ["VectorEngine"]

@@ -83,7 +83,7 @@ class SetLocalRng:
     Policies that draw randomness per cache set (random victim picks,
     the PWS install coin) must produce the same values for set *s*
     regardless of how accesses to *other* sets interleave with it —
-    otherwise the vector, replay and fused kernels, which reorder
+    otherwise the vector and replay kernels, which reorder
     accesses across sets (never within one), would change the outcome. A
     single sequential :class:`XorShift64` stream breaks that: every
     draw advances one global state, so removing another set's accesses

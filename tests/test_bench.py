@@ -9,6 +9,7 @@ from repro.core.accord import AccordDesign
 from repro.errors import ReproError
 from repro.sim.bench import (
     BENCH_DESIGNS,
+    compare_hit_rates,
     compare_to_baseline,
     format_report,
     load_report,
@@ -40,6 +41,7 @@ class TestRunBench:
             assert row["accesses_per_sec"] > 0
             assert row["elapsed_sec"] > 0
             assert 0.0 <= row["hit_rate"] <= 1.0
+            assert len(row["result_digest"]) == 64
         assert report["aggregate_accesses_per_sec"] > 0
 
     def test_design_set_covers_every_kind(self):
@@ -139,6 +141,41 @@ class TestCompareToBaseline:
             self._report(100_000),
             0.30,
         ) is None
+
+
+class TestCompareHitRates:
+    """The engine-parity gate behind ``--check-hit-rates``."""
+
+    @staticmethod
+    def _report(hit_rate=0.5, digest="a" * 64):
+        row = {"design": "pws-2way", "hit_rate": hit_rate}
+        if digest is not None:
+            row["result_digest"] = digest
+        return {"designs": [row]}
+
+    def test_matching_rows_pass(self):
+        assert compare_hit_rates(self._report(), self._report()) is None
+
+    def test_digest_mismatch_fails_at_equal_hit_rate(self):
+        """A divergence in prediction, probes or writebacks leaves the
+        hit rate alone; the digest still catches it."""
+        verdict = compare_hit_rates(
+            self._report(digest="b" * 64), self._report()
+        )
+        assert verdict is not None and "result digest" in verdict
+
+    def test_hit_rate_mismatch_fails(self):
+        verdict = compare_hit_rates(self._report(0.25), self._report())
+        assert verdict is not None and "hit rate" in verdict
+
+    def test_baseline_row_without_digest_compares_hit_rate(self):
+        """Reports written before digests were recorded stay valid."""
+        assert compare_hit_rates(
+            self._report(digest="b" * 64), self._report(digest=None)
+        ) is None
+        assert compare_hit_rates(
+            self._report(0.25), self._report(digest=None)
+        ) is not None
 
 
 class TestBenchCli:

@@ -171,6 +171,25 @@ class TestVectorProperties:
         assert not ENGINES["vector"].supports(cache)
         assert not ENGINES["replay"].supports(cache)
 
+    def test_state_scales_with_trace_footprint(self):
+        """Kernel state covers the touched sets, not the geometry: a
+        short trace on an 8M-line cache peaks at a few MB, where dense
+        per-geometry state arrays would need over 100 MB."""
+        import tracemalloc
+
+        design = AccordDesign(kind="pws", ways=2)
+        config = scaled_system(ways=2, scale=1.0 / 8.0)
+        cache = build_dram_cache(design, config, seed=5)
+        assert cache.geometry.num_lines >= 8 << 20
+        trace = random_trace(404, n=2000, footprint_lines=1 << 24)
+        tracemalloc.start()
+        try:
+            _drive(cache, trace, "vector")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
 
 class TestReplayProperties:
     """Randomized global-state configs: replay == reference loop.

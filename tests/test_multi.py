@@ -1,10 +1,12 @@
-"""Fused multi-config kernel: bit-identity against solo vector drives.
+"""Fused multi-config drives: bit-identity against the reference loop.
 
-The fused kernel's whole contract is that evaluating K same-signature
-configs in one pass decodes into K results *byte-identical* to K
-separate :class:`~repro.sim.engines.vector.VectorEngine` runs. These
-tests drive both paths over the same traces — including phase-resolved
-runs — and compare the full stats dictionaries.
+The fused pass's whole contract is that evaluating K same-signature
+configs in one kernel pass decodes into K results *byte-identical* to
+K separate per-access reference-loop runs. A solo
+:class:`~repro.sim.engines.vector.VectorEngine` drive runs the same
+kernel at K = 1, so the reference is the ``loop`` engine. These tests
+drive both paths over the same traces — including phase-resolved runs
+— and compare the full stats dictionaries.
 """
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from repro.cache.storage import TagStore
 from repro.core.accord import AccordDesign
 from repro.core.sws import SkewedWaySteering
+from repro.errors import SimulationError
 from repro.params.system import scaled_system
 from repro.sim.engines import (
     TraceStream,
@@ -106,11 +109,12 @@ def _trace(workload="soplex"):
 
 
 def _solo(builder, trace, epoch=None):
+    """One config on the per-access reference loop."""
     cache = builder()
     warm = int(len(trace) * WARMUP)
     segments = serial_segments(trace, warm, epoch)
     stream = TraceStream(trace, cache.geometry)
-    phases = VectorEngine().drive(cache, stream, warm, segments, epoch)
+    phases = get_engine("loop").drive(cache, stream, warm, segments, epoch)
     return cache.stats, phases
 
 
@@ -157,12 +161,12 @@ class TestFusedBitIdentity:
     def test_k1_degenerates_to_solo(self):
         builder = _design_builder(AccordDesign(kind="pws", ways=2, pip=0.5))
         trace = _trace()
-        before = fused_pass_count()[0]
+        before = fused_pass_count()
         (stats, phases), = _fused([builder], trace)
         solo_stats, _ = _solo(builder, trace)
         assert stats.to_dict() == solo_stats.to_dict()
         # a single run is not a fused pass
-        assert fused_pass_count()[0] == before
+        assert fused_pass_count() == before
 
     def test_fused_pass_counter_advances(self):
         builders = GROUPS[0][1]
@@ -196,6 +200,18 @@ class TestPlanSignature:
         )
         signatures = {plan_signature(p) for p in (pws, serial, mru)}
         assert len(signatures) == 3
+
+    def test_mixed_signatures_are_rejected(self):
+        builders = [
+            _design_builder(AccordDesign(kind="pws", ways=2)),
+            _design_builder(AccordDesign(kind="serial", ways=2)),
+        ]
+        caches = [b() for b in builders]
+        runs = [FusedRun(fusion_plan(c), 0, (), None) for c in caches]
+        geometry = caches[0].geometry
+        stream = TraceStream(_trace(), geometry)
+        with pytest.raises(SimulationError):
+            drive_fused(runs, stream, geometry)
 
 
 class TestLazyTagStore:
