@@ -671,6 +671,7 @@ def _add_endpoint_arguments(p: argparse.ArgumentParser) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.experiments.common import add_settings_arguments
+    from repro.verify.shadow import VERIFY_ENGINES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -811,7 +812,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "jobs on the reference engine (default 0)")
     serve_parser.add_argument("--verify-engine", default="stream",
                               dest="verify_engine",
-                              choices=("stream", "loop"),
+                              choices=VERIFY_ENGINES,
                               help="reference engine for shadow verification "
                                    "(default stream)")
     audit_parser = sub.add_parser(
@@ -829,7 +830,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "(default 0: digest checks only)")
     audit_parser.add_argument("--verify-engine", default="stream",
                               dest="verify_engine",
-                              choices=("stream", "loop"),
+                              choices=VERIFY_ENGINES,
                               help="reference engine for --recompute-fraction "
                                    "(default stream)")
     audit_parser.add_argument("--no-traces", action="store_true",

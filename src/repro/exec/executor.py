@@ -84,6 +84,7 @@ from repro.exec.resilience import (
 from repro.exec.store import ResultStore
 from repro.sim.engines import mark_worker_process
 from repro.sim.system import RunResult
+from repro.verify.shadow import VERIFY_ENGINES
 
 #: progress(done, total, key, source) with source in
 #: {"cached", "run", "resumed"}.
@@ -175,9 +176,9 @@ class Executor:
             raise ConfigError(
                 f"verify_fraction must be in [0, 1], got {verify_fraction}"
             )
-        if verify_engine not in ("stream", "loop"):
+        if verify_engine not in VERIFY_ENGINES:
             raise ConfigError(
-                f"verify_engine must be 'stream' or 'loop', "
+                f"verify_engine must be one of {', '.join(VERIFY_ENGINES)}, "
                 f"got {verify_engine!r}"
             )
         if timeout is not None and timeout <= 0:

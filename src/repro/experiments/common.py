@@ -143,6 +143,7 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
                              "worker is killed and the job rescheduled "
                              "(parallel runs only; default: none)")
     from repro.sim.engines import ENGINE_NAMES
+    from repro.verify.shadow import VERIFY_ENGINES
 
     parser.add_argument("--engine", type=str, default="auto",
                         choices=ENGINE_NAMES,
@@ -169,7 +170,7 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
                              "circuit-broken, and the sweep heals from the "
                              "reference result; default 0: disabled)")
     parser.add_argument("--verify-engine", type=str, default="stream",
-                        choices=("stream", "loop"), dest="verify_engine",
+                        choices=VERIFY_ENGINES, dest="verify_engine",
                         help="reference engine for shadow verification "
                              "(default: stream)")
 

@@ -8,12 +8,13 @@ and — the robustness claim — no workload with a meaningful slowdown.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.analysis.report import per_workload_table
 from repro.core.accord import AccordDesign
 from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
-from repro.workloads.spec import extended_suite
+from repro.workloads.spec import extended_suite, main_suite
 
 DESIGNS = {
     "ACCORD 2-way": AccordDesign(kind="accord", ways=2),
@@ -23,10 +24,10 @@ DESIGNS = {
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    if len(settings.suite) <= len(extended_suite()) // 2:
-        pass  # quick mode keeps its reduced suite
-    else:
-        settings.suite = extended_suite()
+    if settings.suite == main_suite():
+        # The default suite widens to all 46 workloads; quick mode and
+        # an explicit --workloads list are kept as given.
+        settings = replace(settings, suite=extended_suite())
     runner = SuiteRunner(settings)
     runner.run("direct", baseline_design())
     columns = {}

@@ -38,6 +38,7 @@ from repro.service import protocol
 from repro.service.jobspec import expand_spec
 from repro.service.ratelimit import RateLimiter
 from repro.service.scheduler import JobManager, Overloaded
+from repro.verify.shadow import VERIFY_ENGINES
 
 #: The service's default port: "ACRD" on a phone keypad would be nice,
 #: but 8765 is memorable and unprivileged.
@@ -77,9 +78,9 @@ class ServiceConfig:
                 f"verify_fraction must be in [0, 1], "
                 f"got {self.verify_fraction}"
             )
-        if self.verify_engine not in ("stream", "loop"):
+        if self.verify_engine not in VERIFY_ENGINES:
             raise ConfigError(
-                f"verify_engine must be 'stream' or 'loop', "
+                f"verify_engine must be one of {', '.join(VERIFY_ENGINES)}, "
                 f"got {self.verify_engine!r}"
             )
 

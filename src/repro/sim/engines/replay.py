@@ -19,20 +19,22 @@ seeds — is a pure per-access function. So the engine splits the work:
    candidate matrices and per-set splitmix64 stream seeds for the whole
    trace in a handful of numpy passes, then materialize them as plain
    Python lists for the replay loop.
-2. **Replay** (fused scalar kernel): one pass over the precomputed
-   columns carrying only the *sparse* state — resident tags, dirty
-   bits, the RIT/RLT as plain insertion-ordered dicts, per-set draw
-   counters, PSEL. Each access appends a single small *outcome code*.
+2. **Replay** (one fused scalar kernel for every GWS-family design):
+   one pass over the precomputed columns carrying only the *sparse*
+   state — resident tags, dirty bits and per-set draw counters for the
+   sets the trace touches, the RIT/RLT as plain insertion-ordered
+   dicts, PSEL. Each access appends a single small *outcome code*.
 3. **Reduce** (vectorized): decode the code column into the vector
    engine's :class:`~repro.sim.engines.vector._Outcome` arrays and
    reuse its ``_window_stats`` / ``_phase_series`` reductions, so the
    CacheStats and PhaseSeries construction is shared, bit for bit.
 
-Because every expensive per-access quantity is hoisted out of the loop
-and the loop body itself is branch-light, the replay runs ~4-9x faster
-than the stream loop while remaining bit-identical to the per-address
-reference loop (asserted by ``tests/test_engines.py`` for every design
-and by the randomized property tests).
+Every expensive per-access quantity is hoisted out of the loop, so the
+loop body is a few list reads and dict operations per access. The
+replay stays bit-identical to the per-address reference loop (asserted
+by ``tests/test_engines.py`` for every design and by the randomized
+property tests). The column-associative cache has its own loop
+(:func:`_replay_ca`), which counts directly instead of emitting codes.
 
 The outcome code per access is:
 
@@ -86,7 +88,7 @@ from repro.utils.rng import set_stream_seeds
 
 _U64 = np.uint64
 
-# splitmix64 constants, inlined in the replay loops (one function call
+# splitmix64 constants, inlined in the replay kernel (one function call
 # per draw would double the kernel time).
 _M64 = (1 << 64) - 1
 _C1 = 0x9E3779B97F4A7C15
@@ -100,7 +102,7 @@ class _ReplayPlan:
 
     __slots__ = (
         "family",       # "gws" (GWS-wrapped DramCache) | "ca"
-        "ways", "num_sets", "m", "hashes",
+        "ways", "m", "hashes",
         "steer",        # fallback install: unbiased | pws | sws | dueling
         "pred",         # fallback predict: static | random
         "pip", "steer_base", "repl_base", "pred_base",
@@ -124,7 +126,6 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
         plan = _ReplayPlan()
         plan.family = "ca"
         plan.ways = 1
-        plan.num_sets = cache.geometry.num_sets
         return plan
 
     path = getattr(cache, "path", None)
@@ -148,7 +149,6 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
     plan = _ReplayPlan()
     plan.family = "gws"
     plan.ways = geometry.ways
-    plan.num_sets = geometry.num_sets
     plan.rit_entries = steering.rit.entries
     plan.rlt_entries = predictor.rlt.entries
     plan.steer_region = steering.region_size
@@ -205,9 +205,9 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
     return plan
 
 
-# -- the GWS-family replay kernels -------------------------------------------
+# -- the GWS-family replay kernel --------------------------------------------
 #
-# Both kernels reproduce, in order, exactly what the access path does:
+# The kernel reproduces, in order, exactly what the access path does:
 #
 #   read:  predict via RLT (lookup refreshes recency) else fallback;
 #          probe predicted first, then remaining candidates; on a hit
@@ -228,200 +228,20 @@ def _lists(*arrays):
     return [a.tolist() for a in arrays]
 
 
-def _replay_two_way(plan, sets_a, tags_a, writes_a, addrs):
-    """Fast path: ways == 2 with all-ways candidates (gws / ACCORD 2-way
-    / dueling). The other way is always ``predicted ^ 1``, so probe
-    scans and spill picks collapse to XORs."""
-    pref_a = (_tag_hash_array(tags_a) & _U64(1)).astype(np.int64)
-    sregion_a = addrs // np.int64(plan.steer_region)
-    base_a = sets_a * np.int64(2)
-    steer = plan.steer
-    pred = plan.pred
+def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
+    """The GWS-family kernel: any way count, identity or SWS candidate
+    sets, all fallback modes.
 
-    zero_a = np.zeros(len(sets_a), dtype=_U64)
-    if steer == "dueling":
-        s1_a = set_stream_seeds(plan.low_base, sets_a)
-        s2_a = set_stream_seeds(plan.high_base, sets_a)
-    elif steer == "pws":
-        s1_a = set_stream_seeds(plan.steer_base, sets_a)
-        s2_a = zero_a
-    else:  # unbiased: the replacement policy's stream picks the victim
-        s1_a = set_stream_seeds(plan.repl_base, sets_a)
-        s2_a = zero_a
-    if pred == "random":
-        p_a = set_stream_seeds(plan.pred_base, sets_a)
-    else:
-        p_a = zero_a
-    if plan.pred_region == plan.steer_region:
-        pregion_l = None
-    else:
-        pregion_l = (addrs // np.int64(plan.pred_region)).tolist()
-
-    writes_l, sets_l, tags_l, regions_l, pref_l, base_l, s1_l, s2_l, p_l = _lists(
-        writes_a, sets_a, tags_a, sregion_a, pref_a, base_a, s1_a, s2_a, p_a
-    )
-    if pregion_l is None:
-        pregion_l = regions_l
-
-    num_sets = plan.num_sets
-    tags_state = [JUNK_TAG] * (num_sets * 2)
-    dirty = bytearray(num_sets * 2)
-    rit: dict = {}
-    rlt: dict = {}
-    rit_get = rit.get
-    rlt_get = rlt.get
-    rit_entries = plan.rit_entries
-    rlt_entries = plan.rlt_entries
-    cnt1 = [0] * num_sets     # low/pws/replacement stream counters
-    cnt2 = [0] * num_sets     # dueling high-instance stream counters
-    pcnt = [0] * num_sets     # random-predictor stream counters
-    psel = (plan.psel_max // 2) if steer == "dueling" else 0
-    psel_max = plan.psel_max if steer == "dueling" else 0
-    psel_mid = psel_max // 2
-    pip = plan.pip if steer in ("pws",) else 0.0
-    pip_low = plan.pip_low if steer == "dueling" else 0.0
-    pip_high = plan.pip_high if steer == "dueling" else 0.0
-    dcp_exact = plan.dcp_exact
-    dueling = steer == "dueling"
-    unbiased = steer == "unbiased"
-    pred_random = pred == "random"
-
-    codes = []
-    code_append = codes.append
-
-    for w, s, t, rg, prg, pf, base, sd1, sd2, psd in zip(
-        writes_l, sets_l, tags_l, regions_l, pregion_l, pref_l, base_l,
-        s1_l, s2_l, p_l,
-    ):
-        if w:
-            # Exact DCP answers membership with zero probes; without a
-            # DCP the ways are probed in candidate order (0 then 1).
-            if tags_state[base] == t:
-                dirty[base] = 1
-                code_append(100 if dcp_exact else 101)
-            elif tags_state[base + 1] == t:
-                dirty[base + 1] = 1
-                code_append(100 if dcp_exact else 102)
-            else:
-                code_append(200 if dcp_exact else 202)
-            continue
-        # -- read: predict (RLT lookup refreshes recency) -------------------
-        pw = rlt_get(prg)
-        if pw is None:
-            if pred_random:
-                c = pcnt[s]
-                pcnt[s] = c + 1
-                z = (psd + c + _C1) & _M64
-                z = ((z ^ (z >> 30)) * _C2) & _M64
-                z = ((z ^ (z >> 27)) * _C3) & _M64
-                predicted = (z ^ (z >> 31)) & 1
-            else:
-                predicted = pf
-        else:
-            del rlt[prg]
-            rlt[prg] = pw
-            predicted = pw
-        slot = base + predicted
-        if tags_state[slot] == t:
-            code_append(1)
-            if prg in rlt:
-                del rlt[prg]
-            rlt[prg] = predicted
-            if len(rlt) > rlt_entries:
-                del rlt[next(iter(rlt))]
-            continue
-        other = predicted ^ 1
-        if tags_state[base + other] == t:
-            code_append(2)
-            if prg in rlt:
-                del rlt[prg]
-            rlt[prg] = other
-            if len(rlt) > rlt_entries:
-                del rlt[next(iter(rlt))]
-            continue
-        # -- miss: GWS install choice ----------------------------------------
-        g = rit_get(rg)
-        if g is not None:
-            del rit[rg]
-            way = g
-        else:
-            c = cnt1[s]
-            z = (sd1 + c + _C1) & _M64
-            z = ((z ^ (z >> 30)) * _C2) & _M64
-            z = ((z ^ (z >> 27)) * _C3) & _M64
-            z ^= z >> 31
-            if unbiased:
-                cnt1[s] = c + 1
-                way = z & 1
-            elif dueling:
-                # observe_miss: leader sets vote before the instance pick.
-                if not s & 31:
-                    if (s >> 5) & 1:
-                        low = False  # high leader
-                        if psel < psel_max:
-                            psel += 1
-                    else:
-                        low = True  # low leader
-                        if psel > 0:
-                            psel -= 1
-                else:
-                    low = psel > psel_mid
-                if low:
-                    cnt1[s] = c + 1
-                    if z / _TWO64 < pip_low:
-                        way = pf
-                    else:
-                        c2 = cnt1[s]
-                        cnt1[s] = c2 + 1
-                        way = pf ^ 1
-                else:
-                    c2 = cnt2[s]
-                    z = (sd2 + c2 + _C1) & _M64
-                    z = ((z ^ (z >> 30)) * _C2) & _M64
-                    z = ((z ^ (z >> 27)) * _C3) & _M64
-                    z ^= z >> 31
-                    cnt2[s] = c2 + 1
-                    if z / _TWO64 < pip_high:
-                        way = pf
-                    else:
-                        cnt2[s] = c2 + 2
-                        way = pf ^ 1
-            else:  # pws
-                if z / _TWO64 < pip:
-                    way = pf
-                    cnt1[s] = c + 1
-                else:
-                    way = pf ^ 1
-                    cnt1[s] = c + 2
-        # fallback path records the RIT; the ganged path's entry is
-        # refreshed identically by on_install below, so one record
-        # covers both (del+reinsert == move_to_end + update).
-        slot = base + way
-        code_append(-2 if dirty[slot] else -1)
-        tags_state[slot] = t
-        dirty[slot] = 0
-        if rg in rit:
-            del rit[rg]
-        rit[rg] = way
-        if len(rit) > rit_entries:
-            del rit[next(iter(rit))]
-        if prg in rlt:
-            del rlt[prg]
-        rlt[prg] = way
-        if len(rlt) > rlt_entries:
-            del rlt[next(iter(rlt))]
-    return codes
-
-
-def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
-    """General kernel: any way count, identity or SWS candidate sets,
-    all fallback modes. Used for ACCORD 4-way, SWS(N,k), and the
-    randomized property-test configurations."""
+    State covers only the sets the trace touches: way ``w`` of an
+    access's set is slot ``base + w``, with ``base = compact * ways``
+    and ``compact`` the dense touched-set id. Stream seeds and the
+    dueling leader test still use the original set index ``s``.
+    """
     ways = plan.ways
     hashed = _tag_hash_array(tags_a)
     pref_a = (hashed & _U64(ways - 1)).astype(np.int64)
     sregion_a = addrs // np.int64(plan.steer_region)
-    base_a = sets_a * np.int64(ways)
+    base_a = compact_a * np.int64(ways)
     steer = plan.steer
     pred = plan.pred
     m = plan.m
@@ -456,18 +276,22 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
         cand_rows = [None] * len(writes_l)
     all_ways = tuple(range(ways))
 
-    num_sets = plan.num_sets
-    tags_state = [JUNK_TAG] * (num_sets * ways)
-    dirty = bytearray(num_sets * ways)
+    touched = int(compact_a.max()) + 1 if len(compact_a) else 0
+    tags_state = [JUNK_TAG] * (touched * ways)
+    dirty = bytearray(touched * ways)
     rit: dict = {}
     rlt: dict = {}
     rit_get = rit.get
     rlt_get = rlt.get
     rit_entries = plan.rit_entries
     rlt_entries = plan.rlt_entries
-    cnt1 = [0] * num_sets
-    cnt2 = [0] * num_sets
-    pcnt = [0] * num_sets
+    # Draw counters are per set, so they are indexed by the compact set
+    # id ``base >> wshift`` (computed only on the draw paths) and sized
+    # by the touched sets rather than by slots.
+    wshift = ways.bit_length() - 1
+    cnt1 = [0] * touched   # low/pws/sws/replacement stream counters
+    cnt2 = [0] * touched   # dueling high-instance stream counters
+    pcnt = [0] * touched   # random-predictor stream counters
     psel = (plan.psel_max // 2) if steer == "dueling" else 0
     psel_max = plan.psel_max if steer == "dueling" else 0
     psel_mid = psel_max // 2
@@ -513,8 +337,9 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
         pw = rlt_get(prg)
         if pw is None:
             if pred_random:
-                c = pcnt[s]
-                pcnt[s] = c + 1
+                sid = base >> wshift
+                c = pcnt[sid]
+                pcnt[sid] = c + 1
                 z = (psd + c + _C1) & _M64
                 z = ((z ^ (z >> 30)) * _C2) & _M64
                 z = ((z ^ (z >> 27)) * _C3) & _M64
@@ -566,13 +391,14 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
                 # record overwrites the stale way.
                 del rit[rg]
                 rit[rg] = g
-            c = cnt1[s]
+            sid = base >> wshift
+            c = cnt1[sid]
             z = (sd1 + c + _C1) & _M64
             z = ((z ^ (z >> 30)) * _C2) & _M64
             z = ((z ^ (z >> 27)) * _C3) & _M64
             z ^= z >> 31
             if unbiased:
-                cnt1[s] = c + 1
+                cnt1[sid] = c + 1
                 way = candidates[z % len(candidates)]
             elif dueling:
                 if not s & 31:
@@ -587,12 +413,12 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
                 else:
                     low = psel > psel_mid
                 if low:
-                    cnt1[s] = c + 1
+                    cnt1[sid] = c + 1
                     if z / _TWO64 < pip_low:
                         way = pf
                     else:
-                        c2 = cnt1[s]
-                        cnt1[s] = c2 + 1
+                        c2 = cnt1[sid]
+                        cnt1[sid] = c2 + 1
                         z = (sd1 + c2 + _C1) & _M64
                         z = ((z ^ (z >> 30)) * _C2) & _M64
                         z = ((z ^ (z >> 27)) * _C3) & _M64
@@ -600,17 +426,17 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
                         alt = z % (ways - 1)
                         way = alt + (alt >= pf)
                 else:
-                    c2 = cnt2[s]
+                    c2 = cnt2[sid]
                     z = (sd2 + c2 + _C1) & _M64
                     z = ((z ^ (z >> 30)) * _C2) & _M64
                     z = ((z ^ (z >> 27)) * _C3) & _M64
                     z ^= z >> 31
-                    cnt2[s] = c2 + 1
+                    cnt2[sid] = c2 + 1
                     if z / _TWO64 < pip_high:
                         way = pf
                     else:
-                        c3 = cnt2[s]
-                        cnt2[s] = c3 + 1
+                        c3 = cnt2[sid]
+                        cnt2[sid] = c3 + 1
                         z = (sd2 + c3 + _C1) & _M64
                         z = ((z ^ (z >> 30)) * _C2) & _M64
                         z = ((z ^ (z >> 27)) * _C3) & _M64
@@ -619,11 +445,11 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
                         way = alt + (alt >= pf)
             else:  # pws / sws: the PIP coin over the candidate set
                 if m == 1 or z / _TWO64 < pip:
-                    cnt1[s] = c + 1 if m > 1 else c
+                    cnt1[sid] = c + 1 if m > 1 else c
                     way = pf
                 else:
                     c2 = c + 1
-                    cnt1[s] = c2 + 1
+                    cnt1[sid] = c2 + 1
                     z = (sd1 + c2 + _C1) & _M64
                     z = ((z ^ (z >> 30)) * _C2) & _M64
                     z = ((z ^ (z >> 27)) * _C3) & _M64
@@ -673,14 +499,14 @@ def _replay_ca(cache, stream, warm) -> CacheStats:
     """Fused scalar replay of :class:`ColumnAssociativeCache`.
 
     Local list/bytearray state instead of dict/set, precomputed index
-    columns, and counters accumulated only in the measured window; the
-    flow mirrors ``read``/``_fill``/``writeback`` line for line. The CA
+    columns, and one loop (:func:`_ca_advance`) run over the warm-up
+    slice, whose counters are dropped, then over the measured window;
+    the flow mirrors ``read``/``_fill``/``writeback`` line for line. The CA
     model has no observer hook, so (like the loop engine) the run is
     never phase-resolved and a plain stats fold suffices.
     """
     geometry = cache.geometry
     num_sets = geometry.num_sets
-    rehash_bit = 1 << (geometry.index_bits - 1)
     trace = getattr(stream, "trace", None)
     if trace is not None:
         addrs = trace.numpy_addrs()
@@ -697,38 +523,24 @@ def _replay_ca(cache, stream, warm) -> CacheStats:
 
     lines = [-1] * num_sets
     dirty = bytearray(num_sets)
+    rehash_bit = 1 << (geometry.index_bits - 1)
+    _ca_advance(
+        lines, dirty, rehash_bit,
+        writes_l[:warm], lines_l[:warm], firsts_l[:warm],
+    )
+    return _ca_advance(
+        lines, dirty, rehash_bit,
+        writes_l[warm:], lines_l[warm:], firsts_l[warm:],
+    )
 
-    # warmup: state only, no counters
-    for w, line, first in zip(
-        writes_l[:warm], lines_l[:warm], firsts_l[:warm]
-    ):
-        second = first ^ rehash_bit
-        if w:
-            if lines[first] == line:
-                dirty[first] = 1
-            elif lines[second] == line:
-                dirty[second] = 1
-            continue
-        if lines[first] == line:
-            continue
-        if lines[second] == line:
-            lines[first], lines[second] = lines[second], lines[first]
-            dirty[first], dirty[second] = dirty[second], dirty[first]
-            continue
-        displaced = lines[first]
-        if displaced != -1:
-            lines[second] = displaced
-            dirty[second] = dirty[first]
-        lines[first] = line
-        dirty[first] = 0
 
-    # measured window
+def _ca_advance(lines, dirty, rehash_bit, writes_l, lines_l, firsts_l):
+    """Advance the CA state over one slice of the trace; return the
+    slice's counters as :class:`CacheStats`."""
     demand = hits = correct = hit_extra = miss_extra = 0
     swaps = installs = evictions = dirty_ev = nvm_w = 0
     wbs = wb_direct = wb_bypass = 0
-    for w, line, first in zip(
-        writes_l[warm:], lines_l[warm:], firsts_l[warm:]
-    ):
+    for w, line, first in zip(writes_l, lines_l, firsts_l):
         second = first ^ rehash_bit
         if w:
             wbs += 1
@@ -826,7 +638,7 @@ class SparseReplayEngine:
         if plan.family == "ca":
             cache.stats = _replay_ca(cache, stream, warm)
             return None  # the CA model is never phase-resolved
-        sets_a, tags_a, writes_a, _steps, _compact = _stream_arrays(
+        sets_a, tags_a, writes_a, _steps, compact_a = _stream_arrays(
             stream, cache.geometry
         )
         trace = getattr(stream, "trace", None)
@@ -834,10 +646,7 @@ class SparseReplayEngine:
             addrs = trace.numpy_addrs()
         else:
             addrs = np.asarray(stream.addrs, dtype=np.int64)
-        if plan.ways == 2 and plan.steer != "sws":
-            codes = _replay_two_way(plan, sets_a, tags_a, writes_a, addrs)
-        else:
-            codes = _replay_generic(plan, sets_a, tags_a, writes_a, addrs)
+        codes = _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs)
         out = _decode(plan, len(sets_a), codes)
         # All GWS-family designs way-predict.
         cache.stats = _window_stats(True, writes_a, out, warm, len(sets_a))

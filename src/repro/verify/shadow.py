@@ -17,8 +17,10 @@ preserved for inspection, and the final tables still come out
 bit-identical to a fault-free reference run.
 
 This module holds the policy-free helpers; the orchestration lives in
-:meth:`repro.exec.executor.Executor._maybe_verify`. Imported lazily by
-the executor to keep :mod:`repro.verify` import-light.
+:meth:`repro.exec.executor.Executor._maybe_verify`. Its module-level
+imports are stdlib-only (the exec layer is imported inside the helpers
+that need it), so the CLI and the executor can import
+:data:`VERIFY_ENGINES` cheaply.
 """
 
 from __future__ import annotations

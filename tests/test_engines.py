@@ -20,7 +20,7 @@ from repro.core.accord import AccordDesign
 from repro.core.protocols import ensure_policy_conformance
 from repro.core.sws import SkewedWaySteering
 from repro.errors import ConfigError, SimulationError
-from repro.exec.jobs import JobKey
+from repro.exec.jobs import JobKey, parse_design_spec
 from repro.params.system import scaled_system
 from repro.sim.bench import BENCH_DESIGNS
 from repro.sim.engines import (
@@ -171,20 +171,27 @@ class TestVectorProperties:
         assert not ENGINES["vector"].supports(cache)
         assert not ENGINES["replay"].supports(cache)
 
-    def test_state_scales_with_trace_footprint(self):
-        """Kernel state covers the touched sets, not the geometry: a
-        short trace on an 8M-line cache peaks at a few MB, where dense
-        per-geometry state arrays would need over 100 MB."""
+
+class TestVectorReplayFootprint:
+    """Kernel state covers the touched sets, not the geometry."""
+
+    @pytest.mark.parametrize(
+        "spec,engine_name",
+        [("pws:2", "vector"), ("accord:2", "replay"), ("dueling:2", "replay")],
+    )
+    def test_state_scales_with_trace_footprint(self, spec, engine_name):
+        """A short trace on an 8M-line cache peaks at a few MB, where
+        dense per-geometry state arrays would need over 100 MB."""
         import tracemalloc
 
-        design = AccordDesign(kind="pws", ways=2)
-        config = scaled_system(ways=2, scale=1.0 / 8.0)
+        design = parse_design_spec(spec)
+        config = scaled_system(ways=design.ways, scale=1.0 / 8.0)
         cache = build_dram_cache(design, config, seed=5)
         assert cache.geometry.num_lines >= 8 << 20
         trace = random_trace(404, n=2000, footprint_lines=1 << 24)
         tracemalloc.start()
         try:
-            _drive(cache, trace, "vector")
+            _drive(cache, trace, engine_name)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -229,6 +229,43 @@ class TestQuickRuns:
         assert "SWS(8,1)" in report and "SWS(8,4)" in report
 
 
+class TestFig12Suite:
+    """Figure 12 widens only the default suite to all 46 workloads;
+    pinned with the suite runner stubbed, so nothing is simulated."""
+
+    @pytest.fixture
+    def fig12(self, monkeypatch):
+        from repro.experiments import fig12_all_workloads
+
+        class StubRunner:
+            def __init__(self, settings):
+                self.suite = settings.suite
+
+            def run(self, label, design):
+                pass
+
+            def speedups(self, label, baseline):
+                return {w: 1.0 for w in self.suite}
+
+        monkeypatch.setattr(fig12_all_workloads, "SuiteRunner", StubRunner)
+        return fig12_all_workloads
+
+    def test_default_suite_widens_to_46(self, fig12):
+        settings = Settings()
+        before = list(settings.suite)
+        assert "46 workloads" in fig12.run(settings)
+        assert settings.suite == before  # the caller's settings are untouched
+
+    def test_quick_suite_is_kept(self, fig12):
+        assert "4 workloads" in fig12.run(quick_settings())
+
+    def test_explicit_suite_is_kept(self, fig12):
+        from repro.workloads.spec import extended_suite
+
+        suite = extended_suite()[:30]
+        assert "30 workloads" in fig12.run(Settings(suite=suite))
+
+
 class TestSuiteRunnerMachinery:
     def test_memoizes_runs(self):
         settings = quick_settings()
