@@ -671,7 +671,7 @@ def _add_endpoint_arguments(p: argparse.ArgumentParser) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.experiments.common import add_settings_arguments
-    from repro.verify.shadow import VERIFY_ENGINES
+    from repro.verify.shadow import DEFAULT_VERIFY_ENGINE, VERIFY_ENGINES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -810,11 +810,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                               dest="verify_fraction", metavar="F",
                               help="shadow-verify this fraction of computed "
                                    "jobs on the reference engine (default 0)")
-    serve_parser.add_argument("--verify-engine", default="stream",
+    serve_parser.add_argument("--verify-engine",
+                              default=DEFAULT_VERIFY_ENGINE,
                               dest="verify_engine",
                               choices=VERIFY_ENGINES,
                               help="reference engine for shadow verification "
-                                   "(default stream)")
+                                   f"(default {DEFAULT_VERIFY_ENGINE})")
     audit_parser = sub.add_parser(
         "audit",
         help="verify result-store integrity (schemas, payload digests)",
@@ -828,11 +829,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="re-execute this fraction of entries on "
                                    "the reference engine and compare digests "
                                    "(default 0: digest checks only)")
-    audit_parser.add_argument("--verify-engine", default="stream",
+    audit_parser.add_argument("--verify-engine",
+                              default=DEFAULT_VERIFY_ENGINE,
                               dest="verify_engine",
                               choices=VERIFY_ENGINES,
                               help="reference engine for --recompute-fraction "
-                                   "(default stream)")
+                                   f"(default {DEFAULT_VERIFY_ENGINE})")
     audit_parser.add_argument("--no-traces", action="store_true",
                               dest="no_traces",
                               help="skip the trace-cache audit")
@@ -929,7 +931,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         passthrough += ["--engine-strict"]
     if args.verify_fraction:
         passthrough += ["--verify-fraction", str(args.verify_fraction)]
-    if args.verify_engine != "stream":
+    if args.verify_engine != DEFAULT_VERIFY_ENGINE:
         passthrough += ["--verify-engine", args.verify_engine]
     return _cmd_run(args.names, passthrough)
 

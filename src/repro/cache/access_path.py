@@ -31,7 +31,6 @@ from repro.cache.events import (
     WritebackEvent,
 )
 from repro.cache.lookup import LookupResult
-from repro.cache.replacement import RandomReplacement
 from repro.errors import PolicyError
 
 if TYPE_CHECKING:  # owning-cache hint only; no runtime cycle
@@ -85,29 +84,22 @@ class AccessPath:
     def read_split(self, set_index: int, tag: int, addr: int) -> AccessOutcome:
         """:meth:`read` with the (set, tag) split precomputed.
 
-        The hot-loop entry point: :class:`~repro.sim.system.Simulator`
-        splits the whole trace vectorized once per geometry
-        (:meth:`~repro.sim.trace.Trace.split_columns`) and drives this
-        method directly, so ``geometry.split`` never runs per access.
+        The ``stream`` engine splits the whole trace vectorized once per
+        geometry (:meth:`~repro.sim.trace.Trace.split_columns`) and
+        drives this method directly, so ``geometry.split`` never runs
+        per access.
         The inlined counter updates below are, line for line, the
         :class:`~repro.cache.events.StatsObserver` specification.
         """
         cache = self.cache
         stats = cache.stats
         stats.demand_reads += 1
-        steering = cache.steering
-        # static_candidates is a required protocol member, validated at
-        # build time (ensure_policy_conformance): the constant candidate
-        # set, or None when candidates vary per tag. When set it saves a
-        # method call per access.
-        candidates = steering.static_candidates
-        if candidates is None:
-            candidates = steering.candidate_ways(set_index, tag)
-            if type(candidates) not in (tuple, list):
-                # A policy may hand back any iterable (even one-shot);
-                # materialize once so the lookup and the fill's
-                # containment check both see the same sequence.
-                candidates = tuple(candidates)
+        candidates = cache.steering.candidate_ways(set_index, tag)
+        if type(candidates) not in (tuple, list):
+            # A policy may hand back any iterable (even one-shot);
+            # materialize once so the lookup and the fill's
+            # containment check both see the same sequence.
+            candidates = tuple(candidates)
         result = cache.lookup.lookup(
             set_index, tag, addr, cache.store, candidates, cache.predictor
         )
@@ -152,112 +144,6 @@ class AccessPath:
             prediction_correct=False,
         )
 
-    # -- batched stream driving ---------------------------------------------
-
-    def run_stream(
-        self,
-        writes: Sequence[int],
-        set_indices: Sequence[int],
-        tags: Sequence[int],
-        addrs: Sequence[int],
-        start: int,
-        stop: int,
-    ) -> None:
-        """Drive ``[start, stop)`` of a pre-split access stream.
-
-        Bit-identical to calling :meth:`read_split` /
-        :meth:`writeback_split` per record (the equivalence tests assert
-        this for every design), but with the per-access constant work
-        hoisted out of the loop: component attribute loads, the
-        candidate-set fetch for static-candidate steering policies, and
-        the :class:`AccessOutcome` allocation (a batch driver has no
-        caller to return it to). Additive counters accumulate in locals
-        and flush to :class:`CacheStats` once at the end.
-
-        With observers registered the batch specialization is invalid
-        (events must fire per access, interleaved with counter updates),
-        so the loop falls back to the per-access methods.
-        """
-        if self.observers:
-            read_split = self.read_split
-            writeback_split = self.writeback_split
-            for w, s, t, a in zip(
-                writes[start:stop],
-                set_indices[start:stop],
-                tags[start:stop],
-                addrs[start:stop],
-            ):
-                if w:
-                    writeback_split(s, t, a)
-                else:
-                    read_split(s, t, a)
-            return
-        cache = self.cache
-        stats = cache.stats
-        steering = cache.steering
-        store = cache.store
-        lookup = cache.lookup.lookup
-        predictor = cache.predictor
-        predictor_on_access = predictor.on_access if predictor is not None else None
-        replacement = cache.replacement
-        update_transfers = replacement.update_transfers_on_hit
-        # RandomReplacement's on_hit is a no-op; skip the call entirely.
-        on_hit = None if type(replacement) is RandomReplacement else replacement.on_hit
-        static = steering.static_candidates
-        candidate_ways = steering.candidate_ways
-        fill = self._fill
-        writeback_split = self.writeback_split
-        demand_reads = 0
-        read_transfers = 0
-        hits = 0
-        hit_extra = 0
-        predicted_hits = 0
-        correct_predictions = 0
-        miss_extra = 0
-        for w, set_index, tag, addr in zip(
-            writes[start:stop],
-            set_indices[start:stop],
-            tags[start:stop],
-            addrs[start:stop],
-        ):
-            if w:
-                writeback_split(set_index, tag, addr)
-                continue
-            demand_reads += 1
-            if static is None:
-                candidates = candidate_ways(set_index, tag)
-                if type(candidates) not in (tuple, list):
-                    candidates = tuple(candidates)
-            else:
-                candidates = static
-            result = lookup(set_index, tag, addr, store, candidates, predictor)
-            read_transfers += result.transfers
-            if result.hit:
-                way = result.way
-                predicted = result.predicted_way
-                hit_extra += result.serialized_accesses - 1
-                hits += 1
-                if predicted is not None:
-                    predicted_hits += 1
-                    if way == predicted:
-                        correct_predictions += 1
-                if on_hit is not None:
-                    on_hit(set_index, way)
-                if predictor_on_access is not None:
-                    predictor_on_access(set_index, tag, addr, way, True)
-            else:
-                miss_extra += result.serialized_accesses - 1
-                fill(set_index, tag, addr, False, candidates)
-        stats.demand_reads += demand_reads
-        stats.first_probes += demand_reads
-        stats.cache_read_transfers += read_transfers
-        stats.hits += hits
-        stats.hit_extra_probes += hit_extra
-        stats.predicted_hits += predicted_hits
-        stats.correct_predictions += correct_predictions
-        stats.replacement_update_transfers += hits * update_transfers
-        stats.miss_extra_probes += miss_extra
-
     # -- LLC writebacks -----------------------------------------------------
 
     def writeback(self, addr: int) -> bool:
@@ -299,12 +185,9 @@ class AccessPath:
             # line): the writeback must probe the candidate ways. The
             # steering policy may hand back any iterable; materialize it
             # once so probe counting (len / index) is well-defined.
-            steering = cache.steering
-            candidates = steering.static_candidates
-            if candidates is None:
-                candidates = steering.candidate_ways(set_index, tag)
-                if type(candidates) not in (tuple, list):
-                    candidates = tuple(candidates)
+            candidates = cache.steering.candidate_ways(set_index, tag)
+            if type(candidates) not in (tuple, list):
+                candidates = tuple(candidates)
             way = cache.store.find_way_among(set_index, tag, candidates)
             probes = len(candidates) if way is None else candidates.index(way) + 1
             stats.writeback_probe_accesses += probes

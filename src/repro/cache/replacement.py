@@ -5,10 +5,17 @@ state must be updated on *hits* is a net loss for a tags-with-data DRAM
 cache, because the state lives in DRAM next to the line and each update
 is an extra DRAM write transfer. Random replacement is update-free and
 is the paper's default; LRU is provided to reproduce the "LRU is 9%
-worse than random" observation, and NRU as a cheaper intermediate.
+worse than random" observation, NRU as a cheaper intermediate, and
+SRRIP as the canonical counter-update policy.
 
 ``update_transfers_on_hit`` reports how many extra 72B write transfers
 a policy performs per hit so the timing model can charge them.
+
+All four policies are set-local: victim choice for set *s* reads only
+state written by prior accesses to *s*, and the random draws come from
+per-set counter-based streams. Each declares ``vectorizable``; the
+vector kernel (:mod:`repro.sim.engines.vector`) keeps their state as
+per-slot arrays and replays them exactly.
 """
 
 from __future__ import annotations
@@ -77,6 +84,9 @@ class LruReplacement:
     """
 
     update_transfers_on_hit = 1
+    # victim() compares stamps within one set only, so any per-set
+    # monotone clock (the kernel uses the access index) is equivalent.
+    vectorizable = True
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
@@ -110,6 +120,7 @@ class NruReplacement:
     """
 
     update_transfers_on_hit = 1
+    vectorizable = True  # per-set reference bits + per-set draw stream
 
     def __init__(self, geometry: CacheGeometry, rng: Optional[XorShift64] = None):
         self.geometry = geometry
@@ -135,10 +146,15 @@ class NruReplacement:
         self._referenced[set_index, way] = True
 
 
+#: Names :func:`make_replacement` accepts (case-insensitive).
+REPLACEMENT_NAMES = ("random", "lru", "nru", "rrip", "srrip")
+
+
 def make_replacement(
     name: str, geometry: CacheGeometry, rng: Optional[XorShift64] = None
 ) -> ReplacementPolicy:
-    """Factory keyed by policy name ('random', 'lru', 'nru')."""
+    """Factory keyed by policy name: 'random', 'lru', 'nru', or
+    'rrip'/'srrip' (both build :class:`RripReplacement`)."""
     lowered = name.lower()
     if lowered == "random":
         return RandomReplacement(rng)
@@ -164,6 +180,7 @@ class RripReplacement:
     """
 
     update_transfers_on_hit = 1
+    vectorizable = True  # per-set counters + per-set draw stream
 
     def __init__(self, geometry: CacheGeometry, bits: int = 2,
                  rng: Optional[XorShift64] = None):

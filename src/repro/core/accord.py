@@ -88,7 +88,7 @@ class AccordDesign:
     region_size: int = 4096
     replacement: str = "random"
     partial_tag_bits: int = 4
-    dcp: str = "exact"  # exact | finite | none (writeback way-info source)
+    dcp: str = "exact"  # one of DCP_MODES (writeback way-info source)
     label: Optional[str] = None
 
     @property
@@ -137,6 +137,10 @@ def make_accord(
         predictor=predictor,
         replacement=make_replacement(replacement, geometry, rng.fork(2)),
     )
+
+
+#: Every ``dcp`` mode accepted by :func:`make_design`.
+DCP_MODES = ("exact", "finite", "none")
 
 
 def make_design(design: AccordDesign, geometry: CacheGeometry, seed: int = 1):

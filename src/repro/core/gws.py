@@ -107,9 +107,6 @@ class GangedWaySteering(InstallSteering):
             raise PolicyError("fallback steering has mismatched geometry")
         self.rit = RecentRegionTable(entries)
         self.region_size = region_size
-        # Ganging never shrinks the residence set; it is exactly the
-        # fallback's, so the static contract passes straight through.
-        self.static_candidates = self.fallback.static_candidates
 
     def candidate_ways(self, set_index: int, tag: int):
         # Ganging does not restrict residency; the fallback's candidate
@@ -127,10 +124,7 @@ class GangedWaySteering(InstallSteering):
         region = addr // self.region_size
         ganged = self.rit.lookup(region)
         if ganged is not None:
-            candidates = self.static_candidates
-            if candidates is None:
-                candidates = self.fallback.candidate_ways(set_index, tag)
-            if ganged in candidates:
+            if ganged in self.fallback.candidate_ways(set_index, tag):
                 return ganged
         way = self.fallback.choose_install_way(
             set_index, tag, addr, store, replacement

@@ -54,11 +54,6 @@ class InstallSteeringPolicy(Protocol):
     name: str
     geometry: "CacheGeometry"
     ways: int
-    #: Constant candidate set, or None when candidates vary per tag.
-    #: Required: every steering policy must declare the attribute (the
-    #: access path reads it directly — no runtime probe). Validated by
-    #: :func:`ensure_policy_conformance` at design-build time.
-    static_candidates: Optional[Sequence[int]]
 
     def candidate_ways(self, set_index: int, tag: int) -> Sequence[int]: ...
 
@@ -284,40 +279,6 @@ def ensure_policy_conformance(cache) -> None:
                 f"{role} policy {type(policy).__name__} does not conform to "
                 f"{protocol.__name__}"
             )
-    _check_static_candidates(cache.steering)
-
-
-def _check_static_candidates(steering) -> None:
-    """Validate the steering policy's ``static_candidates`` declaration.
-
-    ``static_candidates`` (required attribute, None allowed) is the
-    hot-loop contract the access path relies on: when not None,
-    ``candidate_ways`` must return exactly that sequence for every
-    (set, tag). The access path reads the attribute directly — no
-    runtime probe — so a policy must declare it (None means "candidates
-    vary per tag, call ``candidate_ways``"). This one build-time check
-    replaces millions of run-time ones, so a policy that lies here
-    would silently corrupt candidate accounting. Checked once, at
-    design-build time, with a representative probe.
-    """
-    try:
-        static = steering.static_candidates
-    except AttributeError:
-        raise PolicyError(
-            f"steering policy {type(steering).__name__} does not declare "
-            f"static_candidates (set it to None when candidate sets vary "
-            f"per tag)"
-        ) from None
-    if static is None:
-        return
-    declared = tuple(static)
-    probe = tuple(steering.candidate_ways(0, 0))
-    if probe != declared:
-        raise PolicyError(
-            f"steering policy {type(steering).__name__} declares "
-            f"static_candidates={declared} but candidate_ways(0, 0) "
-            f"returned {probe}"
-        )
 
 
 __all__ = [

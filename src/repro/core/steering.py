@@ -14,7 +14,7 @@ through shared region tables.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import ReplacementPolicy
@@ -65,18 +65,6 @@ class InstallSteering:
         self.geometry = geometry
         self.ways = geometry.ways
         self._all_ways = tuple(range(geometry.ways))
-        # ``static_candidates`` is the hot-loop contract: when not None,
-        # ``candidate_ways`` returns exactly this tuple for every
-        # (set, tag), so the access path may use it without calling the
-        # method per access. Any subclass inheriting the base
-        # ``candidate_ways`` trivially satisfies it; subclasses that
-        # override the method default to None (per-tag candidates)
-        # unless they opt in. Validated once at design-build time by
-        # :func:`repro.core.protocols.ensure_policy_conformance`.
-        if type(self).candidate_ways is InstallSteering.candidate_ways:
-            self.static_candidates: "Optional[Tuple[int, ...]]" = self._all_ways
-        else:
-            self.static_candidates = None
 
     def candidate_ways(self, set_index: int, tag: int) -> Sequence[int]:
         """Ways where a line with this tag may legally reside."""
@@ -131,12 +119,6 @@ class DirectMappedSteering(InstallSteering):
 
     name = "direct"
     vectorizable = True  # stateless: pure function of the tag
-
-    def __init__(self, geometry: CacheGeometry):
-        super().__init__(geometry)
-        if geometry.ways == 1:
-            # With one way the candidate set is tag-independent.
-            self.static_candidates = self._all_ways
 
     def candidate_ways(self, set_index: int, tag: int) -> Sequence[int]:
         if self.ways == 1:

@@ -84,7 +84,7 @@ from repro.exec.resilience import (
 from repro.exec.store import ResultStore
 from repro.sim.engines import mark_worker_process
 from repro.sim.system import RunResult
-from repro.verify.shadow import VERIFY_ENGINES
+from repro.verify.shadow import DEFAULT_VERIFY_ENGINE, VERIFY_ENGINES
 
 #: progress(done, total, key, source) with source in
 #: {"cached", "run", "resumed"}.
@@ -161,7 +161,7 @@ class Executor:
         pool_break_limit: Optional[int] = None,
         poll_interval: float = 0.2,
         verify_fraction: float = 0.0,
-        verify_engine: str = "stream",
+        verify_engine: str = DEFAULT_VERIFY_ENGINE,
         on_verify: Optional[VerifyFn] = None,
         batch: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,

@@ -19,7 +19,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.accord import DESIGN_KINDS, AccordDesign
+from repro.cache.replacement import REPLACEMENT_NAMES
+from repro.core.accord import DCP_MODES, DESIGN_KINDS, AccordDesign
 from repro.errors import ConfigError
 from repro.exec.faults import SITE_ENGINE_RESULT, SITE_JOB, fault_point
 from repro.exec.resilience import complete_claim, write_claim
@@ -261,4 +262,16 @@ def parse_design_spec(spec: str) -> AccordDesign:
             kwargs[name] = coerce(value)
         except ValueError as exc:
             raise ConfigError(f"design spec {spec!r}: bad value for {name}") from exc
+    # Refuse unknown policy names here, before any sweep starts, instead
+    # of letting the cache factories raise mid-run.
+    for name, value, accepted in (
+        ("replacement", kwargs.get("replacement", "random").lower(),
+         REPLACEMENT_NAMES),
+        ("dcp", kwargs.get("dcp", "exact"), DCP_MODES),
+    ):
+        if value not in accepted:
+            raise ConfigError(
+                f"design spec {spec!r}: unknown {name} {kwargs[name]!r}; expected "
+                f"one of {', '.join(accepted)}"
+            )
     return AccordDesign(kind=kind, **kwargs)

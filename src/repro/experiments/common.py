@@ -30,6 +30,7 @@ from repro.sim.runner import (
     speedups_vs_baseline,
 )
 from repro.sim.system import RunResult
+from repro.verify.shadow import DEFAULT_VERIFY_ENGINE
 from repro.workloads.spec import get_workload, is_mix, main_suite
 
 DEFAULT_SCALE = 1.0 / 128.0
@@ -70,8 +71,8 @@ class Settings:
     # result digests compared (see repro.verify). 0 disables.
     verify_fraction: float = 0.0
     # Reference engine for shadow verification and `repro audit`
-    # recomputes (--verify-engine): "stream" (default) or "loop".
-    verify_engine: str = "stream"
+    # recomputes (--verify-engine): one of VERIFY_ENGINES.
+    verify_engine: str = DEFAULT_VERIFY_ENGINE
 
     def quick(self) -> "Settings":
         """A reduced configuration for smoke tests and CI."""
@@ -169,10 +170,11 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
                              "are quarantined, the offending engine is "
                              "circuit-broken, and the sweep heals from the "
                              "reference result; default 0: disabled)")
-    parser.add_argument("--verify-engine", type=str, default="stream",
+    parser.add_argument("--verify-engine", type=str,
+                        default=DEFAULT_VERIFY_ENGINE,
                         choices=VERIFY_ENGINES, dest="verify_engine",
                         help="reference engine for shadow verification "
-                             "(default: stream)")
+                             f"(default: {DEFAULT_VERIFY_ENGINE})")
 
 
 def settings_from_args(

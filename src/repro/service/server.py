@@ -38,7 +38,7 @@ from repro.service import protocol
 from repro.service.jobspec import expand_spec
 from repro.service.ratelimit import RateLimiter
 from repro.service.scheduler import JobManager, Overloaded
-from repro.verify.shadow import VERIFY_ENGINES
+from repro.verify.shadow import DEFAULT_VERIFY_ENGINE, VERIFY_ENGINES
 
 #: The service's default port: "ACRD" on a phone keypad would be nice,
 #: but 8765 is memorable and unprivileged.
@@ -62,7 +62,7 @@ class ServiceConfig:
     max_body: int = protocol.MAX_BODY_BYTES
     resume: bool = True
     verify_fraction: float = 0.0  # shadow-verify this share of computed jobs
-    verify_engine: str = "stream"
+    verify_engine: str = DEFAULT_VERIFY_ENGINE
 
     def __post_init__(self):
         if self.jobs < 1:

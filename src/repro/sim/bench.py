@@ -1,12 +1,12 @@
 """Functional-simulator throughput benchmark (``python -m repro bench``).
 
 Measures accesses simulated per wall-clock second for every benchmark
-design variant — the hot-loop metric the fast path (scalar tag store,
-precomputed address streams, batched :meth:`AccessPath.run_stream`)
-optimizes. The 16 variants cover every design kind plus the
-higher-associativity ACCORD and SWS configurations, so a regression in
-any specialized code path (static candidates, way-predicted lookup, the
-CA fallback loop) shows up in its own row.
+design variant, on whichever engine ``--engine`` resolves to (the
+vector and replay kernels under ``auto``, the per-address reference
+loop under ``--engine loop``). The 16 variants cover every design kind
+plus the higher-associativity ACCORD and SWS configurations, so a
+regression in any specialized code path (way-predicted lookup, SWS
+candidate sets, the CA flow) shows up in its own row.
 
 The JSON report (``BENCH_hotloop.json``) is self-describing::
 

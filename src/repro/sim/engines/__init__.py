@@ -5,13 +5,16 @@ contract, ordered fastest-first:
 
 * ``vector`` — whole-trace numpy kernel; deterministic set-local
   designs only (every policy declares ``vectorizable``, plus the
-  structural checks in :mod:`repro.sim.engines.vector`).
+  structural checks in :mod:`repro.sim.engines.vector`), including
+  all four replacement policies.
 * ``replay`` — vectorized precompute around a fused scalar replay of
   the sparse global-state events; the GWS/ACCORD/dueling stacks and
   the column-associative cache (``replay_vectorizable`` capability
   plus the structural checks in :mod:`repro.sim.engines.replay`).
-* ``stream`` — the batched ``run_stream`` hot loop; any cache with an
-  access path.
+* ``stream`` — the access path's per-access ``read_split`` /
+  ``writeback_split`` over pre-split columns; any cache with an access
+  path. ``auto`` reaches it only for policy stacks neither kernel
+  models (GWS over LRU replacement, the finite DCP).
 * ``loop`` — the per-address reference loop; every cache.
 
 :func:`resolve_engine` replaces the old scattered ``hasattr`` probes:

@@ -1,8 +1,9 @@
 """Engine protocol and shared drive-plan helpers.
 
 An *engine* is one strategy for driving a prepared access stream
-through a cache: the reference per-address loop, the batched
-``run_stream`` loop, or the whole-trace vectorized kernel. All engines
+through a cache: the reference per-address loop, the per-access drive
+over pre-split columns, or one of the two whole-trace array kernels
+(vector, sparse replay). All engines
 implement the same two-method contract and are bit-identical where they
 overlap (asserted by ``tests/test_engines.py``); they differ only in
 speed and in which caches they support.

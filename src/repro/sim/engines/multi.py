@@ -14,10 +14,11 @@ configs' worth of work.
 What may differ inside one fused group is exactly the per-config data
 the kernel parameterizes per row of the config axis: the PIP spill
 probability, the counter-based RNG stream bases (functions of the
-config seed), and the partial-tag layout. Everything that shapes the
-*control flow* — lookup flow, steering family, predictor kind, way
-count, set count, hash count, DCP exactness — is part of the signature
-and therefore shared.
+config seed), the partial-tag layout, and the per-hit replacement
+transfer charge. Everything that shapes the *control flow* — lookup
+flow, steering family, predictor kind, replacement kind (and SRRIP's
+counter range), way count, set count, hash count, DCP exactness — is
+part of the signature and therefore shared.
 
 A solo :class:`~repro.sim.engines.vector.VectorEngine` drive is the
 same kernel at K = 1, and each member's outcome goes through the same
@@ -68,11 +69,12 @@ def plan_signature(plan: _Plan) -> Tuple:
     Two plans with equal signatures take identical branches through the
     kernel on every access, so they can share one fused pass; the
     remaining plan fields (``pip``, the RNG bases, the partial-tag
-    layout) become per-config axis data.
+    layout, the per-hit replacement transfer charge) become per-config
+    data.
     """
     return (
-        plan.flow, plan.steer, plan.pred, plan.ways, plan.num_sets,
-        plan.hashes, plan.dcp_exact,
+        plan.flow, plan.steer, plan.pred, plan.repl, plan.rrpv_max,
+        plan.ways, plan.num_sets, plan.hashes, plan.dcp_exact,
     )
 
 
@@ -123,7 +125,10 @@ def drive_fused(
     results = []
     for run, out in zip(runs, outs):
         predicted = run.plan.flow == "predicted"
-        stats = _window_stats(predicted, writes, out, run.warm, len(sets))
+        stats = _window_stats(
+            predicted, writes, out, run.warm, len(sets),
+            run.plan.update_transfers,
+        )
         phases = None
         if run.epoch is not None:
             phases = _phase_series(

@@ -1,11 +1,12 @@
-"""The batched engine: drives :meth:`AccessPath.run_stream` per segment.
+"""The split-column engine: per-access drive over pre-split columns.
 
-The hot-loop default for any cache with an access path: per-access
-constant work is hoisted out of the loop and counters accumulate in
-locals (see ``run_stream``). Phase-resolved serial runs attach
-:class:`~repro.sim.phases.PhaseMetrics` over one ``[warm, n)`` drive
-(the observer makes ``run_stream`` fall back to its exact per-access
-path, as before this engine existed).
+Drives :meth:`AccessPath.read_split` / :meth:`AccessPath.writeback_split`
+once per record over the trace's vectorized (set, tag) split
+(:meth:`~repro.sim.trace.Trace.split_columns`), so ``geometry.split``
+never runs per access. Phase-resolved runs attach
+:class:`~repro.sim.phases.PhaseMetrics` over one ``[warm, n)`` drive.
+It serves ``--engine stream`` and the policy stacks neither array
+kernel models (GWS over LRU replacement, the finite DCP).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.sim.stats import CacheStats
 
 
 class StreamEngine:
-    """Drive pre-split records through the access path's batch loop."""
+    """Drive pre-split records through the access path, one at a time."""
 
     name = "stream"
 
@@ -35,22 +36,33 @@ class StreamEngine:
         *,
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
-        path = cache.path
-        run_stream = path.run_stream
+        read_split = cache.path.read_split
+        writeback_split = cache.path.writeback_split
         writes = stream.writes
         sets = stream.set_indices
         tags = stream.tags
         addrs = stream.addrs
-        run_stream(writes, sets, tags, addrs, 0, warm)
+
+        def run(start: int, stop: int) -> None:
+            for w, s, t, a in zip(
+                writes[start:stop], sets[start:stop], tags[start:stop],
+                addrs[start:stop],
+            ):
+                if w:
+                    writeback_split(s, t, a)
+                else:
+                    read_split(s, t, a)
+
+        run(0, warm)
         cache.stats = CacheStats()
         if epoch is None:
             for _, start, stop in segments:
-                run_stream(writes, sets, tags, addrs, start, stop)
+                run(start, stop)
             return None
         observer = PhaseMetrics(epoch, sink=phase_sink)
         cache.add_observer(observer)
         try:
-            run_stream(writes, sets, tags, addrs, warm, len(addrs))
+            run(warm, len(addrs))
         finally:
             cache.remove_observer(observer)
         return observer.result()

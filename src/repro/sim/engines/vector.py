@@ -20,8 +20,8 @@ evaluates breadth-first:
    and friends are bit-identical array forms of the scalar streams).
 3. **Step** over ranks: rank *k* processes the k-th access of every set
    simultaneously as a handful of gather/compare/scatter array ops —
-   lookup scan over the candidate ways, flow costs, install-way draws,
-   evict/install state updates, writeback absorption. Because the sets
+   lookup scan over the candidate ways, flow costs, install-way draws
+   and victim rules, evict/install state updates, writeback absorption. Because the sets
    in one step are distinct, all scatters are conflict-free.
 4. **Reduce**: the per-access outcome arrays (in original trace order)
    are sliced into the measurement window and epoch segments to produce
@@ -37,7 +37,7 @@ per-config state as an extra array dimension. A sweep's fused pass
 :class:`VectorEngine` drive is K = 1.
 
 The engine assumes a *freshly built* cache (junk-prefilled dense tag
-store, empty DCP, zeroed predictor state): it replays the run against
+store, empty DCP, zeroed predictor and replacement state): it replays the run against
 its own state arrays initialized to those build-time defaults, and
 never reads or writes the cache's actual store.
 :meth:`repro.sim.system.Simulator.run` upholds the contract by
@@ -57,7 +57,12 @@ import numpy as np
 
 from repro.cache.dcp import DcpDirectory
 from repro.cache.lookup import ParallelLookup, SerialLookup, WayPredictedLookup
-from repro.cache.replacement import RandomReplacement
+from repro.cache.replacement import (
+    LruReplacement,
+    NruReplacement,
+    RandomReplacement,
+    RripReplacement,
+)
 from repro.cache.storage import JUNK_TAG
 from repro.core.prediction import (
     MruPredictor,
@@ -84,13 +89,22 @@ from repro.utils.rng import mix64_array, set_stream_seeds
 _U64 = np.uint64
 
 
+#: Exact replacement types the kernel models, by victim rule.
+_REPLACEMENT_KINDS = {
+    RandomReplacement: "random",
+    LruReplacement: "lru",
+    NruReplacement: "nru",
+    RripReplacement: "rrip",
+}
+
+
 class _Plan:
     """Classification of one cache into kernel flavors + RNG bases."""
 
     __slots__ = (
-        "flow", "steer", "pred", "dcp_exact", "ways", "num_sets",
-        "hashes", "pip", "ptag_bits", "ptag_mask",
-        "repl_base", "steer_base", "pred_base",
+        "flow", "steer", "pred", "repl", "dcp_exact", "ways", "num_sets",
+        "hashes", "pip", "ptag_bits", "ptag_mask", "rrpv_max",
+        "update_transfers", "repl_base", "steer_base", "pred_base",
     )
 
 
@@ -175,9 +189,13 @@ def _build_plan(cache) -> Optional[_Plan]:
     if (plan.flow == "predicted") != (plan.pred is not None):
         return None
 
-    if type(cache.replacement) is not RandomReplacement:
+    replacement = cache.replacement
+    plan.repl = _REPLACEMENT_KINDS.get(type(replacement))
+    if plan.repl is None:
         return None
-    plan.repl_base = cache.replacement._rng._base
+    plan.repl_base = 0 if plan.repl == "lru" else replacement._rng._base
+    plan.rrpv_max = replacement.max_rrpv if plan.repl == "rrip" else 0
+    plan.update_transfers = replacement.update_transfers_on_hit
 
     dcp = cache.dcp
     if dcp is None:
@@ -536,12 +554,29 @@ def _simulate(
         """Seeds for a ``(row, config)`` pair list."""
         return seeds[prows] if seeds.ndim == 1 else seeds[prows, kk]
 
+    # Victim-rule state is kept only where victim() is consulted: under
+    # unbiased ("all") steering. Direct, PWS and SWS never read it, so
+    # there a policy's one effect is the per-hit transfer charge the
+    # reductions apply. State is flat like ``tags_flat``: (slot, k) at
+    # slot * K + k. LRU stamps are access index + 1 (0 = never touched):
+    # victim() only orders stamps within one set, which any per-set
+    # monotone clock preserves.
+    repl = p0.repl if steer == "all" else "random"  # "random": no state
+    rrpv_max = p0.rrpv_max
+    stamps = referenced = rrpv = None
+    if repl == "lru":
+        stamps = np.zeros(num_slots * ways * K, dtype=np.int64)
+    elif repl == "nru":
+        referenced = np.zeros(num_slots * ways * K, dtype=bool)
+    elif repl == "rrip":
+        rrpv = np.full(num_slots * ways * K, rrpv_max, dtype=np.int8)
+
     # Per-set counter-based RNG streams: per-access seeds precomputed,
     # per-set draw counters advanced as the recurrence consumes draws.
     # Counters live in the seeds' uint64 domain so the per-draw
     # ``seed + count`` additions need no widening casts.
     repl_seeds = repl_count = None
-    if steer == "all":
+    if steer == "all" and repl != "lru":
         repl_seeds = config_seeds("repl_base")
         repl_count = np.zeros((num_slots, K), dtype=_U64)
     steer_seeds = steer_count = None
@@ -612,6 +647,44 @@ def _simulate(
             ]
         return found, way_pos, way_phys
 
+    def mark(slots, rows, rrpv_value):
+        """The policy's ``on_hit`` (``rrpv_value`` 0) or ``on_install``
+        (max - 1) at flat state indices ``slots``, for accesses ``rows``."""
+        if repl == "lru":
+            stamps[slots] = rows + 1
+        elif repl == "nru":
+            referenced[slots] = True
+        else:
+            rrpv[slots] = rrpv_value
+
+    def victim(rows, base_p, sets_p, kk):
+        """The policy's ``victim`` over all ways, per miss pair."""
+        block = (base_p[:, None] + way_range) * K + kk[:, None]
+        if repl == "lru":
+            return stamps[block].argmin(axis=1)  # first least-recent way
+        eligible = None
+        if repl == "nru":
+            eligible = ~referenced[block]
+            rollover = ~eligible.any(axis=1)
+            if rollover.any():
+                # Epoch rollover: clear the set's reference bits.
+                referenced[block[rollover]] = False
+                eligible[rollover] = True
+        elif repl == "rrip":
+            # Age every way until one reaches the maximum, in one step.
+            values = rrpv[block]
+            values += (rrpv_max - values.max(axis=1))[:, None]
+            rrpv[block] = values
+            eligible = values == rrpv_max
+        u = mix64_array(seed_pairs(repl_seeds, rows, kk) + repl_count[sets_p, kk])
+        repl_count[sets_p, kk] += 1
+        if eligible is None:
+            return (u % _U64(ways)).astype(np.int64)
+        # One draw over the eligible ways: the r-th is the first way
+        # whose running eligible count exceeds r.
+        r = (u % eligible.sum(axis=1).astype(_U64)).astype(np.int64)
+        return (eligible.cumsum(axis=1) > r[:, None]).argmax(axis=1)
+
     two_pow_64 = float(2.0 ** 64)
     pip_arr = np.array([p.pip for p in plans], dtype=np.float64)
 
@@ -680,9 +753,12 @@ def _simulate(
         if transfers_out is not None:
             transfers_out[rows] = transfers
         # -- hit-side state ------------------------------------------------
-        if pred == "mru" and found.any():
+        if (pred == "mru" or repl != "random") and found.any():
             rr, kk = np.nonzero(found)
-            mru[row_sets[rr], kk] = way_phys[rr, kk]
+            if pred == "mru":
+                mru[row_sets[rr], kk] = way_phys[rr, kk]
+            if repl != "random":
+                mark((base[rr] + way_phys[rr, kk]) * K + kk, rows[rr], 0)
         # -- miss fill (pair space: one entry per missing (row, config)) ---
         rr, kk = np.nonzero(~found)
         if not len(rr):
@@ -692,12 +768,7 @@ def _simulate(
         if steer == "direct":
             install_p = cand_matrix[miss_rows, 0]
         elif steer == "all":
-            sets_p = row_sets[rr]
-            u = mix64_array(
-                seed_pairs(repl_seeds, miss_rows, kk) + repl_count[sets_p, kk]
-            )
-            repl_count[sets_p, kk] += 1
-            install_p = (u % _U64(ways)).astype(np.int64)
+            install_p = victim(miss_rows, base_p, row_sets[rr], kk)
         else:  # pws / sws: the PIP coin over the candidate set
             pref_p = pref[miss_rows]
             if m == 1:
@@ -729,6 +800,8 @@ def _simulate(
         victim_dirty[miss_rows, kk] = dirty_flat[slots] != 0
         tags_flat[slots] = tags[miss_rows]
         dirty_flat[slots] = 0
+        if repl != "random":
+            mark(slots, miss_rows, rrpv_max - 1)
         if pred == "mru":
             mru[row_sets[rr], kk] = install_p
         elif pred == "ptag":
@@ -745,7 +818,10 @@ def _simulate(
         wb_absorbed[rows] = found
         rr, kk = np.nonzero(found)
         if len(rr):
-            dirty_flat[(base[rr] + way_phys[rr, kk]) * K + kk] = 1
+            slots = (base[rr] + way_phys[rr, kk]) * K + kk
+            dirty_flat[slots] = 1
+            if repl != "random":
+                mark(slots, rows[rr], 0)  # writeback_split calls on_hit
 
     for read_rows, wb_rows in steps:
         if len(read_rows):
@@ -759,12 +835,18 @@ def _simulate(
 
 
 def _window_stats(
-    predicted: bool, writes, out: _Outcome, start: int, stop: int
+    predicted: bool,
+    writes,
+    out: _Outcome,
+    start: int,
+    stop: int,
+    update_transfers: int = 0,
 ) -> CacheStats:
     """Fold outcome columns over ``[start, stop)`` into CacheStats.
 
     ``predicted`` says whether the lookup flow way-predicts, which is
-    what populates the prediction counters.
+    what populates the prediction counters. ``update_transfers`` is the
+    replacement policy's ``update_transfers_on_hit``, charged per hit.
     """
     stats = CacheStats()
     is_read = writes[start:stop] == 0
@@ -783,6 +865,7 @@ def _window_stats(
     stats.first_probes = demand
     stats.hits = hits
     stats.misses = misses
+    stats.replacement_update_transfers = hits * update_transfers
     stats.hit_extra_probes = int(((serialized - 1) * read_hit).sum())
     stats.miss_extra_probes = int(((serialized - 1) * read_miss).sum())
     stats.cache_read_transfers = (
@@ -877,7 +960,9 @@ class VectorEngine:
         )
         out = _simulate([plan], sets, tags, writes, steps, compact)[0]
         predicted = plan.flow == "predicted"
-        cache.stats = _window_stats(predicted, writes, out, warm, len(sets))
+        cache.stats = _window_stats(
+            predicted, writes, out, warm, len(sets), plan.update_transfers
+        )
         if epoch is None:
             return None
         return _phase_series(

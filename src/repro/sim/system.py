@@ -134,7 +134,6 @@ class Simulator:
         trace: Trace,
         warmup_fraction: float = 0.25,
         epoch: Optional[int] = None,
-        fast_path: bool = True,
         phase_sink=None,
         engine: str = "auto",
         engine_strict: bool = False,
@@ -152,18 +151,16 @@ class Simulator:
         The drive itself is delegated to an engine
         (:mod:`repro.sim.engines`): ``engine="auto"`` picks the fastest
         one supporting the cache — the whole-trace vector kernel for
-        deterministic set-local designs, the batched ``run_stream`` loop
-        otherwise, the per-address reference loop as the floor. An
-        explicit request that cannot drive the cache falls back with a
-        one-time warning, or raises under ``engine_strict``. All engines
-        are bit-identical (asserted by the equivalence tests), so the
-        choice never changes results. ``fast_path=False`` forces the
-        reference loop (kept for those tests and benchmarks).
+        deterministic set-local designs, the sparse-replay kernel for the
+        global-state stacks, the split-column per-access drive for policy
+        stacks neither kernel models, and the per-address reference loop
+        (``engine="loop"``) as the floor. An explicit request that cannot
+        drive the cache falls back with a one-time warning, or raises
+        under ``engine_strict``. All engines are bit-identical (asserted
+        by the equivalence tests), so the choice never changes results.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise SimulationError("warmup fraction must be in [0, 1)")
-        if not fast_path:
-            engine = "loop"
         if self._driven:
             # Engines own warmup from a freshly built cache (the vector
             # kernel replays build-time state); a second run() must not

@@ -34,7 +34,11 @@ from repro.exec.jobs import RESULT_SCHEMA_VERSION
 from repro.exec.resilience import quarantine_entry
 from repro.sim.system import RunResult
 from repro.verify.digest import result_digest
-from repro.verify.shadow import reference_result, should_verify
+from repro.verify.shadow import (
+    DEFAULT_VERIFY_ENGINE,
+    reference_result,
+    should_verify,
+)
 
 __all__ = ["AuditReport", "audit_store", "audit_traces", "format_report"]
 
@@ -179,7 +183,7 @@ def _check_entry(
 def audit_store(
     root: Union[str, Path],
     recompute_fraction: float = 0.0,
-    engine: str = "stream",
+    engine: str = DEFAULT_VERIFY_ENGINE,
     quarantine: bool = True,
 ) -> AuditReport:
     """Audit every result entry under ``root``; see the module docstring.

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 __all__ = [
+    "DEFAULT_VERIFY_ENGINE",
     "VERIFY_ENGINES",
     "quarantine_mismatch",
     "reference_result",
@@ -43,9 +44,13 @@ __all__ = [
 
 #: Engines trusted as the shadow reference: the scalar paths whose
 #: equivalence to the per-access loop does not rest on kernel
-#: vectorization. ``loop`` is ground truth; ``stream`` is the default
-#: (same decision code, batched driving, much faster).
+#: vectorization. ``loop`` is ground truth; ``stream`` runs the same
+#: per-access decision code over pre-split columns.
 VERIFY_ENGINES = ("stream", "loop")
+
+#: The reference engine every ``--verify-engine`` / ``verify_engine``
+#: default derives from.
+DEFAULT_VERIFY_ENGINE = "loop"
 
 
 def should_verify(digest: str, fraction: float) -> bool:
@@ -67,7 +72,7 @@ def should_verify(digest: str, fraction: float) -> bool:
     return int.from_bytes(draw[:8], "big") / 2.0 ** 64 < fraction
 
 
-def reference_result(key: Any, engine: str = "stream") -> Any:
+def reference_result(key: Any, engine: str = DEFAULT_VERIFY_ENGINE) -> Any:
     """Re-execute ``key`` on the reference ``engine``, faults suppressed.
 
     The re-execution must see the pristine simulation — an injected

@@ -1,11 +1,12 @@
 """Engine-layer equivalence and resolver contract.
 
 The drive path is pluggable (:mod:`repro.sim.engines`): the per-address
-reference loop, the batched ``run_stream`` loop, and the whole-trace
-vectorized numpy kernel are three implementations of one specification.
-The matrix below pins all of them bit-identical — ``CacheStats``, the
-whole ``RunResult`` and the phase series — for every benchmark design
-variant, on randomized traces. That equivalence
+reference loop, the per-access split-column drive, and the whole-trace
+vector and sparse-replay kernels are implementations of one
+specification. The matrix below pins all of them bit-identical —
+``CacheStats``, the whole ``RunResult`` and the phase series — for every
+benchmark design variant and every replacement policy, on randomized
+traces. That equivalence
 is what licenses excluding the engine from :meth:`JobKey.canonical`:
 a result computed under any engine satisfies the same key.
 """
@@ -16,6 +17,7 @@ import warnings
 
 import pytest
 
+from repro.cache.events import StatsObserver
 from repro.core.accord import AccordDesign
 from repro.core.protocols import ensure_policy_conformance
 from repro.core.sws import SkewedWaySteering
@@ -51,6 +53,39 @@ def random_trace(seed: int, n: int = 3000, footprint_lines: int = 700) -> Trace:
         addrs.append(rng.next_below(footprint_lines) * 64)
         writes.append(1 if rng.next_below(4) == 0 else 0)
     return Trace(f"random-{seed}", addrs, writes, instructions_per_access=40.0)
+
+
+def conflict_trace(seed: int, n: int = 3000, sets: int = 48,
+                   tags: int = 7) -> Trace:
+    """Randomized trace whose lines crowd a few sets.
+
+    Each of ``sets`` sets sees ``tags`` distinct lines (skewed towards
+    low tags), more than the ways of any test cache, so victims are
+    real lines and the victim rule decides hits: LRU order, NRU
+    rollover, and SRRIP aging with several stale ways all occur.
+    """
+    rng = XorShift64(seed)
+    addrs = []
+    writes = bytearray()
+    for _ in range(n):
+        tag = min(rng.next_below(tags), rng.next_below(tags))
+        addrs.append((rng.next_below(sets) + (tag << 14)) * 64)
+        writes.append(1 if rng.next_below(4) == 0 else 0)
+    return Trace(f"conflict-{seed}", addrs, writes, instructions_per_access=40.0)
+
+
+#: Replacement-policy variants. Unbiased steering consults the victim
+#: rule on every fill (2-way, and 4-way serial for SRRIP aging and NRU
+#: rollover with several stale ways); under PWS the policy's only
+#: effect is its per-hit transfer charge.
+REPLACEMENT_SPECS = (
+    "unbiased:2:replacement=lru",
+    "unbiased:2:replacement=nru",
+    "unbiased:2:replacement=rrip",
+    "serial:4:replacement=rrip",
+    "serial:4:replacement=nru",
+    "pws:2:replacement=lru",
+)
 
 
 def _design_id(design):
@@ -100,6 +135,55 @@ class TestEngineEquivalenceMatrix:
                 trace, warmup_fraction=0.3, epoch=EPOCH, engine=engine
             )
         assert result.to_dict() == loop_reference(design)
+
+
+@pytest.fixture(scope="module")
+def conflict():
+    return conflict_trace(310)
+
+
+class TestReplacementMatrix:
+    """Every replacement policy x {vector, stream}, against the loop."""
+
+    def _run(self, spec, trace, engine, warmup=0.3, observer=None):
+        design = parse_design_spec(spec)
+        config = scaled_system(ways=design.ways, scale=SCALE)
+        simulator = Simulator(config, design, seed=5)
+        if observer is not None:
+            simulator.cache.add_observer(observer)
+        return simulator.run(
+            trace, warmup_fraction=warmup, epoch=EPOCH, engine=engine,
+            engine_strict=engine != "auto",
+        )
+
+    @pytest.mark.parametrize("engine", ["vector", "stream"])
+    @pytest.mark.parametrize("spec", REPLACEMENT_SPECS)
+    def test_engines_match_loop(self, spec, engine, conflict):
+        result = self._run(spec, conflict, engine)
+        reference = self._run(spec, conflict, "loop")
+        assert result.to_dict() == reference.to_dict()
+        assert result.stats.replacement_update_transfers == result.stats.hits
+
+    @pytest.mark.parametrize("spec", REPLACEMENT_SPECS)
+    def test_observer_path_matches_inlined_counters(self, spec, conflict):
+        """An observer forces the event-emitting per-access path; the
+        counters rebuilt from its events equal the inlined ones, and
+        the result equals the unobserved kernel run."""
+        shadow = StatsObserver()
+        observed = self._run(spec, conflict, "auto", 0.0, shadow)
+        assert shadow.stats.to_dict() == observed.stats.to_dict()
+        assert observed.to_dict() == self._run(
+            spec, conflict, "vector", 0.0
+        ).to_dict()
+
+    def test_victim_rule_decides_hits(self, conflict):
+        """The trace exercises the rules: they disagree on hit counts."""
+        hits = {
+            self._run(f"unbiased:2:replacement={policy}", conflict,
+                      "vector").stats.hits
+            for policy in ("random", "lru", "nru", "rrip")
+        }
+        assert len(hits) == 4
 
 
 def _drive(cache, trace, engine_name, warm_frac=0.3, epoch=None):
@@ -317,6 +401,15 @@ class TestResolver:
             design = AccordDesign(kind=kind, ways=1 if kind == "ca" else 2)
             cache, _ = self._cache(design)
             assert resolve_engine(cache, design=design).name == expected
+
+    def test_replacement_variants_resolve_past_stream(self):
+        """Every replacement policy vectorizes; only stacks neither
+        kernel models (GWS over LRU) still resolve to stream."""
+        for spec in REPLACEMENT_SPECS:
+            cache, design = self._cache(parse_design_spec(spec))
+            assert resolve_engine(cache, design=design).name == "vector"
+        cache, design = self._cache(parse_design_spec("gws:2:replacement=lru"))
+        assert resolve_engine(cache, design=design).name == "stream"
 
     def test_explicit_supported_request_is_honored(self):
         cache, design = self._cache(AccordDesign(kind="pws", ways=2))

@@ -375,3 +375,34 @@ class TestDesignSpecParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigError):
             parse_design_spec(bad)
+
+    @pytest.mark.parametrize("bad,field", [
+        ("unbiased:2:replacement=foo", "replacement"),
+        ("pws:2:replacement=", "replacement"),
+        ("serial:2:dcp=foo", "dcp"),
+        ("serial:2:dcp=EXACT", "dcp"),
+    ])
+    def test_rejects_unknown_policy_names(self, bad, field):
+        with pytest.raises(ConfigError, match=f"unknown {field}"):
+            parse_design_spec(bad)
+
+    def test_accepts_every_policy_name(self):
+        from repro.cache.replacement import REPLACEMENT_NAMES
+        from repro.core.accord import DCP_MODES
+
+        for name in REPLACEMENT_NAMES + ("LRU",):
+            spec = f"unbiased:2:replacement={name}"
+            assert parse_design_spec(spec).replacement == name
+        for mode in DCP_MODES:
+            assert parse_design_spec(f"serial:2:dcp={mode}").dcp == mode
+
+    @pytest.mark.parametrize("field", ["replacement=foo", "dcp=foo"])
+    def test_sweep_refuses_unknown_policy_names_up_front(self, field, capsys):
+        """Exit 2 before the sweep starts, like an unknown kind."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--designs", f"unbiased:2:{field}", "--no-store",
+                  "--no-journal"])
+        assert info.value.code == 2
+        assert f"unknown {field.split('=')[0]}" in capsys.readouterr().err

@@ -41,10 +41,10 @@ SEED = 7
 WARMUP = 0.3
 
 
-def _design_builder(design):
+def _design_builder(design, seed=SEED):
     def build():
         config = scaled_system(ways=design.ways, scale=SCALE)
-        return build_dram_cache(design, config, seed=SEED)
+        return build_dram_cache(design, config, seed=seed)
 
     return build
 
@@ -69,7 +69,9 @@ def _sws_builder(pip, rng_seed=123):
 # Same-signature groups: every member shares control flow, so one
 # fused pass covers the group. The pws/partial-tag groups exercise the
 # m == 2 scan fast path, the ways=4 groups the generic block-gather
-# path, and the sws group the candidate-matrix scan.
+# path, and the sws group the candidate-matrix scan. The replacement
+# groups run the LRU/NRU/SRRIP victim rules with distinct seeds, so
+# each member's NRU/SRRIP draw stream differs.
 GROUPS = (
     ("pws-pips", [
         _design_builder(AccordDesign(kind="pws", ways=2, pip=0.2)),
@@ -100,6 +102,15 @@ GROUPS = (
             AccordDesign(kind="serial", ways=4, label="twin")
         ),
     ]),
+) + tuple(
+    (f"{policy}-seeds", [
+        _design_builder(
+            AccordDesign(kind="unbiased", ways=2, replacement=policy),
+            seed=seed,
+        )
+        for seed in (SEED, 8, 9)
+    ])
+    for policy in ("lru", "nru", "rrip")
 )
 
 
@@ -208,6 +219,24 @@ class TestPlanSignature:
         ]
         caches = [b() for b in builders]
         runs = [FusedRun(fusion_plan(c), 0, (), None) for c in caches]
+        geometry = caches[0].geometry
+        stream = TraceStream(_trace(), geometry)
+        with pytest.raises(SimulationError):
+            drive_fused(runs, stream, geometry)
+
+
+    def test_mixed_replacement_plans_are_rejected(self):
+        """Random and LRU victim rules take different kernel branches,
+        so their plans never share a fused pass."""
+        caches = [
+            _design_builder(
+                AccordDesign(kind="unbiased", ways=2, replacement=policy)
+            )()
+            for policy in ("random", "lru")
+        ]
+        plans = [fusion_plan(c) for c in caches]
+        assert plan_signature(plans[0]) != plan_signature(plans[1])
+        runs = [FusedRun(plan, 0, (), None) for plan in plans]
         geometry = caches[0].geometry
         stream = TraceStream(_trace(), geometry)
         with pytest.raises(SimulationError):
