@@ -65,6 +65,10 @@ class FiniteDcpDirectory:
     """
 
     authoritative = False
+    # One global LRU touched only on install, evict and writeback, the
+    # same shape as the RIT: the sparse-replay engine keeps it as an
+    # insertion-ordered dict in its GWS-family kernel.
+    replay_vectorizable = True
 
     def __init__(self, capacity: int = 128 * 1024):
         if capacity <= 0:

@@ -181,7 +181,10 @@ def policy_is_replay_vectorizable(policy) -> bool:
     only through the small event set the sparse-replay engine
     (:class:`repro.sim.engines.SparseReplayEngine`) replays in trace
     order: region-table lookups/records (GWS RIT/RLT), PSEL votes
-    (set-dueling), and cross-set displacements (the CA cache).
+    (set-dueling), finite-DCP inserts, victim removals, writeback
+    refreshes and re-learns with LRU capacity eviction
+    (:class:`~repro.cache.dcp.FiniteDcpDirectory`), and cross-set
+    displacements (the CA cache).
 
     Every ``vectorizable`` policy is trivially replay-vectorizable (no
     global state to replay at all), so the capability is implied rather

@@ -8,13 +8,15 @@ contract, ordered fastest-first:
   structural checks in :mod:`repro.sim.engines.vector`), including
   all four replacement policies.
 * ``replay`` — vectorized precompute around a fused scalar replay of
-  the sparse global-state events; the GWS/ACCORD/dueling stacks and
-  the column-associative cache (``replay_vectorizable`` capability
-  plus the structural checks in :mod:`repro.sim.engines.replay`).
+  the sparse global-state events; the GWS/ACCORD/SWS/dueling stacks
+  under every DCP mode (exact, finite, none) and the
+  column-associative cache (``replay_vectorizable`` capability plus
+  the structural checks in :mod:`repro.sim.engines.replay`).
 * ``stream`` — the access path's per-access ``read_split`` /
   ``writeback_split`` over pre-split columns; any cache with an access
   path. ``auto`` reaches it only for policy stacks neither kernel
-  models (GWS over LRU replacement, the finite DCP).
+  models: GWS over LRU/NRU/RRIP replacement, and the finite DCP under
+  a non-GWS stack (e.g. ``pws:2:dcp=finite``).
 * ``loop`` — the per-address reference loop; every cache.
 
 :func:`resolve_engine` replaces the old scattered ``hasattr`` probes:

@@ -4,26 +4,32 @@ scalar replay of the global-state designs.
 The vector engine (:mod:`repro.sim.engines.vector`) requires strictly
 set-local state. The paper's headline designs break that: GWS's RIT/RLT
 are *global* LRU tables keyed by 4KB region, set-dueling's PSEL is one
-global saturating counter, and the column-associative cache's alternate
-location lives in a different set. Those designs were stuck on the
-~300k acc/s stream loop.
+global saturating counter, the finite DCP is one global LRU directory,
+and the column-associative cache's alternate location lives in a
+different set. Those designs were stuck on the ~300k acc/s stream loop.
 
 The key structural fact this engine exploits is that the global state
 is touched *sparsely and cheaply*: per access it is a couple of dict
-operations (the RIT/RLT emulation below) or an integer compare (PSEL),
+operations (the RIT/RLT and finite-DCP emulation below) or an integer
+compare (PSEL),
 while everything *around* those touches — address decomposition, tag
 hashing, preferred ways, SWS candidate matrices, per-set RNG stream
 seeds — is a pure per-access function. So the engine splits the work:
 
-1. **Precompute** (vectorized): sets, tags, regions, preferred ways,
-   candidate matrices and per-set splitmix64 stream seeds for the whole
-   trace in a handful of numpy passes, then materialize them as plain
-   Python lists for the replay loop.
+1. **Precompute** (vectorized): tags, regions, preferred ways, state
+   offsets and SWS candidate matrices per access, plus splitmix64
+   stream seeds and dueling leader roles per *touched set*, in a
+   handful of numpy passes; then materialize them as plain Python
+   lists for the replay loop. Per-access columns are kept to what the
+   loop reads on every access: seeds and leader roles are read through
+   the compact set id on the draw paths, and SWS rows are shared
+   tuples, one per distinct candidate set.
 2. **Replay** (one fused scalar kernel for every GWS-family design):
    one pass over the precomputed columns carrying only the *sparse*
    state — resident tags, dirty bits and per-set draw counters for the
-   sets the trace touches, the RIT/RLT as plain insertion-ordered
-   dicts, PSEL. Each access appends a single small *outcome code*.
+   sets the trace touches, the RIT/RLT and the finite DCP as plain
+   insertion-ordered dicts, PSEL. Each access appends a single small
+   *outcome code*.
 3. **Reduce** (vectorized): decode the code column into the vector
    engine's :class:`~repro.sim.engines.vector._Outcome` arrays and
    reuse its ``_window_stats`` / ``_phase_series`` reductions, so the
@@ -45,7 +51,13 @@ The outcome code per access is:
   eviction);
 * writebacks — ``100 + probes`` when absorbed, ``200 + probes`` when
   bypassed (``probes`` is 0 under an exact DCP, which answers without
-  touching the ways).
+  touching the ways, and under a finite DCP that still holds the line).
+
+The finite DCP (:class:`~repro.cache.dcp.FiniteDcpDirectory`) replays
+five events: insert on install, removal of the victim's line on
+evict, a refresh on a writeback that hits it (no probes), a re-learn
+after a probe finds a line it forgot, and LRU eviction past its
+capacity.
 
 Like the vector engine, this engine assumes a freshly built cache
 (junk-prefilled dense store, empty region tables, midpoint PSEL, empty
@@ -56,12 +68,13 @@ exact types, since a subclass may override any method.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.cache.ca_cache import ColumnAssociativeCache
-from repro.cache.dcp import DcpDirectory
+from repro.cache.dcp import DcpDirectory, FiniteDcpDirectory
 from repro.cache.lookup import WayPredictedLookup
 from repro.cache.replacement import RandomReplacement
 from repro.cache.storage import JUNK_TAG
@@ -108,7 +121,8 @@ class _ReplayPlan:
         "pip", "steer_base", "repl_base", "pred_base",
         "pip_low", "pip_high", "low_base", "high_base", "psel_max",
         "rit_entries", "rlt_entries", "steer_region", "pred_region",
-        "dcp_exact",
+        "dcp",          # "exact" | "finite" | "none"
+        "dcp_capacity",
     )
 
 
@@ -194,14 +208,19 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
         return None
 
     dcp = cache.dcp
+    plan.dcp_capacity = 0
     if dcp is None:
-        plan.dcp_exact = False
-    elif type(dcp) is DcpDirectory:
-        if len(dcp) != 0:
-            return None  # fresh-cache contract
-        plan.dcp_exact = True
+        plan.dcp = "none"
+        return plan
+    if type(dcp) is DcpDirectory:
+        plan.dcp = "exact"
+    elif type(dcp) is FiniteDcpDirectory:
+        plan.dcp = "finite"
+        plan.dcp_capacity = dcp.capacity
     else:
         return None
+    if len(dcp) != 0:
+        return None  # fresh-cache contract: empty directory
     return plan
 
 
@@ -214,28 +233,56 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
 #          record the hit way in the RLT. On a miss: GWS install choice
 #          (RIT lookup; fallback coin/draw + RIT record on RIT miss),
 #          evict (always a displacement: junk prefill), install, then
-#          the on_install hooks re-record RIT and RLT.
-#   wb:    exact DCP answers membership with zero probes; without a DCP
-#          the candidate ways are probed in order.
+#          the on_install hooks re-record RIT and RLT and a finite DCP
+#          swaps the victim's entry for the new line's.
+#   wb:    exact DCP answers membership with zero probes; a finite DCP
+#          that holds the line answers with zero probes and refreshes
+#          it; otherwise the candidate ways are probed in order, and a
+#          finite DCP re-learns a line the probe finds.
 #
-# The RecentRegionTable (OrderedDict LRU) is emulated with a plain dict
+# The RecentRegionTable and the finite DCP (OrderedDict LRUs) are
+# emulated with a plain dict
 # relying on insertion order: move_to_end == del+reinsert, popitem(
 # last=False) == del first key. Plain dicts are measurably faster than
 # OrderedDict in this loop.
 
 
-def _lists(*arrays):
-    return [a.tolist() for a in arrays]
+def _interned_rows(cand_matrix: np.ndarray, ways: int) -> list:
+    """One candidate tuple per access, shared between equal rows.
+
+    Rows are keyed by their base-``ways`` digits, so the trace holds
+    one tuple per distinct candidate set (at most ``ways ** hashes``)
+    and a pointer per access, instead of a fresh list per access.
+    """
+    cols = cand_matrix.shape[1]
+    if ways ** cols < 1 << 63:
+        keys = cand_matrix @ (ways ** np.arange(cols, dtype=np.int64))
+        _, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+    else:  # too many digits for an int64 key
+        _, first, inverse = np.unique(
+            cand_matrix, axis=0, return_index=True, return_inverse=True
+        )
+    rows = [tuple(cand_matrix[i].tolist()) for i in first.tolist()]
+    return [rows[k] for k in inverse.reshape(-1).tolist()]
 
 
 def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
     """The GWS-family kernel: any way count, identity or SWS candidate
-    sets, all fallback modes.
+    sets, all fallback modes, every DCP mode.
 
     State covers only the sets the trace touches: way ``w`` of an
     access's set is slot ``base + w``, with ``base = compact * ways``
-    and ``compact`` the dense touched-set id. Stream seeds and the
-    dueling leader test still use the original set index ``s``.
+    and ``compact`` the dense touched-set id. The per-set stream seeds
+    and the dueling leader roles are tables over the touched sets,
+    read through the compact id ``base >> wshift`` on the draw paths
+    only, so no per-access column carries them.
+
+    The finite DCP is a dict keyed by slot in LRU order. While a line
+    is resident, "its slot is in the dict" is exactly "its line is in
+    the directory": the slot's entry is dropped when the line is
+    evicted and re-made for the line installed there.
     """
     ways = plan.ways
     hashed = _tag_hash_array(tags_a)
@@ -247,36 +294,46 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
     m = plan.m
 
     if steer == "sws":
-        cand_rows = _skewed_matrix(hashed, pref_a, ways, plan.hashes).tolist()
+        cand_rows = _interned_rows(
+            _skewed_matrix(hashed, pref_a, ways, plan.hashes), ways
+        )
     else:
-        cand_rows = None
-
-    zero_a = np.zeros(len(sets_a), dtype=_U64)
-    if steer == "dueling":
-        s1_a = set_stream_seeds(plan.low_base, sets_a)
-        s2_a = set_stream_seeds(plan.high_base, sets_a)
-    elif steer in ("pws", "sws"):
-        s1_a = set_stream_seeds(plan.steer_base, sets_a)
-        s2_a = zero_a
-    else:  # unbiased
-        s1_a = set_stream_seeds(plan.repl_base, sets_a)
-        s2_a = zero_a
-    p_a = set_stream_seeds(plan.pred_base, sets_a) if pred == "random" else zero_a
-    if plan.pred_region == plan.steer_region:
-        pregion_l = None
-    else:
-        pregion_l = (addrs // np.int64(plan.pred_region)).tolist()
-
-    writes_l, sets_l, tags_l, regions_l, pref_l, base_l, s1_l, s2_l, p_l = _lists(
-        writes_a, sets_a, tags_a, sregion_a, pref_a, base_a, s1_a, s2_a, p_a
-    )
-    if pregion_l is None:
-        pregion_l = regions_l
-    if cand_rows is None:
-        cand_rows = [None] * len(writes_l)
-    all_ways = tuple(range(ways))
+        cand_rows = repeat(None)
 
     touched = int(compact_a.max()) + 1 if len(compact_a) else 0
+    set_of = np.zeros(touched, dtype=np.int64)
+    set_of[compact_a] = sets_a  # compact id -> original set index
+
+    def seeds(base):
+        return set_stream_seeds(base, set_of).tolist()
+
+    seed1 = seed2 = pseed = leader = None
+    if steer == "dueling":
+        seed1 = seeds(plan.low_base)
+        seed2 = seeds(plan.high_base)
+        # 0: follower, 1: low-PIP leader, 2: high-PIP leader.
+        leader = np.where(set_of & 31, 0, 1 + ((set_of >> 5) & 1)).tolist()
+    elif steer in ("pws", "sws"):
+        seed1 = seeds(plan.steer_base)
+    else:  # unbiased
+        seed1 = seeds(plan.repl_base)
+    if pred == "random":
+        pseed = seeds(plan.pred_base)
+
+    writes_l = writes_a.tolist()
+    tags_l = tags_a.tolist()
+    regions_l = sregion_a.tolist()
+    pref_l = pref_a.tolist()
+    base_l = base_a.tolist()
+    # Free the per-access arrays now rather than after the loop: they
+    # would add to the drive's peak alongside their list forms.
+    del hashed, pref_a, sregion_a, base_a
+    if plan.pred_region == plan.steer_region:
+        pregion_l = regions_l
+    else:
+        pregion_l = (addrs // np.int64(plan.pred_region)).tolist()
+    all_ways = tuple(range(ways))
+
     tags_state = [JUNK_TAG] * (touched * ways)
     dirty = bytearray(touched * ways)
     rit: dict = {}
@@ -298,7 +355,10 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
     pip = plan.pip if steer in ("pws", "sws") else 0.0
     pip_low = plan.pip_low if steer == "dueling" else 0.0
     pip_high = plan.pip_high if steer == "dueling" else 0.0
-    dcp_exact = plan.dcp_exact
+    dcp_exact = plan.dcp == "exact"
+    dcp_finite = plan.dcp == "finite"
+    dcp: dict = {}  # finite DCP: slot -> None, least recent first
+    dcp_capacity = plan.dcp_capacity
     dueling = steer == "dueling"
     unbiased = steer == "unbiased"
     pred_random = pred == "random"
@@ -306,14 +366,14 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
     codes = []
     code_append = codes.append
 
-    for w, s, t, rg, prg, pf, base, sd1, sd2, psd, row in zip(
-        writes_l, sets_l, tags_l, regions_l, pregion_l, pref_l, base_l,
-        s1_l, s2_l, p_l, cand_rows,
+    for w, t, rg, prg, pf, base, row in zip(
+        writes_l, tags_l, regions_l, pregion_l, pref_l, base_l, cand_rows,
     ):
         candidates = all_ways if row is None else row
         if w:
             # writeback: exact DCP answers with zero probes; otherwise
-            # the candidate ways are probed in order.
+            # the candidate ways are probed in order, unless a finite
+            # DCP still holds the line's way.
             if dcp_exact:
                 for way in candidates:
                     if tags_state[base + way] == t:
@@ -326,8 +386,17 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
                 probes = 0
                 for way in candidates:
                     probes += 1
-                    if tags_state[base + way] == t:
-                        dirty[base + way] = 1
+                    slot = base + way
+                    if tags_state[slot] == t:
+                        dirty[slot] = 1
+                        if dcp_finite:
+                            if slot in dcp:
+                                # directory hit: refresh, no probes
+                                del dcp[slot]
+                                probes = 0
+                            dcp[slot] = None  # (re-)learn the way
+                            if len(dcp) > dcp_capacity:
+                                del dcp[next(iter(dcp))]
                         code_append(100 + probes)
                         break
                 else:
@@ -340,7 +409,7 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
                 sid = base >> wshift
                 c = pcnt[sid]
                 pcnt[sid] = c + 1
-                z = (psd + c + _C1) & _M64
+                z = (pseed[sid] + c + _C1) & _M64
                 z = ((z ^ (z >> 30)) * _C2) & _M64
                 z = ((z ^ (z >> 27)) * _C3) & _M64
                 predicted = ((z ^ (z >> 31)) & _M64) % ways
@@ -393,6 +462,7 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
                 rit[rg] = g
             sid = base >> wshift
             c = cnt1[sid]
+            sd1 = seed1[sid]
             z = (sd1 + c + _C1) & _M64
             z = ((z ^ (z >> 30)) * _C2) & _M64
             z = ((z ^ (z >> 27)) * _C3) & _M64
@@ -401,15 +471,15 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
                 cnt1[sid] = c + 1
                 way = candidates[z % len(candidates)]
             elif dueling:
-                if not s & 31:
-                    if (s >> 5) & 1:
-                        low = False
-                        if psel < psel_max:
-                            psel += 1
-                    else:
-                        low = True
-                        if psel > 0:
-                            psel -= 1
+                lead = leader[sid]
+                if lead == 1:
+                    low = True
+                    if psel > 0:
+                        psel -= 1
+                elif lead == 2:
+                    low = False
+                    if psel < psel_max:
+                        psel += 1
                 else:
                     low = psel > psel_mid
                 if low:
@@ -426,6 +496,7 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
                         alt = z % (ways - 1)
                         way = alt + (alt >= pf)
                 else:
+                    sd2 = seed2[sid]
                     c2 = cnt2[sid]
                     z = (sd2 + c2 + _C1) & _M64
                     z = ((z ^ (z >> 30)) * _C2) & _M64
@@ -463,6 +534,14 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
         code_append(-2 if dirty[slot] else -1)
         tags_state[slot] = t
         dirty[slot] = 0
+        if dcp_finite:
+            # The victim's entry (if the directory still holds it)
+            # leaves; the installed line's entry is the newest.
+            if slot in dcp:
+                del dcp[slot]
+            dcp[slot] = None
+            if len(dcp) > dcp_capacity:
+                del dcp[next(iter(dcp))]
         if rg in rit:
             del rit[rg]
         rit[rg] = way

@@ -6,7 +6,8 @@ once per record over the trace's vectorized (set, tag) split
 never runs per access. Phase-resolved runs attach
 :class:`~repro.sim.phases.PhaseMetrics` over one ``[warm, n)`` drive.
 It serves ``--engine stream`` and the policy stacks neither array
-kernel models (GWS over LRU replacement, the finite DCP).
+kernel models: GWS over LRU/NRU/RRIP replacement, and the finite DCP
+under a non-GWS stack (the replay kernel models it under GWS).
 """
 
 from __future__ import annotations

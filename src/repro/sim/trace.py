@@ -1,12 +1,15 @@
 """Trace representation and I/O.
 
 A trace is the stream of memory requests arriving at the DRAM cache
-(i.e. L3 misses plus L3 dirty writebacks), in arrival order. For speed
-the hot representation is two parallel sequences — byte addresses and
-write flags — plus a constant instructions-per-access factor derived
-from the workload's MPKI. Traces are treated as immutable once built:
-derived values (write counts, split columns) are computed once and
-cached on the instance.
+(i.e. L3 misses plus L3 dirty writebacks), in arrival order. The
+representation is two parallel columns — byte addresses and write
+flags — plus a constant instructions-per-access factor derived from
+the workload's MPKI. The workload generators, the mix builder, the
+``.npz`` loader and :func:`trace_from_arrays` all build int64/uint8
+numpy columns (~9 bytes per access); Python lists appear only when a
+scalar consumer asks for :attr:`Trace.addrs`/:attr:`Trace.writes`.
+Traces are treated as immutable once built: derived values (write
+counts, split columns) are computed once and cached on the instance.
 
 Two persistence formats are provided:
 
@@ -77,13 +80,17 @@ class Trace:
 
     ``addrs``/``writes`` may be supplied either as Python sequences
     (a list of ints / a bytearray) or as 1-D numpy columns (int64 /
-    uint8) — e.g. memory-mapped arrays from the trace cache or views of
-    a shared-memory segment. Whichever form is supplied, the other is
-    materialized lazily on first access: array engines that only touch
+    uint8) — e.g. freshly generated traces, memory-mapped arrays from
+    the trace cache or views of a shared-memory segment. Whichever form
+    is supplied, the other is materialized lazily on first access and
+    then cached: array engines that only touch
     :meth:`numpy_addrs`/:meth:`numpy_writes` never pay the per-element
-    ``.tolist()`` round trip, and the scalar engines still see plain
-    Python ints (numpy scalars would silently change their wrapping
-    arithmetic).
+    ``.tolist()`` round trip (nor its ~50 bytes per access), and the
+    scalar engines still see plain Python ints (numpy scalars would
+    silently change their wrapping arithmetic). ``len``,
+    :attr:`read_count`, :attr:`write_count`,
+    :attr:`total_instructions` and :meth:`footprint_lines` work on the
+    supplied form and never build the other.
 
     Columns must not be mutated after construction: the write count,
     the numpy column views, and the per-geometry split columns are
@@ -197,7 +204,7 @@ class Trace:
 
     @property
     def read_count(self) -> int:
-        return len(self.addrs) - self.write_count
+        return len(self) - self.write_count
 
     @property
     def write_count(self) -> int:
@@ -238,7 +245,7 @@ class Trace:
 
     def footprint_lines(self, line_size: int = 64) -> int:
         """Number of distinct 64B lines touched."""
-        return len({addr // line_size for addr in self.addrs})
+        return len(np.unique(self.numpy_addrs() // line_size))
 
     def split_columns(self, geometry: "CacheGeometry") -> SplitColumns:
         """Cached ``(set_index, tag, line_addr)`` columns for a geometry.
@@ -311,9 +318,13 @@ def trace_from_arrays(
     writes: Iterable[int],
     instructions_per_access: float,
 ) -> Trace:
-    """Build a trace from any iterables (materializes lists)."""
-    return Trace(name, list(addrs), bytearray(1 if w else 0 for w in writes),
-                 instructions_per_access)
+    """Build an array-backed trace from any iterables."""
+    return Trace(
+        name,
+        np.fromiter(addrs, dtype=np.int64),
+        np.fromiter((1 if w else 0 for w in writes), dtype=np.uint8),
+        instructions_per_access,
+    )
 
 
 _HEADER = "# repro-trace-v1"

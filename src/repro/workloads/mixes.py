@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.errors import WorkloadError
 from repro.sim.trace import Trace
 from repro.utils.rng import XorShift64
@@ -37,6 +39,7 @@ MIX_RECIPES: Dict[str, List[str]] = {
 }
 
 _MEMBER_SPAN_MULTIPLIER = 1 << 16  # members sit 2^16 cache-capacities apart
+_CHUNK = 64  # records per interleave burst
 
 
 def build_mix_trace(
@@ -72,19 +75,21 @@ def build_mix_trace(
     # Generate per-member chunks and interleave burst-by-burst. Chunked
     # interleaving (64 requests at a time) approximates the fine-grained
     # multiplexing of simultaneously running cores.
-    chunk = 64
     per_member = num_accesses // len(members)
     streams = [m.generate(per_member, name=f"{mix_name}:{m.spec.name}") for m in members]
-    addrs: List[int] = []
-    writes = bytearray()
-    position = 0
-    while position < per_member:
-        stop = min(position + chunk, per_member)
-        for stream in streams:
-            addrs.extend(stream.addrs[position:stop])
-            writes.extend(stream.writes[position:stop])
-        position = stop
-
+    addrs = _interleave([s.numpy_addrs()[:per_member] for s in streams])
+    writes = _interleave([s.numpy_writes()[:per_member] for s in streams])
     ipa = sum(s.instructions_per_access for s in streams) / len(streams)
     return Trace(name=mix_name, addrs=addrs, writes=writes,
                  instructions_per_access=ipa)
+
+
+def _interleave(columns: List[np.ndarray]) -> np.ndarray:
+    """Round-robin equal-length member columns in ``_CHUNK``-record
+    chunks: member 0's first chunk, member 1's first chunk, ..., then
+    each member's second chunk, and so on; the short tail chunks last."""
+    stacked = np.stack(columns)  # (members, per_member)
+    members, per_member = stacked.shape
+    full = per_member - per_member % _CHUNK
+    body = stacked[:, :full].reshape(members, -1, _CHUNK).transpose(1, 0, 2)
+    return np.concatenate((body.reshape(-1), stacked[:, full:].reshape(-1)))

@@ -19,12 +19,20 @@ Within the chosen page the burst touches ``run`` consecutive lines
 (``run`` ~ exponential with the spec's ``region_run`` mean), producing
 the spatial locality that GWS exploits. Dirty writebacks are emitted at
 rate ``write_frac`` against recently read lines.
+
+The trace comes back array-backed (int64 addresses, uint8 write
+flags): the records are collected in a compact ``array('q')`` and a
+``bytearray`` as they are drawn, so neither the generator nor the
+trace memos that keep the result ever hold a Python int per access.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import List, Optional
+
+import numpy as np
 
 from repro.errors import WorkloadError
 from repro.params.system import PAGE_SIZE
@@ -115,7 +123,7 @@ class SyntheticWorkload:
             raise WorkloadError("num_accesses must be positive")
         spec = self.spec
         rng = self._rng
-        addrs: List[int] = []
+        addrs = array("q")
         writes = bytearray()
         base = self.addr_base
 
@@ -142,8 +150,8 @@ class SyntheticWorkload:
 
         return Trace(
             name=name or spec.name,
-            addrs=addrs,
-            writes=writes,
+            addrs=np.frombuffer(addrs, dtype=np.int64).copy(),
+            writes=np.frombuffer(writes, dtype=np.uint8).copy(),
             instructions_per_access=spec.instructions_per_access,
         )
 

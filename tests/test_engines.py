@@ -17,6 +17,7 @@ import warnings
 
 import pytest
 
+from repro.cache.dcp import FiniteDcpDirectory
 from repro.cache.events import StatsObserver
 from repro.core.accord import AccordDesign
 from repro.core.protocols import ensure_policy_conformance
@@ -256,6 +257,46 @@ class TestVectorProperties:
         assert not ENGINES["replay"].supports(cache)
 
 
+#: The GWS-family designs under the finite DCP.
+FINITE_DCP_SPECS = (
+    "accord:2:dcp=finite",
+    "sws:8:2:dcp=finite",
+    "gws:2:dcp=finite",
+    "dueling:2:dcp=finite",
+)
+
+
+class TestFiniteDcpReplay:
+    """The replay kernel models the finite DCP: insert on install,
+    victim removal on evict, refresh on a directory hit, re-learn after
+    a probe finds the line, and LRU capacity eviction."""
+
+    @pytest.mark.parametrize("spec", FINITE_DCP_SPECS)
+    def test_strict_replay_matches_loop(self, spec, trace):
+        design = parse_design_spec(spec)
+        config = scaled_system(ways=design.ways, scale=SCALE)
+        rep, ref = (
+            Simulator(config, design, seed=5).run(
+                trace, warmup_fraction=0.3, epoch=EPOCH, engine=engine_name,
+                engine_strict=True,
+            ).to_dict()
+            for engine_name in ("replay", "loop")
+        )
+        assert rep == ref
+
+    @pytest.mark.parametrize("spec", FINITE_DCP_SPECS)
+    def test_tiny_directory_evicts_and_matches_loop(self, spec, trace):
+        design = parse_design_spec(spec)
+        config = scaled_system(ways=design.ways, scale=SCALE)
+        outs = {}
+        for engine_name in ("replay", "loop"):
+            cache = build_dram_cache(design, config, seed=5)
+            cache.dcp = FiniteDcpDirectory(capacity=97)
+            outs[engine_name] = _drive(cache, trace, engine_name, epoch=EPOCH)
+        assert cache.dcp.capacity_evictions > 0  # the loop-driven cache
+        assert outs["replay"] == outs["loop"]
+
+
 class TestVectorReplayFootprint:
     """Kernel state covers the touched sets, not the geometry."""
 
@@ -281,6 +322,25 @@ class TestVectorReplayFootprint:
             tracemalloc.stop()
         assert peak < 4 << 20
 
+    def test_replay_drive_per_access_budget(self):
+        """Beyond the memoized stream arrays, an SWS replay drive holds
+        a few list columns per access: no per-access set, seed or
+        candidate-list columns (those cost ~370 B per access)."""
+        import tracemalloc
+
+        design = parse_design_spec("sws:8:4")
+        config = scaled_system(ways=design.ways, scale=SCALE)
+        trace = random_trace(405, n=20000, footprint_lines=1 << 20)
+        _drive(build_dram_cache(design, config, seed=5), trace, "replay")
+        cache = build_dram_cache(design, config, seed=5)
+        tracemalloc.start()
+        try:
+            _drive(cache, trace, "replay")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace) < 220
+
 
 class TestReplayProperties:
     """Randomized global-state configs: replay == reference loop.
@@ -305,6 +365,8 @@ class TestReplayProperties:
         AccordDesign(kind="sws", ways=8, hashes=3, pip=0.7, dcp="none",
                      rit_entries=8),
         AccordDesign(kind="sws", ways=8, hashes=1),
+        # 16 ** 16 candidate orders overflow the int64 row key.
+        AccordDesign(kind="sws", ways=16, hashes=16, rit_entries=8),
         AccordDesign(kind="dueling", ways=2, rit_entries=8),
         AccordDesign(kind="dueling", ways=4, dcp="none", region_size=1024),
     ]
@@ -409,6 +471,14 @@ class TestResolver:
             cache, design = self._cache(parse_design_spec(spec))
             assert resolve_engine(cache, design=design).name == "vector"
         cache, design = self._cache(parse_design_spec("gws:2:replacement=lru"))
+        assert resolve_engine(cache, design=design).name == "stream"
+
+    def test_finite_dcp_resolves_to_replay_on_gws_family(self):
+        """The replay kernel models the finite DCP; other policy stacks
+        under it (here PWS) still need stream."""
+        cache, design = self._cache(parse_design_spec("accord:2:dcp=finite"))
+        assert resolve_engine(cache, design=design).name == "replay"
+        cache, design = self._cache(parse_design_spec("pws:2:dcp=finite"))
         assert resolve_engine(cache, design=design).name == "stream"
 
     def test_explicit_supported_request_is_honored(self):

@@ -16,6 +16,14 @@ class TestTrace:
         assert trace.write_count == 1
         assert trace.total_instructions == 100.0
 
+    def test_from_arrays_builds_numpy_columns(self):
+        trace = trace_from_arrays("t", iter([0, 64, 128]), [0, 2, False], 50.0)
+        assert trace._addrs_list is None and trace._writes_list is None
+        assert trace.numpy_addrs().tolist() == [0, 64, 128]
+        assert trace.numpy_writes().tolist() == [0, 1, 0]
+        assert trace.footprint_lines() == 3
+        assert trace._addrs_list is None  # no derived count built a list
+
     def test_iteration(self):
         trace = trace_from_arrays("t", [0, 64], [0, 1], 10.0)
         records = list(trace)

@@ -1,5 +1,8 @@
 """Tests for the workload catalog and synthetic generators."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -16,7 +19,8 @@ from repro.workloads.spec import (
     main_suite,
     rate_mode_specs,
 )
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.params.system import scaled_system
+from repro.workloads.synthetic import SyntheticWorkload, generate_trace
 
 CAPACITY = 4 * 1024 * 1024  # small cache capacity for generator tests
 
@@ -172,6 +176,67 @@ class TestMixes:
         a = build_mix_trace("mix2", CAPACITY, 4000, seed=5)
         b = build_mix_trace("mix2", CAPACITY, 4000, seed=5)
         assert a.addrs == b.addrs
+
+
+def _column_digest(trace) -> str:
+    h = hashlib.sha256()
+    h.update(trace.numpy_addrs().astype("<i8", copy=False).tobytes())
+    h.update(trace.numpy_writes().tobytes())
+    return h.hexdigest()
+
+
+def _assert_array_backed(trace):
+    assert trace._addrs_list is None and trace._writes_list is None
+    assert trace._np_addrs.dtype == np.int64
+    assert trace._np_writes.dtype == np.uint8
+
+
+class TestTraceStorage:
+    """Generated and mix traces are array-backed, and the column bytes
+    are pinned to the values the list-built generator produced."""
+
+    CAPACITY = scaled_system(ways=2, scale=1 / 64).dram_cache.capacity_bytes
+
+    #: (length, sha256 of the int64 address bytes then the flag bytes).
+    GOLDEN = {
+        "soplex": (4004, "263269802d6bc36954c23b51a9d0c4d684cd3232771c51510dc87325b112da71"),
+        "mcf": (4000, "251f9c1221a473598327203b3e6cf8e910848200954b95af3a27b26590cb7fd1"),
+        "mix1": (4000, "e5ded285d0e94ec0b825f4a967b192102502757e729052fab196814d34433785"),
+    }
+
+    def _trace(self, name):
+        if name.startswith("mix"):
+            return build_mix_trace(name, self.CAPACITY, 4000, seed=7,
+                                   scale=1 / 64)
+        return generate_trace(get_workload(name), self.CAPACITY, 4000,
+                              seed=7, scale=1 / 64)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_columns_match_golden(self, name):
+        trace = self._trace(name)
+        _assert_array_backed(trace)
+        assert (len(trace), _column_digest(trace)) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", ["soplex", "mix1"])
+    def test_derived_counts_keep_columns_as_arrays(self, name):
+        trace = self._trace(name)
+        lines = trace.numpy_addrs() // 64
+        assert trace.read_count == int((trace.numpy_writes() == 0).sum())
+        assert trace.total_instructions == (
+            trace.read_count * trace.instructions_per_access
+        )
+        assert trace.footprint_lines() == len(set(lines.tolist()))
+        _assert_array_backed(trace)
+
+    def test_mix_tail_chunk_is_interleaved_last(self):
+        """Per-member lengths that are not a multiple of the 64-record
+        chunk end with each member's short tail, in member order."""
+        trace = build_mix_trace("mix1", CAPACITY, 4 * 100, seed=2)
+        span = CAPACITY * (1 << 16)
+        members = (trace.numpy_addrs() // span).tolist()
+        assert members == [0] * 64 + [1] * 64 + [2] * 64 + [3] * 64 + (
+            [0] * 36 + [1] * 36 + [2] * 36 + [3] * 36
+        )
 
 
 class TestCyclic:
