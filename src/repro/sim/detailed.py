@@ -77,7 +77,7 @@ class DetailedEngine:
         reads = 0
         total_read_latency = 0.0
 
-        for addr, is_write in zip(trace.addrs, trace.writes):
+        for addr, is_write in zip(*trace.scalar_columns()):
             now += issue_interval_ns
             if len(outstanding) >= self.window:
                 oldest = outstanding.pop(0)

@@ -75,23 +75,33 @@ class TraceStream:
     access path) do not pay for the per-geometry decomposition, and the
     ``writes``/``addrs`` lists so array engines driving an array-backed
     trace (mmap'd cache entry or shared-memory segment) never force the
-    per-element list materialization.
+    per-element list materialization. The lists are
+    :meth:`Trace.scalar_columns`, held by the stream and not the
+    trace, so a memoized trace does not keep them after the drive.
     """
 
-    __slots__ = ("trace", "geometry", "_columns")
+    __slots__ = ("trace", "geometry", "_columns", "_scalar")
 
     def __init__(self, trace: Trace, geometry):
         self.trace = trace
         self.geometry = geometry
         self._columns = None
+        self._scalar = None
+
+    def _scalar_columns(self):
+        scalar = self._scalar
+        if scalar is None:
+            scalar = self.trace.scalar_columns()
+            self._scalar = scalar
+        return scalar
 
     @property
     def writes(self):
-        return self.trace.writes
+        return self._scalar_columns()[1]
 
     @property
     def addrs(self):
-        return self.trace.addrs
+        return self._scalar_columns()[0]
 
     def _split(self):
         columns = self._columns

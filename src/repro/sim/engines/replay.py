@@ -247,25 +247,22 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
 # OrderedDict in this loop.
 
 
-def _interned_rows(cand_matrix: np.ndarray, ways: int) -> list:
+def _interned_rows(cand_matrix: np.ndarray) -> list:
     """One candidate tuple per access, shared between equal rows.
 
-    Rows are keyed by their base-``ways`` digits, so the trace holds
-    one tuple per distinct candidate set (at most ``ways ** hashes``)
-    and a pointer per access, instead of a fresh list per access.
+    The trace holds one tuple per distinct candidate set and a pointer
+    per access, instead of a fresh list per access. Rows are grouped by
+    a column-wise lexsort, exact for any way and hash count and several
+    times faster than ``np.unique(axis=0)``.
     """
-    cols = cand_matrix.shape[1]
-    if ways ** cols < 1 << 63:
-        keys = cand_matrix @ (ways ** np.arange(cols, dtype=np.int64))
-        _, first, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-    else:  # too many digits for an int64 key
-        _, first, inverse = np.unique(
-            cand_matrix, axis=0, return_index=True, return_inverse=True
-        )
-    rows = [tuple(cand_matrix[i].tolist()) for i in first.tolist()]
-    return [rows[k] for k in inverse.reshape(-1).tolist()]
+    order = np.lexsort(cand_matrix.T[::-1])
+    ranked = cand_matrix[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    rows = [tuple(row) for row in ranked[starts].tolist()]
+    return [rows[k] for k in inverse.tolist()]
 
 
 def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
@@ -295,7 +292,7 @@ def _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs):
 
     if steer == "sws":
         cand_rows = _interned_rows(
-            _skewed_matrix(hashed, pref_a, ways, plan.hashes), ways
+            _skewed_matrix(hashed, pref_a, ways, plan.hashes)
         )
     else:
         cand_rows = repeat(None)

@@ -92,14 +92,13 @@ class MultiCoreSimulator:
         warm_stats = [CacheStats() for _ in traces]
         in_warmup = [True] * len(traces)
 
+        columns = [t.scalar_columns() for t in traces]
         live = set(range(len(traces)))
         while live:
             for core in list(live):
-                trace = traces[core]
                 cache.stats = warm_stats[core] if in_warmup[core] else stats[core]
                 stop = min(cursors[core] + self.chunk, lengths[core])
-                addrs = trace.addrs
-                writes = trace.writes
+                addrs, writes = columns[core]
                 for i in range(cursors[core], stop):
                     if writes[i]:
                         cache.writeback(addrs[i])

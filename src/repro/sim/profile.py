@@ -128,7 +128,7 @@ def profile_trace(
 
     estimator = ReuseDistanceEstimator() if reuse_distances else None
 
-    for addr, is_write in zip(trace.addrs, trace.writes):
+    for addr, is_write in zip(*trace.scalar_columns()):
         line = addr // LINE_SIZE
         if is_write:
             writes += 1

@@ -157,5 +157,5 @@ class ScheduledEngine:
 
     def replay_trace(self, trace: Trace, geometry, arrival_interval_ns: float = 5.0):
         """Convenience: map a trace's addresses to sets and replay."""
-        sets = [geometry.set_index(addr) for addr in trace.addrs]
+        sets = [geometry.set_index(addr) for addr in trace.scalar_columns()[0]]
         return self.replay_sets(sets, arrival_interval_ns)

@@ -7,7 +7,8 @@ flags — plus a constant instructions-per-access factor derived from
 the workload's MPKI. The workload generators, the mix builder, the
 ``.npz`` loader and :func:`trace_from_arrays` all build int64/uint8
 numpy columns (~9 bytes per access); Python lists appear only when a
-scalar consumer asks for :attr:`Trace.addrs`/:attr:`Trace.writes`.
+scalar consumer asks for :meth:`Trace.scalar_columns` (per pass, not
+kept) or :attr:`Trace.addrs`/:attr:`Trace.writes` (cached).
 Traces are treated as immutable once built: derived values (write
 counts, split columns) are computed once and cached on the instance.
 
@@ -87,7 +88,9 @@ class Trace:
     :meth:`numpy_addrs`/:meth:`numpy_writes` never pay the per-element
     ``.tolist()`` round trip (nor its ~50 bytes per access), and the
     scalar engines still see plain Python ints (numpy scalars would
-    silently change their wrapping arithmetic). ``len``,
+    silently change their wrapping arithmetic). Scalar passes take
+    :meth:`scalar_columns`, which does not cache the list form on an
+    array-backed trace. ``len``,
     :attr:`read_count`, :attr:`write_count`,
     :attr:`total_instructions` and :meth:`footprint_lines` work on the
     supplied form and never build the other.
@@ -192,6 +195,23 @@ class Trace:
             self._writes_list = writes
         return writes
 
+    def scalar_columns(self) -> Tuple[List[int], Sequence[int]]:
+        """``(addrs, writes)`` as Python ints for one scalar pass.
+
+        Returns the cached list form when the trace has one; otherwise
+        fresh lists that the trace does not keep, so a per-access pass
+        over an array-backed trace (the ``loop`` and ``stream`` engines,
+        the cycle-level models) leaves it at ~9 bytes per access once
+        the caller drops them.
+        """
+        addrs = self._addrs_list
+        if addrs is None:
+            addrs = self._np_addrs.tolist()
+        writes = self._writes_list
+        if writes is None:
+            writes = bytearray(self._np_writes.tobytes())
+        return addrs, writes
+
     def __len__(self) -> int:
         addrs = self._addrs_list
         if addrs is not None:
@@ -199,7 +219,7 @@ class Trace:
         return int(self._np_addrs.shape[0])
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        for addr, w in zip(self.addrs, self.writes):
+        for addr, w in zip(*self.scalar_columns()):
             yield TraceRecord(addr, bool(w))
 
     @property
@@ -339,7 +359,7 @@ def save_trace(trace: Trace, path: str) -> None:
         handle.write(f"{_HEADER}\n")
         handle.write(f"name {trace.name}\n")
         handle.write(f"ipa {trace.instructions_per_access!r}\n")
-        for addr, w in zip(trace.addrs, trace.writes):
+        for addr, w in zip(*trace.scalar_columns()):
             kind = "W" if w else "R"
             handle.write(f"{kind} {addr:x}\n")
 

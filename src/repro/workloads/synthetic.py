@@ -150,8 +150,8 @@ class SyntheticWorkload:
 
         return Trace(
             name=name or spec.name,
-            addrs=np.frombuffer(addrs, dtype=np.int64).copy(),
-            writes=np.frombuffer(writes, dtype=np.uint8).copy(),
+            addrs=np.frombuffer(addrs, dtype=np.int64),
+            writes=np.frombuffer(writes, dtype=np.uint8),
             instructions_per_access=spec.instructions_per_access,
         )
 

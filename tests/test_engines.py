@@ -90,7 +90,8 @@ REPLACEMENT_SPECS = (
 
 
 def _design_id(design):
-    return design.display_name.replace(" ", "_")
+    name = design.display_name.replace(" ", "_")
+    return f"{name}-finite_dcp" if design.dcp == "finite" else name
 
 
 @pytest.fixture(scope="module")
@@ -267,22 +268,8 @@ FINITE_DCP_SPECS = (
 
 
 class TestFiniteDcpReplay:
-    """The replay kernel models the finite DCP: insert on install,
-    victim removal on evict, refresh on a directory hit, re-learn after
-    a probe finds the line, and LRU capacity eviction."""
-
-    @pytest.mark.parametrize("spec", FINITE_DCP_SPECS)
-    def test_strict_replay_matches_loop(self, spec, trace):
-        design = parse_design_spec(spec)
-        config = scaled_system(ways=design.ways, scale=SCALE)
-        rep, ref = (
-            Simulator(config, design, seed=5).run(
-                trace, warmup_fraction=0.3, epoch=EPOCH, engine=engine_name,
-                engine_strict=True,
-            ).to_dict()
-            for engine_name in ("replay", "loop")
-        )
-        assert rep == ref
+    """The replay kernel models the finite DCP's LRU capacity eviction
+    (the default-capacity designs are in :class:`TestReplayProperties`)."""
 
     @pytest.mark.parametrize("spec", FINITE_DCP_SPECS)
     def test_tiny_directory_evicts_and_matches_loop(self, spec, trace):
@@ -349,8 +336,9 @@ class TestReplayProperties:
     configs vary everything the replay kernels parameterize — region
     table sizes and granularities, install-coin biases, way counts,
     hash counts (including the degenerate single-hash row that skips
-    the coin entirely), and both DCP modes (exact directory vs modelled
-    writeback probes) — on randomized traces, phases included.
+    the coin entirely), and every DCP mode (exact directory, finite
+    directory, modelled writeback probes) — on randomized traces,
+    phases included.
     """
 
     CONFIGS = [
@@ -365,10 +353,12 @@ class TestReplayProperties:
         AccordDesign(kind="sws", ways=8, hashes=3, pip=0.7, dcp="none",
                      rit_entries=8),
         AccordDesign(kind="sws", ways=8, hashes=1),
-        # 16 ** 16 candidate orders overflow the int64 row key.
-        AccordDesign(kind="sws", ways=16, hashes=16, rit_entries=8),
         AccordDesign(kind="dueling", ways=2, rit_entries=8),
         AccordDesign(kind="dueling", ways=4, dcp="none", region_size=1024),
+        AccordDesign(kind="accord", ways=2, dcp="finite"),
+        AccordDesign(kind="sws", ways=8, hashes=2, dcp="finite"),
+        AccordDesign(kind="gws", ways=2, dcp="finite"),
+        AccordDesign(kind="dueling", ways=2, dcp="finite"),
     ]
 
     @pytest.mark.parametrize("seed", [21, 22])

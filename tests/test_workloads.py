@@ -228,6 +228,20 @@ class TestTraceStorage:
         assert trace.footprint_lines() == len(set(lines.tolist()))
         _assert_array_backed(trace)
 
+    @pytest.mark.parametrize("engine", ["loop", "stream"])
+    def test_scalar_drive_leaves_columns_as_arrays(self, engine):
+        """A per-access engine takes per-drive lists; the trace (which
+        a trace factory may memoize) keeps only its numpy columns."""
+        from repro.core.accord import AccordDesign
+        from repro.sim.system import Simulator
+
+        trace = self._trace("soplex")
+        config = scaled_system(ways=2, scale=1 / 64)
+        Simulator(config, AccordDesign(kind="accord", ways=2), seed=3).run(
+            trace, warmup_fraction=0.3, engine=engine, engine_strict=True
+        )
+        _assert_array_backed(trace)
+
     def test_mix_tail_chunk_is_interleaved_last(self):
         """Per-member lengths that are not a multiple of the 64-record
         chunk end with each member's short tail, in member order."""
