@@ -1,7 +1,10 @@
 """Sweep execution engine: job model, result store, parallel executor.
 
 * :mod:`repro.exec.jobs` — :class:`JobKey` (a deterministic, hashable
-  name for one simulation) and :func:`execute_job` (its worker entry).
+  name for one simulation) and :func:`execute_job` (run one key).
+* :mod:`repro.exec.batching` — :class:`~repro.exec.batching.BatchTask`,
+  the executor's only work item: same-trace jobs run over one trace
+  and one plan, a lone job as a one-member task.
 * :mod:`repro.exec.store` — :class:`ResultStore`, a content-addressed
   JSON-on-disk memo of :class:`~repro.sim.system.RunResult` records
   with quarantine of corrupt entries.
@@ -34,7 +37,6 @@ from repro.exec.jobs import (
     JobKey,
     clear_engine_plans,
     execute_job,
-    execute_job_traced,
     parse_design_spec,
     resolve_job_engine,
 )
@@ -61,7 +63,6 @@ __all__ = [
     "clear_engine_plans",
     "default_store_root",
     "execute_job",
-    "execute_job_traced",
     "fault_point",
     "parse_design_spec",
     "quarantine_entry",

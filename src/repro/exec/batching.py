@@ -1,25 +1,26 @@
-"""Batched same-trace execution for sweeps.
+"""Same-trace execution: the executor's only work item.
 
 A sweep of N configs over one workload names N independent
 :class:`~repro.exec.jobs.JobKey`\\ s, but the jobs share almost all of
-their fixed cost: the trace bytes, the per-geometry split columns, and
-the engine's sorted step plan. This module groups a sweep's cold keys
-by (trace, geometry) — :func:`batch_group` — and packs each group into
-:class:`BatchTask` work items that a single worker executes with *one*
-trace and *one* plan, fusing vectorizable same-signature configs into
-a single multi-config kernel pass
-(:mod:`repro.sim.engines.multi`).
+their fixed cost: the trace bytes and the engine's sorted step plan.
+This module groups a sweep's cold keys by (trace, geometry) —
+:func:`batch_group` — and chunks each group into :class:`BatchTask`
+work items that a single worker executes with *one* trace and *one*
+plan, fusing vectorizable same-signature configs into a single
+multi-config kernel pass (:mod:`repro.sim.engines.multi`).
 
-Batching is strictly an execution-shape optimization: store entries,
-journal lines, shadow verification, and progress all stay at
-per-``JobKey`` granularity (the executor absorbs a batch result member
-by member), and every member's ``RunResult`` is bit-identical to the
-per-job path — :func:`run_batch` replicates
-:meth:`repro.sim.system.Simulator.run` exactly, per member, around the
-shared drive.
+Every cold job runs as a :class:`BatchTask`: a group of one (or a
+``--no-batch`` sweep, which chunks every group into ones) is a
+one-member task whose ``digest()`` and ``display`` are its job's own,
+and :func:`repro.exec.jobs.execute_job` is a one-member
+:func:`execute_batch`. Store entries, journal lines, shadow
+verification and progress all stay at per-``JobKey`` granularity (the
+executor absorbs a task member by member), and every member's
+``RunResult`` is assembled by :func:`repro.sim.system.build_result`,
+the same function :meth:`repro.sim.system.Simulator.run` ends in.
 
-Zero-copy trace sharing rides along: the executor publishes each
-group's column arrays once per host into a
+Zero-copy trace sharing rides along for tasks of two or more members:
+the executor publishes each group's column arrays once per host into a
 :mod:`multiprocessing.shared_memory` segment named by the trace's
 content address (:func:`publish_trace`), and workers attach
 (:func:`attach_trace`) instead of re-reading or regenerating the trace
@@ -38,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError, ExecutionError, SimulationError
+from repro.errors import ConfigError
 from repro.exec.faults import SITE_ENGINE_RESULT, SITE_JOB, fault_point
 from repro.exec.jobs import JobKey, _trace_factory
 from repro.exec.resilience import complete_claim, write_claim
@@ -50,8 +51,7 @@ from repro.sim.engines.multi import (
     fusion_plan,
     plan_signature,
 )
-from repro.sim.system import RunResult, build_dram_cache
-from repro.sim.timing_model import IntervalTimingModel
+from repro.sim.system import RunResult, build_dram_cache, build_result
 from repro.sim.trace import Trace
 from repro.workloads.trace_cache import TraceKey
 
@@ -118,24 +118,22 @@ class TraceRef:
 
 @dataclass(frozen=True)
 class BatchTask:
-    """A packed worker task: same-group jobs executed over one trace.
+    """A worker task: same-group jobs executed over one trace.
 
-    Mirrors :class:`JobKey`'s ``digest()``/``display`` surface so
-    claims, retries, the watchdog and pool-break attribution handle all
-    three item kinds uniformly. The digest is derived from the member
-    digests, so a batch's claim marker names exactly its jobs.
+    Mirrors :class:`JobKey`'s ``digest()``/``display`` surface for
+    claims, retries, the watchdog and pool-break attribution. A
+    one-member task *is* its job there: same digest, same display, so
+    claim markers, journal events, fault-plan tokens and error text
+    read as the job's own. A larger task's digest is derived from the
+    member digests, so its claim marker names exactly its jobs.
     """
 
     jobs: Tuple[JobKey, ...]
     trace_ref: Optional[TraceRef] = None
 
-    def __post_init__(self):
-        if len(self.jobs) < 2:
-            raise ConfigError(
-                f"a batch needs at least 2 jobs, got {len(self.jobs)}"
-            )
-
     def digest(self) -> str:
+        if len(self.jobs) == 1:
+            return self.jobs[0].digest()
         cached = self.__dict__.get("_digest")
         if cached is None:
             payload = "\n".join(job.digest() for job in self.jobs)
@@ -148,6 +146,8 @@ class BatchTask:
     @property
     def display(self) -> str:
         first = self.jobs[0]
+        if len(self.jobs) == 1:
+            return first.display
         return (
             f"{first.workload} x{len(self.jobs)} designs "
             f"[batch {self.digest()[6:14]}]"
@@ -156,31 +156,24 @@ class BatchTask:
 
 def plan_batches(
     keys: Sequence[JobKey], batch_size: int = DEFAULT_BATCH_SIZE
-) -> List:
-    """Pack same-group jobs into :class:`BatchTask` items.
+) -> List[BatchTask]:
+    """Chunk same-group jobs into :class:`BatchTask` items.
 
-    Returns a mixed list of work items in first-seen group order:
-    groups of one stay plain :class:`JobKey` items (nothing to share),
-    larger groups are chunked to ``batch_size``. Deduplication is the
-    caller's concern (the executor already runs on unique keys).
+    Every group, a group of one included, becomes tasks of at most
+    ``batch_size`` members, in first-seen group order; ``batch_size=1``
+    gives one task per job. Deduplication is the caller's concern (the
+    executor already runs on unique keys).
     """
-    if batch_size < 2:
-        raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     groups: Dict[Tuple, List[JobKey]] = {}
     for key in keys:
         groups.setdefault(batch_group(key), []).append(key)
-    items: List = []
-    for members in groups.values():
-        if len(members) == 1:
-            items.append(members[0])
-            continue
-        for start in range(0, len(members), batch_size):
-            chunk = members[start:start + batch_size]
-            if len(chunk) == 1:
-                items.append(chunk[0])
-            else:
-                items.append(BatchTask(jobs=tuple(chunk)))
-    return items
+    return [
+        BatchTask(jobs=tuple(members[start:start + batch_size]))
+        for members in groups.values()
+        for start in range(0, len(members), batch_size)
+    ]
 
 
 # -- shared-memory trace plumbing --------------------------------------------
@@ -279,37 +272,19 @@ def attached_segment_count() -> int:
 # -- batch execution ---------------------------------------------------------
 
 
-def _assemble(key: JobKey, config, trace: Trace, stats, phases) -> RunResult:
-    """The tail of :meth:`Simulator.run`, replicated per batch member."""
-    instructions = stats.demand_reads * trace.instructions_per_access
-    if instructions <= 0:
-        raise SimulationError(
-            f"trace {trace.name!r} produced no post-warmup demand reads"
-        )
-    timing = IntervalTimingModel(config).evaluate(stats, instructions)
-    return RunResult(
-        design=key.design,
-        workload=trace.name,
-        stats=stats,
-        timing=timing,
-        instructions=instructions,
-        phases=phases,
-    )
-
-
 def run_batch(keys: Sequence[JobKey], trace: Trace) -> List[RunResult]:
     """Run every job over one shared trace; results in member order.
 
     Per member this follows :meth:`Simulator.run` exactly — fresh
     cache, engine resolution, ``serial_segments`` measurement plan,
-    stats/timing assembly — so each ``RunResult`` is bit-identical to
-    the per-job path. The shared part is the drive: members resolving
-    to the vector engine whose kernel plans share a fusion signature
-    are evaluated in one multi-config pass
-    (:func:`repro.sim.engines.multi.drive_fused`); everything else
-    (replay/stream/loop designs, singleton signatures) runs
-    sequentially over the same trace object, still sharing the step
-    plan and split columns.
+    and :func:`~repro.sim.system.build_result` — so each ``RunResult``
+    is bit-identical to a :class:`~repro.sim.system.Simulator` run. The
+    shared part is the drive: members resolving to the vector engine
+    whose kernel plans share a fusion signature are evaluated in one
+    multi-config pass (:func:`repro.sim.engines.multi.drive_fused`);
+    everything else (replay/stream/loop designs, singleton signatures)
+    runs sequentially over the same trace object, still sharing the
+    step plan.
     """
     n = len(trace)
     results: List[Optional[RunResult]] = [None] * len(keys)
@@ -344,18 +319,22 @@ def run_batch(keys: Sequence[JobKey], trace: Trace) -> List[RunResult]:
         stream = TraceStream(trace, geometry)
         fused = drive_fused(runs, stream, geometry)
         for (member, _plan), (stats, phases) in zip(group, fused):
-            index, key, config, cache = member[:4]
-            results[index] = _assemble(key, config, trace, stats, phases)
+            index, key, config = member[:3]
+            results[index] = build_result(
+                key.design, config, trace, stats, phases
+            )
     for member in sequential:
         index, key, config, cache, engine, warm, segments = member
         stream = TraceStream(trace, cache.geometry)
         phases = engine.drive(cache, stream, warm, segments, key.epoch)
-        results[index] = _assemble(key, config, trace, cache.stats, phases)
+        results[index] = build_result(
+            key.design, config, trace, cache.stats, phases
+        )
     return results  # type: ignore[return-value]
 
 
 def execute_batch(task: BatchTask) -> List[RunResult]:
-    """Run a packed batch (worker entry point; picklable).
+    """Run a task's jobs over one trace (worker entry point; picklable).
 
     Fault points fire per member with the member's own digest — chaos
     plans targeting one job's token hit it whether the job ran packed
@@ -372,18 +351,20 @@ def execute_batch(task: BatchTask) -> List[RunResult]:
     if trace is None:
         trace = _trace_factory(keys[0]).trace_for(keys[0].workload)
     results = run_batch(keys, trace)
-    if len(results) != len(keys):
-        raise ExecutionError(
-            f"{task.display}: batch returned {len(results)} results "
-            f"for {len(keys)} jobs"
-        )
     for key, result in zip(keys, results):
         fault_point(SITE_ENGINE_RESULT, token=key.digest(), obj=result)
     return results
 
 
 def execute_batch_traced(task: BatchTask, claims_dir: str) -> List[RunResult]:
-    """Batch worker entry with claim markers (see execute_job_traced)."""
+    """Pool worker entry recording start/done claim markers around a task.
+
+    The markers (``<digest>.started`` holding ``pid started_at``, and
+    ``<digest>.done``) let the parallel executor's watchdog attribute a
+    pool break or a wall-clock timeout to the specific tasks that were
+    in flight on the dead worker, instead of penalizing every remaining
+    one.
+    """
     digest = task.digest()
     write_claim(claims_dir, digest)
     result = execute_batch(task)

@@ -3,9 +3,13 @@
 Jobs are independent (design, workload) simulations named by
 :class:`JobKey`. The executor serves warm keys from a
 :class:`ResultStore` (and, when resuming, from a
-:class:`~repro.exec.resilience.SweepJournal`), fans the cold ones out
-over a ``ProcessPoolExecutor`` (or runs them inline for ``jobs=1``),
-and reports progress through an optional callback.
+:class:`~repro.exec.resilience.SweepJournal`), chunks the cold ones
+into :class:`~repro.exec.batching.BatchTask` work items — same-trace
+groups of up to ``batch_size`` jobs, or one job each under
+``batch=False`` — fans the tasks out over a ``ProcessPoolExecutor``
+(or runs them inline for ``jobs=1``), and reports progress through an
+optional callback. A task is the only unit the retry, claim, watchdog
+and degrade machinery below sees; its results are absorbed per job.
 
 Failure handling distinguishes three classes:
 
@@ -17,11 +21,11 @@ Failure handling distinguishes three classes:
   backoff and deterministic jitter (:class:`BackoffPolicy`).
 * **Dead or stuck workers**: a crashed worker breaks the pool; a
   wall-clock watchdog (``timeout``) kills workers whose job overran.
-  Worker-side claim markers (:func:`execute_job_traced`) let the
-  executor attribute the break to the specific in-flight jobs of the
-  dead worker, so only those are charged a retry — the rest of the
-  batch is simply resubmitted. If the pool keeps breaking, execution
-  degrades gracefully to serial in the main process.
+  Worker-side claim markers (:func:`execute_batch_traced`) let the
+  executor attribute the break to the specific in-flight tasks of the
+  dead worker, so only those are charged a retry — the rest are
+  simply resubmitted. If the pool keeps breaking, execution degrades
+  gracefully to serial in the main process.
 
 Results are bit-identical to a fault-free serial run: every job
 rebuilds its trace from the seeded generator, so neither scheduling,
@@ -67,13 +71,7 @@ from repro.exec.batching import (
     publish_trace,
     trace_key_for,
 )
-from repro.exec.jobs import (
-    JobKey,
-    _trace_factory,
-    execute_job,
-    execute_job_traced,
-    resolve_job_engine,
-)
+from repro.exec.jobs import JobKey, _trace_factory, resolve_job_engine
 from repro.exec.resilience import (
     BackoffPolicy,
     SweepJournal,
@@ -117,14 +115,14 @@ class ExecutorStats:
     #: quarantined + healed from the reference result.
     verified: int = 0
     mismatches: int = 0
-    #: Packed same-trace batches dispatched (each covering >= 2 jobs).
+    #: Same-trace tasks of two or more jobs executed.
     batches: int = 0
 
 
 class _PoolBroken(Exception):
-    """Internal: the pool died; ``suspects`` are the jobs to charge."""
+    """Internal: the pool died; ``suspects`` are the tasks to charge."""
 
-    def __init__(self, suspects: List[JobKey]):
+    def __init__(self, suspects: List[BatchTask]):
         super().__init__("process pool broke")
         self.suspects = suspects
 
@@ -214,7 +212,7 @@ class Executor:
         #: (or, for persistent owners, :meth:`shutdown`) ends.
         self._segments: Dict[str, tuple] = {}
         self.stats = ExecutorStats()
-        self._forced_timeouts: Set[JobKey] = set()
+        self._forced_timeouts: Set[BatchTask] = set()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_tainted = False
         self._persistent = False
@@ -375,18 +373,10 @@ class Executor:
         if not pending:
             return results
         if self.jobs == 1 or len(pending) == 1:
-            # Inline batching still shares one trace + plan per group
-            # (no shared memory needed in-process).
-            if self.batch and len(pending) > 1:
-                items = plan_batches(pending, self.batch_size)
-            else:
-                items = list(pending)
-            for item in items:
-                if isinstance(item, BatchTask):
-                    self._absorb(item, self._execute_batch_inline(item),
-                                 results)
-                else:
-                    self._record(item, self._execute_serial(item), results)
+            # Inline tasks still share one trace + plan per group (no
+            # shared memory needed in-process).
+            for task in self._plan_tasks(pending):
+                self._absorb(task, self._execute_inline(task), results)
         else:
             self._run_parallel(pending, results)
         return results
@@ -512,29 +502,10 @@ class Executor:
         self._pool_tainted = True
         return reference
 
-    # -- serial path (jobs=1, single pending job, or degraded) ------------
+    # -- inline path (jobs=1, single pending job, or degraded) ------------
 
-    def _execute_serial(self, key: JobKey, attempts: int = 0) -> RunResult:
-        """Run a job inline, retrying transient failures with backoff."""
-        while True:
-            try:
-                return execute_job(key)
-            except TRANSIENT_EXCEPTIONS as exc:
-                attempts += 1
-                self.stats.transient_retries += 1
-                self._note(
-                    "retry", key=key.digest(), attempt=attempts,
-                    error=str(exc),
-                )
-                if attempts > self.retries:
-                    raise ExecutionError(
-                        f"{key.display} kept failing transiently "
-                        f"(gave up after {attempts} attempts): {exc}"
-                    ) from exc
-                self._backoff.sleep(attempts)
-
-    def _execute_batch_inline(self, task: BatchTask, attempts: int = 0):
-        """Run one packed batch in-process with the transient-retry loop."""
+    def _execute_inline(self, task: BatchTask, attempts: int = 0):
+        """Run one task in-process with the transient-retry loop."""
         while True:
             try:
                 return execute_batch(task)
@@ -554,8 +525,13 @@ class Executor:
 
     # -- parallel path ----------------------------------------------------
 
-    def _plan_items(self, pending: Sequence[JobKey]) -> List:
-        """Work items for the pool: same-trace batches and whole jobs.
+    def _plan_tasks(self, pending: Sequence[JobKey]) -> List[BatchTask]:
+        """Same-trace tasks of up to ``batch_size`` jobs (one under
+        ``batch=False``)."""
+        return plan_batches(pending, self.batch_size if self.batch else 1)
+
+    def _plan_items(self, pending: Sequence[JobKey]) -> List[BatchTask]:
+        """Tasks for the pool, multi-job ones over a published trace.
 
         Explicit engine requests are resolved here, in the parent, so a
         fallback warning prints once (workers suppress it).
@@ -563,31 +539,22 @@ class Executor:
         for key in pending:
             if key.engine != "auto":
                 resolve_job_engine(key)
-        if not (self.batch and len(pending) > 1):
-            return list(pending)
-        items: List = []
-        for item in plan_batches(pending, self.batch_size):
-            if isinstance(item, BatchTask):
-                ref = self._publish_for(item.jobs[0])
+        items: List[BatchTask] = []
+        for task in self._plan_tasks(pending):
+            if len(task.jobs) > 1:
+                ref = self._publish_for(task.jobs[0])
                 if ref is not None:
-                    item = replace(item, trace_ref=ref)
-            items.append(item)
+                    task = replace(task, trace_ref=ref)
+            items.append(task)
         return items
 
-    def _absorb(self, item, result, results: Dict[JobKey, RunResult]) -> None:
-        """Fold one completed work item into job-level results."""
-        if isinstance(item, BatchTask):
-            self._absorb_batch(item, result, results)
-        else:
-            self._record(item, result, results)
-
-    def _absorb_batch(
+    def _absorb(
         self,
         task: BatchTask,
-        batch_results: Sequence[RunResult],
+        task_results: Sequence[RunResult],
         results: Dict[JobKey, RunResult],
     ) -> None:
-        """Absorb a packed batch member by member.
+        """Absorb a completed task member by member.
 
         Every member goes through :meth:`_record` individually, so
         verification sampling, the store, journal done-lines (and with
@@ -595,30 +562,26 @@ class Executor:
         per-``JobKey`` — batching never changes what a sweep records,
         only how the work was scheduled.
         """
-        if len(batch_results) != len(task.jobs):
+        if len(task_results) != len(task.jobs):
             raise ExecutionError(
-                f"{task.display}: batch returned {len(batch_results)} "
+                f"{task.display}: batch returned {len(task_results)} "
                 f"results for {len(task.jobs)} jobs"
             )
-        self.stats.batches += 1
-        self._note(
-            "batch", key=task.digest(), jobs=len(task.jobs),
-            members=[key.digest() for key in task.jobs],
-        )
-        for key, result in zip(task.jobs, batch_results):
+        if len(task.jobs) > 1:
+            self.stats.batches += 1
+            self._note(
+                "batch", key=task.digest(), jobs=len(task.jobs),
+                members=[key.digest() for key in task.jobs],
+            )
+        for key, result in zip(task.jobs, task_results):
             self._record(key, result, results)
-
-    def _submit(self, pool: ProcessPoolExecutor, item, claims: str):
-        if isinstance(item, BatchTask):
-            return pool.submit(execute_batch_traced, item, claims)
-        return pool.submit(execute_job_traced, item, claims)
 
     def _run_parallel(
         self, pending: Sequence[JobKey], results: Dict[JobKey, RunResult]
     ) -> None:
         items = self._plan_items(pending)
-        attempts: Dict[object, int] = {item: 0 for item in items}
-        remaining: Dict[object, None] = dict.fromkeys(items)
+        attempts: Dict[BatchTask, int] = {item: 0 for item in items}
+        remaining: Dict[BatchTask, None] = dict.fromkeys(items)
         claims = tempfile.mkdtemp(prefix="repro-claims-")
         consecutive_breaks = 0
         try:
@@ -629,11 +592,11 @@ class Executor:
                 self._forced_timeouts = set()
                 try:
                     pool = self._acquire_pool(len(remaining))
-                    for key in remaining:
-                        clear_claim(claims, key.digest())
+                    for task in remaining:
+                        clear_claim(claims, task.digest())
                     futures = {
-                        self._submit(pool, item, claims): item
-                        for item in remaining
+                        pool.submit(execute_batch_traced, task, claims): task
+                        for task in remaining
                     }
                     try:
                         self._drain(
@@ -654,7 +617,7 @@ class Executor:
                     self._penalize(broken.suspects, attempts)
                     self._note(
                         "pool_break",
-                        retried=[key.digest() for key in broken.suspects],
+                        retried=[task.digest() for task in broken.suspects],
                     )
                     self._backoff.sleep(consecutive_breaks)
         finally:
@@ -677,27 +640,27 @@ class Executor:
         self,
         pool: ProcessPoolExecutor,
         futures: Dict,
-        remaining: Dict[JobKey, None],
+        remaining: Dict[BatchTask, None],
         results: Dict[JobKey, RunResult],
-        attempts: Dict[JobKey, int],
+        attempts: Dict[BatchTask, int],
         claims: str,
     ) -> None:
-        """Collect results until the batch drains (or the pool breaks).
+        """Collect results until every task drains (or the pool breaks).
 
-        Transient job failures are rescheduled onto the same pool after
+        Transient task failures are rescheduled onto the same pool after
         their backoff delay elapses (tracked as deadlines, so waiting
-        out one job's backoff never blocks the others or the watchdog).
+        out one task's backoff never blocks the others or the watchdog).
         """
         outstanding = set(futures)
-        backoff_until: Dict[JobKey, float] = {}
+        backoff_until: Dict[BatchTask, float] = {}
         while outstanding or backoff_until:
             now = time.monotonic()
-            for key, ready_at in list(backoff_until.items()):
+            for task, ready_at in list(backoff_until.items()):
                 if now >= ready_at:
-                    del backoff_until[key]
-                    clear_claim(claims, key.digest())
-                    future = self._submit(pool, key, claims)
-                    futures[future] = key
+                    del backoff_until[task]
+                    clear_claim(claims, task.digest())
+                    future = pool.submit(execute_batch_traced, task, claims)
+                    futures[future] = task
                     outstanding.add(future)
             if not outstanding:
                 soonest = min(backoff_until.values())
@@ -711,93 +674,91 @@ class Executor:
             )
             done, outstanding = wait(outstanding, timeout=poll)
             for future in done:
-                key = futures.pop(future)
+                task = futures.pop(future)
                 try:
                     result = future.result()
                 except BrokenProcessPool:
                     raise
                 except TRANSIENT_EXCEPTIONS as exc:
-                    attempts[key] += 1
+                    attempts[task] += 1
                     self.stats.transient_retries += 1
                     self._note(
-                        "retry", key=key.digest(), attempt=attempts[key],
+                        "retry", key=task.digest(), attempt=attempts[task],
                         error=str(exc),
                     )
-                    if attempts[key] > self.retries:
+                    if attempts[task] > self.retries:
                         raise ExecutionError(
-                            f"{key.display} kept failing transiently "
-                            f"(gave up after {attempts[key]} attempts): {exc}"
+                            f"{task.display} kept failing transiently "
+                            f"(gave up after {attempts[task]} attempts): {exc}"
                         ) from exc
-                    backoff_until[key] = (
-                        time.monotonic() + self._backoff.delay(attempts[key])
+                    backoff_until[task] = (
+                        time.monotonic() + self._backoff.delay(attempts[task])
                     )
                     continue
-                self._absorb(key, result, results)
-                del remaining[key]
+                self._absorb(task, result, results)
+                del remaining[task]
             if self.timeout is not None:
                 self._watchdog(futures, attempts, claims)
 
     def _watchdog(
-        self, futures: Dict, attempts: Dict[JobKey, int], claims: str
+        self, futures: Dict, attempts: Dict[BatchTask, int], claims: str
     ) -> None:
-        """Kill workers whose current item overran the wall-clock budget.
+        """Kill workers whose current task overran the wall-clock budget.
 
-        ``timeout`` is a per-*job* budget; a packed batch gets one
-        budget per member, since it legitimately does that many jobs'
-        work under a single claim marker.
+        ``timeout`` is a per-*job* budget; a task gets one budget per
+        member, since it legitimately does that many jobs' work under a
+        single claim marker.
         """
         now = time.time()
-        for future, key in list(futures.items()):
-            if future.done() or key in self._forced_timeouts:
+        for future, task in list(futures.items()):
+            if future.done() or task in self._forced_timeouts:
                 continue
-            digest = key.digest()
+            digest = task.digest()
             claim = read_claim(claims, digest)
             if claim is None or claim_done(claims, digest):
                 continue  # queued, finished, or marker unreadable
             pid, started_at = claim
-            budget = self.timeout
-            if isinstance(key, BatchTask):
-                budget = self.timeout * len(key.jobs)
+            budget = self.timeout * len(task.jobs)
             if now - started_at <= budget:
                 continue
-            self._forced_timeouts.add(key)
+            self._forced_timeouts.add(task)
             self.stats.timeouts += 1
-            attempts[key] += 1
+            attempts[task] += 1
             self._note(
-                "timeout", key=key.digest(), attempt=attempts[key],
+                "timeout", key=digest, attempt=attempts[task],
                 timeout=budget,
             )
             _kill(pid)  # breaks the pool; the break handler reschedules
-            if attempts[key] > self.retries:
+            if attempts[task] > self.retries:
                 raise ExecutionError(
-                    f"{key.display} exceeded the {budget:g}s job "
-                    f"timeout (gave up after {attempts[key]} attempts)"
+                    f"{task.display} exceeded the {budget:g}s job "
+                    f"timeout (gave up after {attempts[task]} attempts)"
                 )
 
     def _suspects(
-        self, claims: str, remaining: Dict[JobKey, None]
-    ) -> List[JobKey]:
-        """Jobs to charge for a pool break.
+        self, claims: str, remaining: Dict[BatchTask, None]
+    ) -> List[BatchTask]:
+        """Tasks to charge for a pool break.
 
-        In-flight jobs whose claiming worker pid is dead are the
+        In-flight tasks whose claiming worker pid is dead are the
         culprits. When the break was forced by the watchdog, the killed
-        job was already charged, so nobody else is. Only if attribution
+        task was already charged, so nobody else is. Only if attribution
         fails entirely does this fall back to the whole in-flight set
-        (and last, the whole batch) so a repeatedly-poisonous job can
-        still exhaust its retry budget instead of looping forever.
+        (and last, every remaining task) so a repeatedly-poisonous job
+        can still exhaust its retry budget instead of looping forever.
         """
-        in_flight: List[JobKey] = []
-        dead: List[JobKey] = []
-        for key in remaining:
-            if key in self._forced_timeouts:
+        in_flight: List[BatchTask] = []
+        dead: List[BatchTask] = []
+        for task in remaining:
+            if task in self._forced_timeouts:
                 continue
-            digest = key.digest()
+            digest = task.digest()
             claim = read_claim(claims, digest)
             if claim is None or claim_done(claims, digest):
                 continue
-            in_flight.append(key)
+            in_flight.append(task)
             if not _pid_alive(claim[0]):
-                dead.append(key)
+                dead.append(task)
         if dead:
             return dead
         if self._forced_timeouts:
@@ -807,24 +768,24 @@ class Executor:
         return list(remaining)
 
     def _penalize(
-        self, suspects: Sequence[JobKey], attempts: Dict[JobKey, int]
+        self, suspects: Sequence[BatchTask], attempts: Dict[BatchTask, int]
     ) -> None:
-        for key in suspects:
-            attempts[key] += 1
-            if attempts[key] > self.retries:
+        for task in suspects:
+            attempts[task] += 1
+            if attempts[task] > self.retries:
                 raise ExecutionError(
-                    f"worker process died repeatedly on {key.display} "
-                    f"(gave up after {attempts[key]} attempts)"
+                    f"worker process died repeatedly on {task.display} "
+                    f"(gave up after {attempts[task]} attempts)"
                 )
         self.stats.retried += len(suspects)
 
     def _degrade_to_serial(
         self,
-        remaining: Dict[JobKey, None],
+        remaining: Dict[BatchTask, None],
         results: Dict[JobKey, RunResult],
-        attempts: Dict[JobKey, int],
+        attempts: Dict[BatchTask, int],
     ) -> None:
-        """Last resort: finish the batch inline in the main process."""
+        """Last resort: finish the remaining tasks inline in the main process."""
         self.stats.degraded_to_serial = True
         warnings.warn(
             f"process pool broke {self.stats.pool_breaks} times in a row; "
@@ -833,14 +794,8 @@ class Executor:
             stacklevel=3,
         )
         self._note("degraded_to_serial", remaining=len(remaining))
-        for item in list(remaining):
-            if isinstance(item, BatchTask):
-                self._absorb(
-                    item, self._execute_batch_inline(item, attempts[item]),
-                    results,
-                )
-            else:
-                self._record(
-                    item, self._execute_serial(item, attempts[item]), results
-                )
-            del remaining[item]
+        for task in list(remaining):
+            self._absorb(
+                task, self._execute_inline(task, attempts[task]), results
+            )
+            del remaining[task]

@@ -22,10 +22,8 @@ from typing import Any, Dict, Optional, Tuple
 from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.core.accord import DCP_MODES, DESIGN_KINDS, AccordDesign
 from repro.errors import ConfigError
-from repro.exec.faults import SITE_ENGINE_RESULT, SITE_JOB, fault_point
-from repro.exec.resilience import complete_claim, write_claim
 from repro.params.system import scaled_system
-from repro.sim.runner import DEFAULT_WARMUP, TraceFactory, run_design
+from repro.sim.runner import DEFAULT_WARMUP, TraceFactory
 from repro.sim.system import RunResult
 
 #: Bump whenever simulation semantics or the stored RunResult layout
@@ -177,38 +175,15 @@ def clear_engine_plans() -> None:
 
 
 def execute_job(key: JobKey) -> RunResult:
-    """Run the simulation a key names (worker entry point; picklable)."""
-    fault_point(SITE_JOB, token=key.digest())
-    config = scaled_system(ways=key.design.ways, scale=key.scale)
-    result = run_design(
-        key.design,
-        key.workload,
-        config=config,
-        traces=_trace_factory(key),
-        num_accesses=key.num_accesses,
-        warmup=key.warmup,
-        seed=key.seed,
-        epoch=key.epoch,
-        engine=key.engine,
-    )
-    fault_point(SITE_ENGINE_RESULT, token=key.digest(), obj=result)
-    return result
+    """Run the simulation a key names, as a one-member batch.
 
-
-def execute_job_traced(key: JobKey, claims_dir: str) -> RunResult:
-    """Worker entry recording start/done claim markers around the job.
-
-    The markers (``<digest>.started`` holding ``pid started_at``, and
-    ``<digest>.done``) let the parallel executor's watchdog attribute a
-    pool break or a wall-clock timeout to the specific jobs that were
-    in flight on the dead worker, instead of penalizing the whole
-    remaining batch.
+    The public one-job entry point (shadow verification's reference
+    re-runs use it): the same :func:`~repro.exec.batching.execute_batch`
+    path, fault points and result assembly as every executor job.
     """
-    digest = key.digest()
-    write_claim(claims_dir, digest)
-    result = execute_job(key)
-    complete_claim(claims_dir, digest)
-    return result
+    from repro.exec.batching import BatchTask, execute_batch
+
+    return execute_batch(BatchTask(jobs=(key,)))[0]
 
 
 # Field coercions for ``key=value`` parts of a design spec string.

@@ -287,8 +287,8 @@ def run_sweep_bench(
 
     Runs the :func:`sweep_designs` grid through an in-process
     :class:`~repro.exec.executor.Executor` twice — ``batch=False``
-    (one job at a time) and ``batch=True`` (packed batches + the fused
-    multi-config kernel) — and reports jobs per wall-clock second for
+    (one-job tasks, one drive per job) and ``batch=True`` (same-trace
+    tasks + the fused multi-config kernel) — and reports jobs per wall-clock second for
     both, their ratio, and whether every job's result was bit-identical
     across the two paths (it must be; a divergence raises). Store and
     journal are disabled so the timed region is pure execution. Both

@@ -169,45 +169,37 @@ def resolve_engine(
             f"unknown engine {requested!r}; expected one of {ENGINE_NAMES}"
         )
     if requested == "auto":
-        for name in _CHAIN:
-            if is_tripped(name):
-                continue
-            engine = ENGINES[name]
-            if engine.supports(cache):
-                return engine
-        return ENGINES["loop"]
-    if is_tripped(requested):
-        if strict:
+        return ENGINES[_first_trusted(cache, _CHAIN) or "loop"]
+    tripped = is_tripped(requested)
+    engine = ENGINES[requested]
+    if not tripped and engine.supports(cache):
+        return engine
+    if strict:
+        if tripped:
             raise SimulationError(
                 f"engine {requested!r} is circuit-broken after a "
                 f"verification mismatch (--engine-strict); use --engine "
                 f"auto to fall back"
             )
-        for name in _CHAIN[_CHAIN.index(requested) + 1:]:
-            if is_tripped(name):
-                continue
-            fallback = ENGINES[name]
-            if fallback.supports(cache):
-                _warn_breaker_fallback(design, cache, requested, name)
-                return fallback
-        return ENGINES["loop"]
-    engine = ENGINES[requested]
-    if engine.supports(cache):
-        return engine
-    if strict:
         label = design.label or design.kind if design is not None else type(cache).__name__
         raise SimulationError(
             f"engine {requested!r} cannot drive design {label!r} exactly "
             f"(--engine-strict); use --engine auto to fall back"
         )
-    for name in _CHAIN[_CHAIN.index(requested) + 1:]:
-        if is_tripped(name):
-            continue
-        fallback = ENGINES[name]
-        if fallback.supports(cache):
-            warn_engine_fallback(design, cache, requested, name)
-            return fallback
-    return ENGINES["loop"]
+    fallback = _first_trusted(cache, _CHAIN[_CHAIN.index(requested) + 1:])
+    if fallback is None:
+        return ENGINES["loop"]
+    warn = _warn_breaker_fallback if tripped else warn_engine_fallback
+    warn(design, cache, requested, fallback)
+    return ENGINES[fallback]
+
+
+def _first_trusted(cache, names) -> Optional[str]:
+    """The first of ``names`` not circuit-broken that supports ``cache``."""
+    for name in names:
+        if not is_tripped(name) and ENGINES[name].supports(cache):
+            return name
+    return None
 
 
 __all__ = [

@@ -14,10 +14,11 @@ The drive contract
 ``drive(cache, stream, warm, segments, epoch, ...)`` owns the *whole*
 run: it warms the cache over ``[0, warm)``, resets ``cache.stats`` at
 the warm boundary, drives the measured region described by
-``segments``, and returns the phase series (or None). ``stream`` is any
-object with ``writes`` / ``set_indices`` / ``tags`` / ``addrs``
-parallel sequences; :class:`TraceStream` adapts a whole
-:class:`~repro.sim.trace.Trace`.
+``segments``, and returns the phase series (or None). ``stream`` is a
+:class:`TraceStream`: the whole :class:`~repro.sim.trace.Trace`
+(``stream.trace``, whose numpy columns the array kernels read) plus
+the per-drive ``writes`` / ``set_indices`` / ``tags`` / ``addrs``
+Python lists the per-access engines walk.
 
 ``segments`` is the measurement plan: ``(epoch_id, start, stop)``
 triples covering the post-warm records in order (epoch_id None when the
@@ -56,7 +57,7 @@ class Engine(Protocol):
     def drive(
         self,
         cache,
-        stream,
+        stream: TraceStream,
         warm: int,
         segments: Sequence[Segment],
         epoch: Optional[int],
@@ -76,8 +77,9 @@ class TraceStream:
     ``writes``/``addrs`` lists so array engines driving an array-backed
     trace (mmap'd cache entry or shared-memory segment) never force the
     per-element list materialization. The lists are
-    :meth:`Trace.scalar_columns`, held by the stream and not the
-    trace, so a memoized trace does not keep them after the drive.
+    :meth:`Trace.scalar_columns` and :meth:`Trace.split_columns`, held
+    by the stream and not the trace, so a memoized trace does not keep
+    them after the drive.
     """
 
     __slots__ = ("trace", "geometry", "_columns", "_scalar")

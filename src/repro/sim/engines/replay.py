@@ -583,13 +583,8 @@ def _replay_ca(cache, stream, warm) -> CacheStats:
     """
     geometry = cache.geometry
     num_sets = geometry.num_sets
-    trace = getattr(stream, "trace", None)
-    if trace is not None:
-        addrs = trace.numpy_addrs()
-        writes_a = trace.numpy_writes()
-    else:
-        addrs = np.asarray(stream.addrs, dtype=np.int64)
-        writes_a = np.asarray(stream.writes, dtype=np.uint8)
+    addrs = stream.trace.numpy_addrs()
+    writes_a = stream.trace.numpy_writes()
     lines_a = addrs >> np.int64(geometry.offset_bits)
     firsts_a = lines_a & np.int64(num_sets - 1)
 
@@ -717,11 +712,7 @@ class SparseReplayEngine:
         sets_a, tags_a, writes_a, _steps, compact_a = _stream_arrays(
             stream, cache.geometry
         )
-        trace = getattr(stream, "trace", None)
-        if trace is not None:
-            addrs = trace.numpy_addrs()
-        else:
-            addrs = np.asarray(stream.addrs, dtype=np.int64)
+        addrs = stream.trace.numpy_addrs()
         codes = _replay_gws(plan, sets_a, compact_a, tags_a, writes_a, addrs)
         out = _decode(plan, len(sets_a), codes)
         # All GWS-family designs way-predict.

@@ -308,13 +308,7 @@ def _sort_steps(
 def _stream_arrays(stream, geometry):
     """(sets, tags, writes, steps, compact) for a stream, cached per trace."""
     global _PLAN_BUILDS
-    trace = getattr(stream, "trace", None)
-    if trace is None:
-        sets = np.asarray(stream.set_indices, dtype=np.int64)
-        tags = np.asarray(stream.tags, dtype=np.int64)
-        writes = np.asarray(stream.writes, dtype=np.uint8)
-        _PLAN_BUILDS += 1
-        return (sets, tags, writes) + _sort_steps(sets, writes)
+    trace = stream.trace
     key = (geometry.offset_bits, geometry.index_bits)
     per_trace = _plans_for(trace)
     entry = per_trace.get(key)

@@ -118,6 +118,36 @@ class RunResult:
             raise SimulationError(f"malformed RunResult record: {exc}") from exc
 
 
+def build_result(
+    design: AccordDesign,
+    config: SystemConfig,
+    trace: Trace,
+    stats: CacheStats,
+    phases: Optional[PhaseSeries],
+) -> RunResult:
+    """Evaluate the timing model on a finished drive's counters.
+
+    The one place a :class:`RunResult` is assembled from a drive:
+    :meth:`Simulator.run` and every member of
+    :func:`repro.exec.batching.run_batch` (fused or sequential) end
+    here, so the per-job and batched paths cannot drift apart.
+    """
+    instructions = stats.demand_reads * trace.instructions_per_access
+    if instructions <= 0:
+        raise SimulationError(
+            f"trace {trace.name!r} produced no post-warmup demand reads"
+        )
+    timing = IntervalTimingModel(config).evaluate(stats, instructions)
+    return RunResult(
+        design=design,
+        workload=trace.name,
+        stats=stats,
+        timing=timing,
+        instructions=instructions,
+        phases=phases,
+    )
+
+
 class Simulator:
     """Runs one design against traces under one system configuration."""
 
@@ -126,7 +156,6 @@ class Simulator:
         self.design = design
         self.seed = seed
         self.cache = build_dram_cache(design, config, seed=seed)
-        self.timing_model = IntervalTimingModel(config)
         self._driven = False
 
     def run(
@@ -178,19 +207,4 @@ class Simulator:
         phases = eng.drive(
             cache, stream, warm, segments, epoch, phase_sink=phase_sink
         )
-
-        stats = cache.stats
-        instructions = stats.demand_reads * trace.instructions_per_access
-        if instructions <= 0:
-            raise SimulationError(
-                f"trace {trace.name!r} produced no post-warmup demand reads"
-            )
-        timing = self.timing_model.evaluate(stats, instructions)
-        return RunResult(
-            design=self.design,
-            workload=trace.name,
-            stats=stats,
-            timing=timing,
-            instructions=instructions,
-            phases=phases,
-        )
+        return build_result(self.design, self.config, trace, cache.stats, phases)

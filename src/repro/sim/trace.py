@@ -10,7 +10,7 @@ numpy columns (~9 bytes per access); Python lists appear only when a
 scalar consumer asks for :meth:`Trace.scalar_columns` (per pass, not
 kept) or :attr:`Trace.addrs`/:attr:`Trace.writes` (cached).
 Traces are treated as immutable once built: derived values (write
-counts, split columns) are computed once and cached on the instance.
+counts, numpy columns) are computed once and cached on the instance.
 
 Two persistence formats are provided:
 
@@ -20,18 +20,20 @@ Two persistence formats are provided:
   (:mod:`repro.workloads.trace_cache`), ~10x smaller and much faster to
   load (:func:`save_trace_npz`/:func:`load_trace_npz`).
 
-:meth:`Trace.split_columns` precomputes the per-access ``(set_index,
+:meth:`Trace.split_columns` computes the per-access ``(set_index,
 tag, line_addr)`` decomposition for one cache geometry — vectorized in
-numpy once, then materialized as plain Python ints so the functional
+numpy, then materialized as plain Python ints so the functional
 simulator's hot loop never touches ``geometry.split`` (or a numpy
-scalar) per access.
+scalar) per access. Like :meth:`Trace.scalar_columns`, the lists
+belong to the caller (the drive's
+:class:`~repro.sim.engines.base.TraceStream`), not the trace.
 """
 
 from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,9 +97,8 @@ class Trace:
     :attr:`total_instructions` and :meth:`footprint_lines` work on the
     supplied form and never build the other.
 
-    Columns must not be mutated after construction: the write count,
-    the numpy column views, and the per-geometry split columns are
-    cached.
+    Columns must not be mutated after construction: the write count
+    and the numpy column views are cached.
 
     ``cache_token`` optionally carries a content identity (the
     :class:`~repro.workloads.trace_cache.TraceKey` digest) so plan
@@ -106,7 +107,7 @@ class Trace:
 
     __slots__ = (
         "name", "instructions_per_access", "cache_token",
-        "_addrs_list", "_writes_list", "_write_count", "_split_cache",
+        "_addrs_list", "_writes_list", "_write_count",
         "_np_addrs", "_np_writes", "_read_prefix_cache",
         "__weakref__",
     )
@@ -155,7 +156,6 @@ class Trace:
         if instructions_per_access <= 0:
             raise TraceError("instructions_per_access must be positive")
         self._write_count: Optional[int] = None
-        self._split_cache: Dict[Tuple[int, int], SplitColumns] = {}
         self._read_prefix_cache: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:
@@ -268,35 +268,30 @@ class Trace:
         return len(np.unique(self.numpy_addrs() // line_size))
 
     def split_columns(self, geometry: "CacheGeometry") -> SplitColumns:
-        """Cached ``(set_index, tag, line_addr)`` columns for a geometry.
+        """``(set_index, tag, line_addr)`` columns for a geometry.
 
         Exactly equivalent to applying ``geometry.split`` /
         ``geometry.line_addr`` per address, but computed in one
-        vectorized pass and memoized per ``(offset_bits, index_bits)``
-        pair — all designs sharing an associativity share the columns.
+        vectorized pass. The trace does not keep the three lists: a
+        memoized trace would otherwise pin them for its lifetime after
+        a single per-access drive.
         """
-        key = (geometry.offset_bits, geometry.index_bits)
-        columns = self._split_cache.get(key)
-        if columns is None:
-            addrs = self.numpy_addrs()
-            lines = addrs >> geometry.offset_bits
-            set_indices = lines & ((1 << geometry.index_bits) - 1)
-            tags = lines >> geometry.index_bits
-            columns = SplitColumns(
-                set_indices.tolist(), tags.tolist(), lines.tolist()
-            )
-            self._split_cache[key] = columns
-        return columns
+        lines = self.numpy_addrs() >> geometry.offset_bits
+        set_indices = lines & ((1 << geometry.index_bits) - 1)
+        tags = lines >> geometry.index_bits
+        return SplitColumns(
+            set_indices.tolist(), tags.tolist(), lines.tolist()
+        )
 
     # -- numpy column views (computed once per trace) ----------------------
 
     def numpy_addrs(self) -> np.ndarray:
         """The address column as int64, converted once and cached.
 
-        Every geometry-dependent derivation (:meth:`split_columns`)
-        starts from this array, so a bench run replaying
-        one trace against many designs pays the O(n) list-to-array
-        conversion a single time.
+        Every geometry-dependent derivation (:meth:`split_columns`, the
+        array engines' plans) starts from this array, so a bench run
+        replaying one trace against many designs pays the O(n)
+        list-to-array conversion a single time.
         """
         addrs = self._np_addrs
         if addrs is None:

@@ -8,6 +8,11 @@ halves: bit-identical results across the batched and per-job paths
 over the full heterogeneous :data:`BENCH_DESIGNS` grid, and the
 resource story (one step-plan build and one shared-memory segment per
 trace, released on shutdown, surviving pool rebuilds).
+
+Every executor job runs as a :class:`BatchTask` (``batch=False`` only
+chunks groups into ones), so the reference for bit-identity is
+:func:`run_design` — a plain :class:`~repro.sim.system.Simulator` run
+outside the executor.
 """
 
 import pytest
@@ -21,7 +26,10 @@ from repro.exec.batching import (
     trace_key_for,
 )
 from repro.exec.faults import FAULT_PLAN_ENV
+from repro.exec.jobs import execute_job, resolve_job_engine
+from repro.params.system import scaled_system
 from repro.sim.bench import BENCH_DESIGNS
+from repro.sim.runner import TraceFactory, run_design
 
 ACCESSES = 3000
 
@@ -54,6 +62,24 @@ def fast_backoff():
     return BackoffPolicy(base=0.01, max_delay=0.05)
 
 
+def reference(key):
+    """``key``'s result from :func:`run_design`, outside the executor."""
+    traces = TraceFactory(
+        scaled_system(ways=1, scale=key.scale), key.num_accesses, key.seed,
+        footprint_scale=key.footprint_scale,
+    )
+    return run_design(
+        key.design, key.workload,
+        config=scaled_system(ways=key.design.ways, scale=key.scale),
+        traces=traces, num_accesses=key.num_accesses, warmup=key.warmup,
+        seed=key.seed, epoch=key.epoch, engine=key.engine,
+    )
+
+
+def reference_dicts(keys):
+    return {key: reference(key).to_dict() for key in keys}
+
+
 class TestBatchPlanner:
     def test_same_trace_same_geometry_packs(self):
         items = plan_batches(sweep_keys(12))
@@ -67,18 +93,28 @@ class TestBatchPlanner:
         sizes = sorted(len(t.jobs) for t in items)
         assert sizes == [4, 8]
 
-    def test_singletons_stay_plain_keys(self):
+    def test_singleton_group_is_one_member_task(self):
         keys = sweep_keys(2) + [
             JobKey(
                 design=SWEEP[0], workload="mcf", num_accesses=ACCESSES,
                 warmup=0.3, seed=7,
             )
         ]
-        items = plan_batches(keys)
-        batches = [t for t in items if isinstance(t, BatchTask)]
-        plain = [t for t in items if not isinstance(t, BatchTask)]
-        assert len(batches) == 1 and len(batches[0].jobs) == 2
-        assert len(plain) == 1 and plain[0].workload == "mcf"
+        pair, single = plan_batches(keys)
+        assert isinstance(single, BatchTask)
+        assert len(pair.jobs) == 2 and pair.digest().startswith("batch-")
+        (job,) = single.jobs
+        assert job.workload == "mcf"
+        assert single.digest() == job.digest()
+        assert single.display == job.display
+
+    def test_batch_size_one_gives_a_task_per_job(self):
+        keys = sweep_keys(3)
+        items = plan_batches(keys, batch_size=1)
+        assert [task.jobs for task in items] == [(key,) for key in keys]
+        assert [task.digest() for task in items] == [
+            key.digest() for key in keys
+        ]
 
     def test_group_splits_on_trace_and_geometry(self):
         base = dict(num_accesses=ACCESSES, warmup=0.3, seed=7)
@@ -99,12 +135,11 @@ class TestBatchPlanner:
 
 
 class TestBatchedEquivalence:
-    """The acceptance property: batch=True changes wall-clock only."""
+    """The acceptance property: batching changes wall-clock only."""
 
     @pytest.fixture(scope="class")
     def per_job(self):
-        results = Executor(jobs=1, batch=False).run(bench_keys())
-        return {k: r.to_dict() for k, r in results.items()}
+        return reference_dicts(bench_keys())
 
     def test_all_bench_designs_bit_identical_serial(self, per_job):
         ex = Executor(jobs=1, batch=True)
@@ -118,15 +153,19 @@ class TestBatchedEquivalence:
         assert {k: r.to_dict() for k, r in resolved.items()} == per_job
         assert ex.stats.batches >= 1
 
+    def test_no_batch_bit_identical(self, per_job):
+        ex = Executor(jobs=1, batch=False)
+        resolved = ex.run(bench_keys())
+        assert {k: r.to_dict() for k, r in resolved.items()} == per_job
+        assert ex.stats.batches == 0  # one-member tasks are not batches
+
     def test_phase_metrics_bit_identical(self):
         keys = sweep_keys(6, epoch=500)
         batched = Executor(jobs=1, batch=True).run(keys)
-        solo = Executor(jobs=1, batch=False).run(keys)
         for key in keys:
-            assert batched[key].to_dict() == solo[key].to_dict()
-            assert (
-                batched[key].phases.to_dict() == solo[key].phases.to_dict()
-            )
+            solo = reference(key)
+            assert batched[key].to_dict() == solo.to_dict()
+            assert batched[key].phases.to_dict() == solo.phases.to_dict()
 
     def test_store_entries_byte_identical(self, tmp_path, per_job):
         from repro.exec import ResultStore
@@ -135,11 +174,30 @@ class TestBatchedEquivalence:
         solo_store = ResultStore(tmp_path / "solo")
         keys = bench_keys()
         Executor(jobs=1, batch=True, store=batched_store).run(keys)
-        Executor(jobs=1, batch=False, store=solo_store).run(keys)
+        for key in keys:
+            solo_store.put(key, reference(key))
         for key in keys:
             a = batched_store.path_for(key)
             b = solo_store.path_for(key)
             assert a.read_bytes() == b.read_bytes()
+
+
+class TestExecuteJob:
+    """``execute_job`` is a one-member batch; it must still equal a plain
+    :func:`run_design` of the key on every kind of engine."""
+
+    @pytest.mark.parametrize("spec, engine, resolved", [
+        (AccordDesign(kind="pws", ways=2), "auto", "vector"),
+        (AccordDesign(kind="accord", ways=2), "auto", "replay"),
+        (AccordDesign(kind="accord", ways=2), "loop", "loop"),
+    ])
+    def test_matches_run_design(self, spec, engine, resolved):
+        key = JobKey(
+            design=spec, workload="soplex", num_accesses=ACCESSES,
+            warmup=0.3, seed=7, engine=engine,
+        )
+        assert resolve_job_engine(key) == resolved
+        assert execute_job(key).to_dict() == reference(key).to_dict()
 
 
 class TestPlanMemoReuse:
@@ -273,7 +331,6 @@ class TestResumeMidBatch:
         resolved = ex.run(keys)
         assert ex.stats.resumed == 5
         assert ex.stats.executed == len(keys) - 5
-        solo = Executor(jobs=1, batch=False).run(keys)
-        assert {k: r.to_dict() for k, r in resolved.items()} == {
-            k: r.to_dict() for k, r in solo.items()
-        }
+        assert {
+            k: r.to_dict() for k, r in resolved.items()
+        } == reference_dicts(keys)

@@ -230,8 +230,9 @@ class TestTraceStorage:
 
     @pytest.mark.parametrize("engine", ["loop", "stream"])
     def test_scalar_drive_leaves_columns_as_arrays(self, engine):
-        """A per-access engine takes per-drive lists; the trace (which
-        a trace factory may memoize) keeps only its numpy columns."""
+        """A per-access engine takes per-drive lists, split columns
+        included; the trace (which a trace factory may memoize) keeps
+        only its numpy columns."""
         from repro.core.accord import AccordDesign
         from repro.sim.system import Simulator
 
@@ -241,6 +242,9 @@ class TestTraceStorage:
             trace, warmup_fraction=0.3, engine=engine, engine_strict=True
         )
         _assert_array_backed(trace)
+        assert not getattr(trace, "_split_cache", None)
+        held = [getattr(trace, slot, None) for slot in type(trace).__slots__]
+        assert not [value for value in held if isinstance(value, list)]
 
     def test_mix_tail_chunk_is_interleaved_last(self):
         """Per-member lengths that are not a multiple of the 64-record
