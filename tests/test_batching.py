@@ -190,7 +190,7 @@ class TestExecuteJob:
         (AccordDesign(kind="pws", ways=2), "auto", "vector"),
         (AccordDesign(kind="accord", ways=2), "auto", "replay"),
         (AccordDesign(kind="accord", ways=2), "loop", "loop"),
-    ])
+    ], ids=["pws:2-vector", "accord:2-replay", "accord:2-loop"])
     def test_matches_run_design(self, spec, engine, resolved):
         key = JobKey(
             design=spec, workload="soplex", num_accesses=ACCESSES,
