@@ -284,10 +284,21 @@ def run_batch(keys: Sequence[JobKey], trace: Trace) -> List[RunResult]:
     multi-config pass (:func:`repro.sim.engines.multi.drive_fused`);
     everything else (replay/stream/loop designs, singleton signatures)
     runs sequentially over the same trace object, still sharing the
-    step plan.
+    step plan. Every drive over one geometry (for a
+    :func:`batch_group` task, every drive) reads one
+    :class:`TraceStream`, so split columns are computed once per call.
     """
     n = len(trace)
     results: List[Optional[RunResult]] = [None] * len(keys)
+    streams: Dict[Tuple[int, int, int], TraceStream] = {}
+
+    def stream_for(geometry) -> TraceStream:
+        shape = (geometry.capacity_bytes, geometry.ways, geometry.line_size)
+        stream = streams.get(shape)
+        if stream is None:
+            stream = streams[shape] = TraceStream(trace, geometry)
+        return stream
+
     fusable: Dict[Tuple, List[Tuple]] = {}
     sequential: List[Tuple] = []
     for index, key in enumerate(keys):
@@ -316,8 +327,7 @@ def run_batch(keys: Sequence[JobKey], trace: Trace) -> List[RunResult]:
             for member, plan in group
         ]
         geometry = group[0][0][3].geometry
-        stream = TraceStream(trace, geometry)
-        fused = drive_fused(runs, stream, geometry)
+        fused = drive_fused(runs, stream_for(geometry), geometry)
         for (member, _plan), (stats, phases) in zip(group, fused):
             index, key, config = member[:3]
             results[index] = build_result(
@@ -325,8 +335,9 @@ def run_batch(keys: Sequence[JobKey], trace: Trace) -> List[RunResult]:
             )
     for member in sequential:
         index, key, config, cache, engine, warm, segments = member
-        stream = TraceStream(trace, cache.geometry)
-        phases = engine.drive(cache, stream, warm, segments, key.epoch)
+        phases = engine.drive(
+            cache, stream_for(cache.geometry), warm, segments, key.epoch
+        )
         results[index] = build_result(
             key.design, config, trace, cache.stats, phases
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cache.replacement import REPLACEMENT_NAMES
@@ -38,6 +38,12 @@ from repro.sim.system import RunResult
 #: :meth:`ResultStore.get` verifies on read — older records lack it,
 #: so they re-run rather than dodge the integrity check.
 RESULT_SCHEMA_VERSION = 4
+
+#: The :class:`AccordDesign` fields that name a result, in declaration
+#: order (all scalars); ``label`` is cosmetic and left out.
+_DESIGN_FIELDS = tuple(
+    field.name for field in fields(AccordDesign) if field.name != "label"
+)
 
 
 @dataclass(frozen=True)
@@ -79,20 +85,29 @@ class JobKey:
             object.__setattr__(self, "footprint_scale", self.scale)
 
     def canonical(self) -> Dict[str, Any]:
-        """JSON-safe dict of everything that determines the result."""
-        design = asdict(self.design)
-        design.pop("label")
-        return {
-            "schema": RESULT_SCHEMA_VERSION,
-            "design": design,
-            "workload": self.workload,
-            "num_accesses": self.num_accesses,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "scale": self.scale,
-            "footprint_scale": self.footprint_scale,
-            "epoch": self.epoch,
-        }
+        """JSON-safe dict of everything that determines the result.
+
+        Built once per key and cached, as :meth:`digest` is; each call
+        returns a fresh copy, so a caller may mutate it freely.
+        """
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            design = self.design
+            cached = {
+                "schema": RESULT_SCHEMA_VERSION,
+                "design": {
+                    name: getattr(design, name) for name in _DESIGN_FIELDS
+                },
+                "workload": self.workload,
+                "num_accesses": self.num_accesses,
+                "warmup": self.warmup,
+                "seed": self.seed,
+                "scale": self.scale,
+                "footprint_scale": self.footprint_scale,
+                "epoch": self.epoch,
+            }
+            object.__setattr__(self, "_canonical", cached)
+        return {**cached, "design": dict(cached["design"])}
 
     def digest(self) -> str:
         """Content address: SHA-256 over the canonical form (memoized)."""

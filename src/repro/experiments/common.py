@@ -23,7 +23,6 @@ from repro.errors import WorkloadError
 from repro.exec import Executor, JobKey, ResultStore
 from repro.params.system import SystemConfig, scaled_system
 from repro.sim.runner import (
-    TraceFactory,
     geometric_mean,
     mean_hit_rate,
     mean_prediction_accuracy,
@@ -149,7 +148,8 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", type=str, default="auto",
                         choices=ENGINE_NAMES,
                         help="drive engine: auto picks the fastest exact "
-                             "engine per design (vector kernel, batched "
+                             "engine per design (vector kernel, sparse "
+                             "replay kernel for the GWS family, batched "
                              "stream loop, or per-access reference loop); "
                              "results are identical under every engine")
     parser.add_argument("--engine-strict", action="store_true",
@@ -246,11 +246,10 @@ class SuiteRunner:
 
     def __init__(self, settings: Settings):
         self.settings = settings
-        # Traces depend on capacity only; build them against a 1-way view.
-        self._trace_config = scaled_system(ways=1, scale=settings.scale)
-        self.traces = TraceFactory(
-            self._trace_config, settings.num_accesses, settings.seed
-        )
+        # Workload footprints scale with the cache; subclasses may pin
+        # them elsewhere (Table VIII). Jobs get their traces from
+        # repro.exec.jobs, which generates each one once per process.
+        self.footprint_scale = settings.scale
         self.executor = settings.make_executor()
         self._results: Dict[str, Dict[str, RunResult]] = {}
 
@@ -265,8 +264,7 @@ class SuiteRunner:
             warmup=self.settings.warmup,
             seed=self.settings.seed,
             scale=self.settings.scale,
-            # Subclasses may pin footprints elsewhere (Table VIII).
-            footprint_scale=self.traces.footprint_scale,
+            footprint_scale=self.footprint_scale,
             epoch=self.settings.epoch,
             engine=self.settings.engine,
         )

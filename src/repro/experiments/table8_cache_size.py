@@ -14,8 +14,6 @@ from typing import Optional, Sequence
 
 from repro.core.accord import AccordDesign
 from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
-from repro.params.system import scaled_system
-from repro.sim.runner import TraceFactory
 from repro.utils.tables import format_table
 
 SIZES_GB = (1.0, 2.0, 4.0, 8.0)
@@ -28,13 +26,7 @@ class _SizedRunner(SuiteRunner):
 
     def __init__(self, settings: Settings, footprint_scale: float):
         super().__init__(settings)
-        config = scaled_system(ways=1, scale=settings.scale)
-        self.traces = TraceFactory(
-            config,
-            settings.num_accesses,
-            settings.seed,
-            footprint_scale=footprint_scale,
-        )
+        self.footprint_scale = footprint_scale
 
 
 def run(settings: Optional[Settings] = None) -> str:

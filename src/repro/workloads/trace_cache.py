@@ -26,15 +26,18 @@ The root defaults to ``$REPRO_TRACE_DIR``, else
 ``$REPRO_RESULTS_DIR/traces``, else ``~/.cache/repro/traces``. Setting
 ``REPRO_TRACE_CACHE=0`` disables the cache entirely.
 
-The cache holds two kinds of entry, told apart by their key:
+The cache holds three kinds of entry, told apart by their key:
 
 * :class:`TraceKey` — a generated workload trace (the DRAM-cache
   request stream every simulation job replays);
 * :class:`repro.sim.frontend.FrontendKey` — the output of one CPU
   front-end run: the L3-filtered stream, whose sidecar also carries the
-  SRAM levels' hit counters as ``meta``, and the raw stream's reads.
+  SRAM levels' hit counters as ``meta``, and the raw stream's reads;
+* :class:`repro.experiments.fig6_cyclic.CyclicKey` — Figure 6 at one
+  N: the (a,b)^N kernel trace, whose sidecar ``meta`` carries the
+  per-PIP simulated hit rates and a sha256 over them.
 
-Both satisfy :class:`CacheKey` (``canonical()``/``digest()``), which is
+All satisfy :class:`CacheKey` (``canonical()``/``digest()``), which is
 all the cache asks of a key. ``TRACE_SCHEMA_VERSION`` doubles as the
 workload generator version: bump it whenever
 :mod:`repro.workloads.synthetic` or the mix interleaving in

@@ -220,6 +220,32 @@ class TestPlanMemoReuse:
         assert after_passes == passes + 1
         assert after_configs == configs + 12
 
+    def test_one_split_per_task(self, monkeypatch):
+        from repro.exec.batching import execute_batch
+        from repro.exec.jobs import parse_design_spec
+        from repro.sim.trace import Trace
+
+        keys = tuple(
+            JobKey(
+                design=parse_design_spec(f"gws:2:replacement={policy}"),
+                workload="soplex", num_accesses=ACCESSES, warmup=0.3, seed=7,
+            )
+            for policy in ("lru", "nru", "rrip")
+        )
+        assert {resolve_job_engine(key) for key in keys} == {"stream"}
+        splits = []
+        split_columns = Trace.split_columns
+
+        def counting(trace, geometry):
+            splits.append(geometry)
+            return split_columns(trace, geometry)
+
+        monkeypatch.setattr(Trace, "split_columns", counting)
+        results = execute_batch(BatchTask(jobs=keys))
+        assert len(splits) == 1
+        for key, result in zip(keys, results):
+            assert result.to_dict() == reference(key).to_dict()
+
 
 class TestSharedMemorySegments:
     def _segment_gone(self, name):

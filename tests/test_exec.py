@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.accord import AccordDesign
+from repro.core.accord import DESIGN_KINDS, AccordDesign
 from repro.errors import ConfigError, ReproError
 from repro.exec import (
     Executor,
@@ -13,6 +13,7 @@ from repro.exec import (
     execute_job,
     parse_design_spec,
 )
+from repro.exec.jobs import RESULT_SCHEMA_VERSION
 from repro.sim.system import RunResult
 
 ACCESSES = 3000  # enough post-warmup demand reads, small enough to be fast
@@ -58,6 +59,70 @@ class TestJobKey:
             key_for(warmup=1.0)
         with pytest.raises(ConfigError):
             key_for(scale=0.0)
+
+
+def asdict_canonical(key):
+    """``JobKey.canonical()`` as written with ``dataclasses.asdict``."""
+    from dataclasses import asdict
+
+    design = asdict(key.design)
+    design.pop("label")
+    return {
+        "schema": RESULT_SCHEMA_VERSION, "design": design,
+        "workload": key.workload, "num_accesses": key.num_accesses,
+        "warmup": key.warmup, "seed": key.seed, "scale": key.scale,
+        "footprint_scale": key.footprint_scale, "epoch": key.epoch,
+    }
+
+
+class TestJobKeyCanonical:
+    @pytest.mark.parametrize("kind", DESIGN_KINDS)
+    def test_matches_asdict_for_every_kind(self, kind):
+        key = key_for(design=AccordDesign(kind=kind, ways=2))
+        assert key.canonical() == asdict_canonical(key)
+        assert list(key.canonical()["design"]) == \
+            list(asdict_canonical(key)["design"])
+
+    def test_matches_asdict_for_non_default_knobs(self):
+        design = AccordDesign(
+            kind="sws", ways=8, pip=0.7, hashes=4, rit_entries=16,
+            rlt_entries=32, region_size=8192, replacement="lru",
+            partial_tag_bits=6, dcp="finite", label="custom",
+        )
+        key = key_for(design=design, workload="mix1", seed=3, epoch=500,
+                      scale=1.0 / 256.0, footprint_scale=1.0 / 64.0)
+        assert key.canonical() == asdict_canonical(key)
+
+    @pytest.mark.parametrize("spec, knobs, digest", [
+        ("accord:2", dict(workload="libq", num_accesses=3000, warmup=0.3,
+                          seed=7),
+         "1891a1a02ae3b2fd0e6ec75d2b3676d923d251d8887e0aa9407e62bd686285c4"),
+        ("sws:8:4:replacement=lru:dcp=finite",
+         dict(workload="soplex", num_accesses=40_000),
+         "bf3469d101362841e4b1599578ec414f0c437820e96bbb8a94a146690f099d5d"),
+        ("pws:2:pip=0.9:label=x",
+         dict(workload="mcf", num_accesses=200_000, epoch=500,
+              scale=1.0 / 256.0, footprint_scale=1.0 / 128.0),
+         "372a7c272aff5708d80a5611f7967a43fd1a701fc21739aeaba3a9e8c527777c"),
+        ("direct", dict(workload="mix1", num_accesses=1000, seed=3),
+         "e3e1dec4e9a1242739b8adebf857319460199336a55728cb7a70d3e09798c5df"),
+    ], ids=["accord2", "sws-lru-finite", "pws-epoch", "direct-mix"])
+    def test_digest_is_pinned(self, spec, knobs, digest):
+        # Pinned before canonical() was cached: store addresses persist.
+        key = JobKey(design=parse_design_spec(spec), **knobs)
+        assert key.digest() == digest
+
+    def test_caller_may_mutate_the_returned_dict(self):
+        key = key_for()
+        expected = asdict_canonical(key)
+        digest = key.digest()
+        first = key.canonical()
+        first["seed"] = 99
+        first["design"]["ways"] = 16
+        first.pop("workload")
+        assert key.canonical() == expected
+        assert key.canonical() is not key.canonical()
+        assert key.digest() == digest
 
 
 class TestRunResultRoundTrip:

@@ -75,6 +75,126 @@ class TestAnalyticExperiments:
         ]
 
 
+FIG6_TRIALS = 4
+
+
+@pytest.fixture
+def fig6_trace_dir(tmp_path, monkeypatch):
+    root = tmp_path / "traces"
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(root))
+    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+    return root
+
+
+def fig6_entries(root):
+    return sorted(root.glob("[0-9a-f][0-9a-f]/*.npz"))
+
+
+def fig6_in_subprocess():
+    """Figure 6's report from a fresh interpreter (same environment)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    code = (
+        "from repro.experiments import fig6_cyclic; "
+        f"print(fig6_cyclic.run(trials={FIG6_TRIALS}), end='')"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True, timeout=300,
+    )
+    return done.stdout
+
+
+class TestFig6Memo:
+    """Figure 6's simulated rates live in the trace cache, one entry per N."""
+
+    def test_warm_run_in_another_process_simulates_nothing(
+        self, fig6_trace_dir, monkeypatch
+    ):
+        from repro.experiments import fig6_cyclic
+        from repro.sim.engines import multi
+
+        cold = fig6_in_subprocess()
+        assert len(fig6_entries(fig6_trace_dir)) == len(fig6_cyclic.ITERATIONS)
+        designs = []
+        make_design = fig6_cyclic.make_design
+        monkeypatch.setattr(
+            fig6_cyclic, "make_design",
+            lambda *args, **kwargs: designs.append(args) or make_design(
+                *args, **kwargs),
+        )
+        passes = multi.fused_pass_count()
+        assert fig6_cyclic.run(trials=FIG6_TRIALS) == cold
+        assert multi.fused_pass_count() == passes
+        assert designs == []
+
+    def test_memoized_rates_equal_simulated(self, fig6_trace_dir):
+        from repro.experiments import fig6_cyclic
+
+        expected = fig6_cyclic.simulated_hit_rates(fig6_cyclic.PIPS, 16, 3)
+        for _ in range(2):  # cold, then read back
+            assert fig6_cyclic.cached_hit_rates(
+                fig6_cyclic.PIPS, 16, 3) == expected
+        assert len(fig6_entries(fig6_trace_dir)) == 1
+
+    def test_cache_off_writes_nothing(self, fig6_trace_dir, monkeypatch):
+        from repro.experiments import fig6_cyclic
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+        expected = fig6_cyclic.simulated_hit_rates(fig6_cyclic.PIPS, 4, 3)
+        assert fig6_cyclic.cached_hit_rates(fig6_cyclic.PIPS, 4, 3) == expected
+        assert not fig6_trace_dir.exists()
+
+    def test_key_digest_covers_every_input(self):
+        from dataclasses import replace
+
+        from repro.experiments.fig6_cyclic import CyclicKey
+
+        base = CyclicKey(1 << 20, 2, (0.5, 0.7), 8, 32)
+        variants = [
+            replace(base, capacity_bytes=1 << 21), replace(base, ways=4),
+            replace(base, pips=(0.5, 0.8)), replace(base, pips=(0.5,)),
+            replace(base, iterations=16), replace(base, trials=31),
+        ]
+        digests = {key.digest() for key in variants}
+        assert base.digest() not in digests
+        assert len(digests) == len(variants)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda meta: meta["hit_rates"].__setitem__(2, 0.5),
+        lambda meta: meta.__setitem__("sha256", "0" * 64),
+        lambda meta: meta["hit_rates"].pop(),
+        lambda meta: meta.pop("sha256"),
+    ], ids=["edited-rate", "edited-digest", "short", "no-digest"])
+    def test_tampered_rates_are_quarantined_and_recomputed(
+        self, fig6_trace_dir, tamper
+    ):
+        import json
+
+        from repro.experiments import fig6_cyclic
+
+        expected = fig6_cyclic.run(trials=FIG6_TRIALS)
+        sidecar = sorted(fig6_trace_dir.glob("*/*.key.json"))[0]
+        record = json.loads(sidecar.read_text())
+        tamper(record["meta"])
+        sidecar.write_text(json.dumps(record))
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert fig6_cyclic.run(trials=FIG6_TRIALS) == expected
+        quarantined = fig6_trace_dir / "quarantine"
+        assert len(list(quarantined.glob("*.npz"))) == 1
+        # The recompute was stored again; the next run reads it cleanly.
+        assert len(fig6_entries(fig6_trace_dir)) == len(fig6_cyclic.ITERATIONS)
+        assert fig6_cyclic.run(trials=FIG6_TRIALS) == expected
+
+
 class TestPaperGeometryFootprint:
     """Table IX's 4 GB-geometry cache never allocates its tag store."""
 
@@ -276,11 +396,27 @@ class TestSuiteRunnerMachinery:
         second = runner.run("direct", baseline_design())
         assert first is second
 
-    def test_traces_shared_across_designs(self):
+    def test_traces_shared_across_designs(self, tmp_path, monkeypatch):
+        from repro.core.accord import AccordDesign
+        from repro.exec import jobs
+        from repro.workloads.synthetic import SyntheticWorkload
+
+        # No on-disk or in-process trace memo left over from other tests.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+        monkeypatch.setattr(jobs, "_FACTORY_CACHE", {})
+        generated = []
+        generate = SyntheticWorkload.generate
+
+        def counting(self, num_accesses, name=None):
+            generated.append(self.spec.name)
+            return generate(self, num_accesses, name)
+
+        monkeypatch.setattr(SyntheticWorkload, "generate", counting)
         settings = quick_settings()
-        settings.suite = ["sphinx"]
+        settings.suite = ["sphinx", "mcf"]
         settings.num_accesses = 10_000
+        settings.results_dir = str(tmp_path)
         runner = SuiteRunner(settings)
-        trace_before = runner.traces.trace_for("sphinx")
         runner.run("direct", baseline_design())
-        assert runner.traces.trace_for("sphinx") is trace_before
+        runner.run("accord", AccordDesign(kind="accord", ways=2))
+        assert sorted(generated) == ["mcf", "sphinx"]
