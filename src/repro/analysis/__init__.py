@@ -3,6 +3,7 @@
 from repro.analysis.analytic import (
     LookupCost,
     cyclic_pws_hit_rate,
+    cyclic_pws_hit_rates,
     lookup_cost_table,
 )
 from repro.analysis.storage import (
@@ -17,6 +18,7 @@ __all__ = [
     "LookupCost",
     "lookup_cost_table",
     "cyclic_pws_hit_rate",
+    "cyclic_pws_hit_rates",
     "predictor_storage_bytes",
     "accord_storage_bytes",
     "storage_table",

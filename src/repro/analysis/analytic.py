@@ -5,13 +5,14 @@
 * :func:`cyclic_pws_hit_rate` — the cyclic-reference model of Section
   IV-B.1 (Figure 6): exact hit-rate of the (a,b)^N kernel on a 2-way
   cache under PWS with a given PIP, computed by dynamic programming
-  over the Markov chain of line placements (no sampling noise).
+  over the Markov chain of line placements (no sampling noise);
+  :func:`cyclic_pws_hit_rates` gives several N from one chain run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import PolicyError
 
@@ -81,14 +82,28 @@ def cyclic_pws_hit_rate(pip: float, iterations: int) -> float:
     analyzes). PIP=1.0 degenerates to a direct-mapped cache (0% hits);
     PIP=0.5 is unbiased random install.
     """
+    return cyclic_pws_hit_rates(pip, (iterations,))[0]
+
+
+def cyclic_pws_hit_rates(pip: float, iterations: Sequence[int]) -> List[float]:
+    """:func:`cyclic_pws_hit_rate` at each N in ``iterations``, in order.
+
+    Runs the Markov chain once, up to the largest N, and reads the
+    running expected-hit total off at each requested N. The chain's
+    operations for a given N are a prefix of those for any larger N,
+    so every rate is bit-identical to a separate run to that N.
+    """
     if not 0.0 <= pip <= 1.0:
         raise PolicyError(f"PIP must be in [0, 1], got {pip}")
-    if iterations < 1:
+    if not iterations or min(iterations) < 1:
         raise PolicyError("iterations must be >= 1")
 
+    wanted = set(iterations)
+    last = max(wanted)
+    totals: Dict[int, float] = {}
     dist: Dict[_State, float] = {(-1, -1): 1.0}
     expected_hits = 0.0
-    for _ in range(iterations):
+    for n in range(1, last + 1):
         for which in (0, 1):
             hit_prob = sum(
                 prob
@@ -97,7 +112,9 @@ def cyclic_pws_hit_rate(pip: float, iterations: int) -> float:
             )
             expected_hits += hit_prob
             dist = _install(dist, which, pip)
-    return expected_hits / (2.0 * iterations)
+        if n in wanted:
+            totals[n] = expected_hits
+    return [totals[n] / (2.0 * n) for n in iterations]
 
 
 def cyclic_direct_mapped_hit_rate(iterations: int) -> float:

@@ -15,7 +15,11 @@ The path reads its components (store, lookup flow, steering, predictor,
 replacement, DCP, stats) from the owning cache *at call time*, because
 design factories and the simulator legitimately swap them after
 construction (``cache.predictor = PerfectPredictor(...)``,
-``cache.stats = CacheStats()``).
+``cache.stats = CacheStats()``). The cache is passed into every call
+rather than held: a path holding its cache would close a reference
+cycle (``cache.path.cache is cache``), and every finished run's cache
+would then wait for the cyclic garbage collector instead of being
+freed when its last reference goes.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.cache.events import (
 from repro.cache.lookup import LookupResult
 from repro.errors import PolicyError
 
-if TYPE_CHECKING:  # owning-cache hint only; no runtime cycle
+if TYPE_CHECKING:  # owning-cache hint only; no runtime import cycle
     from repro.cache.dram_cache import DramCache
 
 
@@ -55,10 +59,13 @@ class AccessOutcome:
 
 
 class AccessPath:
-    """Executes accesses for one :class:`DramCache`, emitting events."""
+    """Executes accesses for one :class:`DramCache`, emitting events.
 
-    def __init__(self, cache: "DramCache"):
-        self.cache = cache
+    Holds only the observer registry; each access names the cache it
+    runs on (the owning cache passes itself).
+    """
+
+    def __init__(self):
         self.observers: List[AccessObserver] = []
 
     # -- observer registry --------------------------------------------------
@@ -76,12 +83,14 @@ class AccessPath:
 
     # -- demand reads -------------------------------------------------------
 
-    def read(self, addr: int) -> AccessOutcome:
+    def read(self, cache: "DramCache", addr: int) -> AccessOutcome:
         """Service one demand read; fills the line on a miss."""
-        set_index, tag = self.cache.geometry.split(addr)
-        return self.read_split(set_index, tag, addr)
+        set_index, tag = cache.geometry.split(addr)
+        return self.read_split(cache, set_index, tag, addr)
 
-    def read_split(self, set_index: int, tag: int, addr: int) -> AccessOutcome:
+    def read_split(
+        self, cache: "DramCache", set_index: int, tag: int, addr: int
+    ) -> AccessOutcome:
         """:meth:`read` with the (set, tag) split precomputed.
 
         The ``stream`` engine splits the whole trace vectorized once per
@@ -91,7 +100,6 @@ class AccessPath:
         The inlined counter updates below are, line for line, the
         :class:`~repro.cache.events.StatsObserver` specification.
         """
-        cache = self.cache
         stats = cache.stats
         stats.demand_reads += 1
         candidates = cache.steering.candidate_ways(set_index, tag)
@@ -134,7 +142,9 @@ class AccessPath:
         stats.miss_extra_probes += result.serialized_accesses - 1
         if self.observers:
             self._emit_lookup(addr, set_index, tag, result, 0)
-        way = self._fill(set_index, tag, addr, dirty=False, candidates=candidates)
+        way = self._fill(
+            cache, set_index, tag, addr, dirty=False, candidates=candidates
+        )
         return AccessOutcome(
             hit=False,
             way=way,
@@ -146,18 +156,19 @@ class AccessPath:
 
     # -- LLC writebacks -----------------------------------------------------
 
-    def writeback(self, addr: int) -> bool:
+    def writeback(self, cache: "DramCache", addr: int) -> bool:
         """Absorb a dirty writeback from the LLC.
 
         Returns True if the line was written into the cache, False if it
         bypassed to main memory.
         """
-        set_index, tag = self.cache.geometry.split(addr)
-        return self.writeback_split(set_index, tag, addr)
+        set_index, tag = cache.geometry.split(addr)
+        return self.writeback_split(cache, set_index, tag, addr)
 
-    def writeback_split(self, set_index: int, tag: int, addr: int) -> bool:
+    def writeback_split(
+        self, cache: "DramCache", set_index: int, tag: int, addr: int
+    ) -> bool:
         """:meth:`writeback` with the (set, tag) split precomputed."""
-        cache = self.cache
         stats = cache.stats
         stats.writebacks_in += 1
         line = addr >> cache.geometry.offset_bits
@@ -218,6 +229,7 @@ class AccessPath:
 
     def _fill(
         self,
+        cache: "DramCache",
         set_index: int,
         tag: int,
         addr: int,
@@ -231,7 +243,6 @@ class AccessPath:
         it avoids recomputing what :meth:`read_split` holds. The
         install-way containment check validates against it directly.
         """
-        cache = self.cache
         stats = cache.stats
         stats.misses += 1
         stats.nvm_reads += 1
@@ -246,7 +257,7 @@ class AccessPath:
             raise PolicyError(
                 f"steering installed into way {way}, outside its candidate set"
             )
-        self._evict(set_index, way)
+        self._evict(cache, set_index, way)
         cache.store.install(set_index, way, tag, dirty=dirty)
         stats.installs += 1
         stats.cache_write_transfers += 1
@@ -264,8 +275,7 @@ class AccessPath:
                 observer.on_fill(event)
         return way
 
-    def _evict(self, set_index: int, way: int) -> None:
-        cache = self.cache
+    def _evict(self, cache: "DramCache", set_index: int, way: int) -> None:
         victim_tag, dirty = cache.store.evict_slot(set_index, way)
         if victim_tag == -1:  # invalid slot: nothing to displace
             return

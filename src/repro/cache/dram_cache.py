@@ -72,7 +72,7 @@ class DramCache:
         self.replacement = replacement or RandomReplacement()
         self.dcp = DcpDirectory() if dcp == "default" else dcp
         self.stats = stats or CacheStats()
-        self.path = AccessPath(self)
+        self.path = AccessPath()
         for observer in observers:
             self.path.add_observer(observer)
 
@@ -107,18 +107,18 @@ class DramCache:
 
     def read(self, addr: int) -> AccessOutcome:
         """Service one demand read; fills the line on a miss."""
-        return self.path.read(addr)
+        return self.path.read(self, addr)
 
     def read_split(self, set_index: int, tag: int, addr: int) -> AccessOutcome:
         """:meth:`read` with the (set, tag) split precomputed.
 
         Hot-loop entry point for drivers that batch-split the address
         stream (:meth:`repro.sim.trace.Trace.split_columns`)."""
-        return self.path.read_split(set_index, tag, addr)
+        return self.path.read_split(self, set_index, tag, addr)
 
     def writeback_split(self, set_index: int, tag: int, addr: int) -> bool:
         """:meth:`writeback` with the (set, tag) split precomputed."""
-        return self.path.writeback_split(set_index, tag, addr)
+        return self.path.writeback_split(self, set_index, tag, addr)
 
     def writeback(self, addr: int) -> bool:
         """Absorb a dirty writeback from the LLC.
@@ -126,7 +126,7 @@ class DramCache:
         Returns True if the line was written into the cache, False if it
         bypassed to main memory.
         """
-        return self.path.writeback(addr)
+        return self.path.writeback(self, addr)
 
     # -- introspection ------------------------------------------------------
 

@@ -360,12 +360,13 @@ class Executor:
             cached = self.store.get(key) if self.store is not None else None
             if cached is not None:
                 # The store ignores cosmetic labels; hand back the
-                # caller's exact design object.
-                result = replace(cached, design=key.design)
-                results[key] = result
+                # caller's exact design object. Every get() builds a
+                # fresh result, so it is ours to relabel in place.
+                cached.design = key.design
+                results[key] = cached
                 self.stats.cached += 1
                 if self.journal is not None:
-                    self.journal.record_done(key, result)
+                    self.journal.record_done(key, cached)
                 self._report(key, "cached")
             else:
                 pending.append(key)

@@ -70,15 +70,26 @@ class ResultStore:
         return self.root / digest[:2] / f"{digest}.json"
 
     def get(self, key: JobKey) -> Optional[RunResult]:
-        """Stored result for ``key``, or None (quarantining bad entries)."""
-        path = self.path_for(key)
+        """Stored result for ``key``, or None (quarantining bad entries).
+
+        Checks, in order: the record's schema version, that its stored
+        key equals ``key.canonical()``, that the result block names no
+        unknown ``CacheStats``/``TimingBreakdown``/``PhaseSample`` field,
+        and that the ``payload_digest`` recomputed from the
+        *reconstructed* result equals the stored one. Any failure
+        quarantines the entry. Each hit is a freshly built result that
+        the caller owns.
+        """
+        digest = key.digest()
+        # :meth:`path_for` as a string: no Path objects on the hot read.
+        path = os.path.join(os.fspath(self.root), digest[:2], f"{digest}.json")
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
+            with open(path, "rb") as handle:
+                record = json.loads(handle.read().decode("utf-8"))
         except (FileNotFoundError, NotADirectoryError):
             return None  # cold cache (or unusable root): a plain miss
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._quarantine(path, f"unreadable result entry: {exc}")
+            self._quarantine(Path(path), f"unreadable result entry: {exc}")
             return None
         try:
             stored_schema = record.get("schema") if isinstance(record, dict) \
@@ -107,7 +118,7 @@ class ResultStore:
                 )
             return result
         except (KeyError, TypeError, ValueError, ReproError) as exc:
-            self._quarantine(path, f"malformed result entry: {exc}")
+            self._quarantine(Path(path), f"malformed result entry: {exc}")
             return None
 
     def put(self, key: JobKey, result: RunResult) -> None:

@@ -2,8 +2,8 @@
 
 Two independent evaluations of the same model:
 
-* *analytic* — exact Markov-chain expectation
-  (:func:`repro.analysis.analytic.cyclic_pws_hit_rate`);
+* *analytic* — exact Markov-chain expectation, one chain run per PIP
+  for every N (:func:`repro.analysis.analytic.cyclic_pws_hit_rates`);
 * *simulated* — the actual 2-way PWS cache replaying the kernel trace,
   averaged over trials; every PIP's trials at one N run as one fused
   pass (:func:`repro.sim.engines.multi.drive_fused`).
@@ -11,8 +11,9 @@ Two independent evaluations of the same model:
 The simulated rates are a pure function of the kernel, the PIPs and the
 trial count, so :func:`run` memoizes them in the shared trace cache
 (:mod:`repro.workloads.trace_cache`), one entry per N under a
-:class:`CyclicKey`: a warm run reads seven entries and simulates
-nothing. ``REPRO_TRACE_CACHE=0`` turns the memo off.
+:class:`CyclicKey`: a warm run reads seven key sidecars, simulates
+nothing and opens no trace payload. ``REPRO_TRACE_CACHE=0`` turns the
+memo off.
 
 Expected shape: PIP=50% (unbiased) learns to use both ways fastest;
 PIP=80% stays close; PIP=90% learns slowly but converges with enough
@@ -25,9 +26,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.analytic import cyclic_pws_hit_rate
+from repro.analysis.analytic import cyclic_pws_hit_rates
 from repro.cache.geometry import CacheGeometry
 from repro.core.accord import AccordDesign, make_design
 from repro.exec.jobs import RESULT_SCHEMA_VERSION
@@ -37,7 +38,12 @@ from repro.sim.engines.multi import FusedRun, drive_fused, fusion_plan
 from repro.sim.trace import Trace
 from repro.utils.tables import format_table
 from repro.workloads.cyclic import cyclic_trace, same_preferred_conflicting_addresses
-from repro.workloads.trace_cache import TRACE_SCHEMA_VERSION, shared_trace_cache
+from repro.workloads.trace_cache import (
+    TRACE_SCHEMA_VERSION,
+    digested_floats,
+    parse_digested_floats,
+    shared_trace_cache,
+)
 
 PIPS = (0.5, 0.7, 0.8, 0.9)
 ITERATIONS = (2, 4, 8, 16, 32, 64, 128)
@@ -51,7 +57,8 @@ class CyclicKey:
 
     The trace-cache entry's payload is the (a,b)^N kernel trace; its
     sidecar ``meta`` carries the per-PIP simulated hit rates and a
-    sha256 over them (:func:`_parse_rates` checks both).
+    sha256 over them (:func:`~repro.workloads.trace_cache.parse_digested_floats`
+    checks both).
     """
 
     capacity_bytes: int
@@ -78,30 +85,6 @@ class CyclicKey:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
-
-
-def _rates_digest(rates: Sequence[float]) -> str:
-    payload = json.dumps(list(rates), separators=(",", ":"))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-
-def _parse_rates(count: int, meta: Any) -> List[float]:
-    """A cached entry's hit rates; ValueError if malformed or tampered."""
-    if not isinstance(meta, dict) or set(meta) != {"hit_rates", "sha256"}:
-        raise ValueError(f"expected Figure 6 hit rates, got {meta!r}")
-    rates = meta["hit_rates"]
-    if not (
-        isinstance(rates, list) and len(rates) == count
-        and all(type(rate) is float and 0.0 <= rate <= 1.0 for rate in rates)
-    ):
-        raise ValueError(f"bad hit rates {rates!r}")
-    recomputed = _rates_digest(rates)
-    if meta["sha256"] != recomputed:
-        raise ValueError(
-            f"hit-rate digest mismatch (stored {meta['sha256']!r}, "
-            f"recomputed {recomputed})"
-        )
-    return rates
 
 
 def _kernel_trace(iterations: int) -> Trace:
@@ -150,30 +133,35 @@ def cached_hit_rates(
 ) -> List[float]:
     """:func:`simulated_hit_rates`, memoized in the shared trace cache.
 
-    Returns the same floats. A warm call reads one entry and simulates
-    nothing; an entry whose rates fail their sha256 is quarantined and
-    recomputed. ``REPRO_TRACE_CACHE=0`` turns the memo off.
+    Returns the same floats. A warm call reads one key sidecar and
+    simulates nothing (the rates carry their own sha256, so the kernel
+    trace payload is not opened); an entry whose rates fail their
+    sha256 is quarantined and recomputed. ``REPRO_TRACE_CACHE=0`` turns
+    the memo off.
     """
     key = CyclicKey(_KERNEL_CAPACITY, _WAYS, tuple(pips), iterations, trials)
     disk = shared_trace_cache()
     if disk is not None:
-        entry = disk.get_with_meta(key, partial(_parse_rates, len(key.pips)))
-        if entry is not None:
-            return entry[1]
+        rates = disk.get_meta(
+            key, partial(parse_digested_floats, "hit_rates", len(key.pips))
+        )
+        if rates is not None:
+            return rates
     rates = simulated_hit_rates(pips, iterations, trials)
     if disk is not None:
         disk.put(key, _kernel_trace(iterations),
-                 meta={"hit_rates": rates, "sha256": _rates_digest(rates)})
+                 meta=digested_floats("hit_rates", rates))
     return rates
 
 
 def run(settings: Optional[Settings] = None, trials: int = 32) -> str:
+    analytic = [cyclic_pws_hit_rates(pip, ITERATIONS) for pip in PIPS]
     rows = []
-    for n in ITERATIONS:
+    for column, n in enumerate(ITERATIONS):
         row = [str(n)]
         simulated = cached_hit_rates(PIPS, n, trials=trials)
-        for pip, rate in zip(PIPS, simulated):
-            row.append(f"{cyclic_pws_hit_rate(pip, n):.3f}/{rate:.3f}")
+        for by_n, rate in zip(analytic, simulated):
+            row.append(f"{by_n[column]:.3f}/{rate:.3f}")
         rows.append(row)
     return format_table(
         ["iterations N"] + [f"PIP={int(p * 100)}% (ana/sim)" for p in PIPS],

@@ -50,9 +50,9 @@ class StreamEngine:
                 addrs[start:stop],
             ):
                 if w:
-                    writeback_split(s, t, a)
+                    writeback_split(cache, s, t, a)
                 else:
-                    read_split(s, t, a)
+                    read_split(cache, s, t, a)
 
         run(0, warm)
         cache.stats = CacheStats()

@@ -301,6 +301,22 @@ def run_frontend(
     )[0]
 
 
+def frontend_key(
+    spec: FrontendSpec,
+    raw_accesses: int,
+    seed: int = 1,
+    l1: Optional[CacheGeometry] = None,
+    l2: Optional[CacheGeometry] = None,
+    l3: Optional[CacheGeometry] = None,
+    instructions_per_access: float = 3.0,
+) -> FrontendKey:
+    """The :class:`FrontendKey` (``part="filtered"``) that
+    :func:`filtered_frontend` stores these arguments' run under."""
+    hierarchy = _hierarchy(raw_accesses, l1, l2, l3)
+    levels = (hierarchy.l1.geometry, hierarchy.l2.geometry, hierarchy.l3.geometry)
+    return FrontendKey(spec, raw_accesses, seed, levels, instructions_per_access)
+
+
 def filtered_frontend(
     spec: FrontendSpec,
     raw_accesses: int,
@@ -309,7 +325,8 @@ def filtered_frontend(
     l2: Optional[CacheGeometry] = None,
     l3: Optional[CacheGeometry] = None,
     instructions_per_access: float = 3.0,
-) -> Tuple[FrontendResult, Trace]:
+    with_raw_reads: bool = True,
+) -> Tuple[FrontendResult, Optional[Trace]]:
     """:func:`run_frontend`, memoized, plus the raw stream's reads.
 
     Returns what :func:`run_frontend` returns for the same arguments
@@ -317,29 +334,32 @@ def filtered_frontend(
     write-free :class:`Trace`, both from one generation of the raw
     stream. They are stored in the shared trace cache under the two
     :class:`FrontendKey` parts, so a warm call loads both and simulates
-    nothing. ``REPRO_TRACE_CACHE=0`` turns the memo off.
+    nothing. With ``with_raw_reads=False`` the second value is None and
+    a warm call loads the filtered entry alone.
+    ``REPRO_TRACE_CACHE=0`` turns the memo off.
     """
-    hierarchy = _hierarchy(raw_accesses, l1, l2, l3)
-    key = FrontendKey(
-        spec, raw_accesses, seed,
-        (hierarchy.l1.geometry, hierarchy.l2.geometry, hierarchy.l3.geometry),
-        instructions_per_access,
+    key = frontend_key(
+        spec, raw_accesses, seed, l1, l2, l3, instructions_per_access
     )
     raw_key = replace(key, part="raw-reads")
     disk = shared_trace_cache()
     if disk is not None:
         entry = disk.get_with_meta(key, _parse_counters)
-        raw_reads = disk.get(raw_key) if entry is not None else None
-        if raw_reads is not None:
+        if entry is not None:
             trace, counters = entry
-            return _result(counters, trace), raw_reads
+            if not with_raw_reads:
+                return _result(counters, trace), None
+            raw_reads = disk.get(raw_key)
+            if raw_reads is not None:
+                return _result(counters, trace), raw_reads
     result, counters, raw_reads = _simulate(
-        hierarchy, spec, raw_accesses, seed, instructions_per_access
+        _hierarchy(raw_accesses, l1, l2, l3), spec, raw_accesses, seed,
+        instructions_per_access,
     )
     if disk is not None:
         disk.put(key, result.dram_cache_trace, meta=counters)
         disk.put(raw_key, raw_reads)
-    return result, raw_reads
+    return result, raw_reads if with_raw_reads else None
 
 
 def mru_accuracy_at_level(

@@ -18,8 +18,8 @@ persist it alongside the run's counters, and renders to tidy CSV via
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, List, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, FrozenSet, List, Tuple
 
 from repro.errors import ConfigError, SimulationError
 
@@ -64,6 +64,12 @@ class PhaseSample:
         return self.nvm_reads + self.nvm_writes
 
 
+#: PhaseSample's (all-integer) fields in declaration order, read once
+#: rather than introspected per sample on every (de)serialization.
+_SAMPLE_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(PhaseSample))
+_SAMPLE_FIELD_SET: FrozenSet[str] = frozenset(_SAMPLE_FIELDS)
+
+
 @dataclass(frozen=True)
 class PhaseSeries:
     """An immutable per-epoch time series recorded from one run."""
@@ -79,8 +85,7 @@ class PhaseSeries:
 
     def series(self, metric: str) -> List[float]:
         """One metric as a list, epoch order (any PhaseSample attribute)."""
-        names = {f.name for f in fields(PhaseSample)}
-        if metric not in names and not isinstance(
+        if metric not in _SAMPLE_FIELD_SET and not isinstance(
             getattr(PhaseSample, metric, None), property
         ):
             raise SimulationError(f"unknown phase metric {metric!r}")
@@ -90,17 +95,19 @@ class PhaseSeries:
         """JSON-ready representation; inverse of :meth:`from_dict`."""
         return {
             "epoch": self.epoch,
-            "samples": [asdict(sample) for sample in self.samples],
+            "samples": [
+                {name: getattr(sample, name) for name in _SAMPLE_FIELDS}
+                for sample in self.samples
+            ],
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PhaseSeries":
         """Rebuild a series from :meth:`to_dict` output."""
         try:
-            known = {f.name for f in fields(PhaseSample)}
             samples = []
             for raw in data["samples"]:
-                unknown = set(raw) - known
+                unknown = set(raw) - _SAMPLE_FIELD_SET
                 if unknown:
                     raise ValueError(
                         f"unknown PhaseSample fields: {sorted(unknown)}"

@@ -10,7 +10,8 @@ two dimensions independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict
+from operator import attrgetter
+from typing import Dict, FrozenSet, Tuple
 
 
 @dataclass
@@ -107,20 +108,17 @@ class CacheStats:
 
     def to_dict(self) -> Dict[str, object]:
         """Raw counters only (no derived metrics); inverse of :meth:`from_dict`."""
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            if f.name == "extras":
-                out["extras"] = dict(self.extras)
-            else:
-                out[f.name] = getattr(self, f.name)
+        out: Dict[str, object] = dict(
+            zip(_COUNTER_FIELDS, _get_counters(self))
+        )
+        out["extras"] = dict(self.extras)
         return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CacheStats":
         """Rebuild a stats block from :meth:`to_dict` output."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
+        if not _STATS_FIELDS.issuperset(data):
+            unknown = set(data) - _STATS_FIELDS
             raise ValueError(f"unknown CacheStats fields: {sorted(unknown)}")
         kwargs = dict(data)
         extras = kwargs.pop("extras", {})
@@ -130,13 +128,20 @@ class CacheStats:
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary of raw and derived values (for reports)."""
-        out: Dict[str, float] = {}
-        for f in fields(self):
-            if f.name != "extras":
-                out[f.name] = getattr(self, f.name)
+        out: Dict[str, float] = dict(zip(_COUNTER_FIELDS, _get_counters(self)))
         out.update(self.extras)
         out["hit_rate"] = self.hit_rate
         out["prediction_accuracy"] = self.prediction_accuracy
         out["total_cache_transfers"] = self.total_cache_transfers
         out["probes_per_read"] = self.probes_per_read
         return out
+
+
+#: The integer counter fields, in declaration order (``extras``, the last
+#: field, is the one non-counter). Serialization reads these names
+#: instead of introspecting the dataclass on every call.
+_COUNTER_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in fields(CacheStats) if f.name != "extras"
+)
+_get_counters = attrgetter(*_COUNTER_FIELDS)
+_STATS_FIELDS: FrozenSet[str] = frozenset(_COUNTER_FIELDS) | {"extras"}

@@ -9,8 +9,8 @@ timing model on the measured counters. Designs are named by
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.accord import AccordDesign, make_design
@@ -21,9 +21,17 @@ from repro.sim.phases import PhaseSeries
 from repro.sim.stats import CacheStats
 from repro.sim.timing_model import IntervalTimingModel, TimingBreakdown
 from repro.sim.trace import Trace
-from repro.verify.digest import result_digest
+from repro.verify.digest import payload_digest
 
 DesignSpec = AccordDesign  # public alias
+
+#: Field names that (de)serialize a result's design and timing blocks,
+#: read once here rather than introspected on every store read or
+#: write. Every field of both dataclasses is a scalar, so a plain
+#: ``getattr`` copy equals ``dataclasses.asdict``.
+_DESIGN_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(AccordDesign))
+_TIMING_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(TimingBreakdown))
+_TIMING_FIELD_SET: FrozenSet[str] = frozenset(_TIMING_FIELDS)
 
 
 def build_dram_cache(design: AccordDesign, config: SystemConfig, seed: int = 1):
@@ -77,17 +85,21 @@ class RunResult:
         ``repro audit`` verify on read; :meth:`from_dict` ignores them
         (they are recomputed from the counters).
         """
+        design, timing = self.design, self.timing
+        stats = self.stats.to_dict()
+        phases = self.phases.to_dict() if self.phases is not None else None
         return {
-            "design": asdict(self.design),
+            "design": {name: getattr(design, name) for name in _DESIGN_FIELDS},
             "workload": self.workload,
-            "stats": self.stats.to_dict(),
-            "timing": asdict(self.timing),
+            "stats": stats,
+            "timing": {name: getattr(timing, name) for name in _TIMING_FIELDS},
             "instructions": self.instructions,
-            "phases": self.phases.to_dict() if self.phases is not None else None,
+            "phases": phases,
             "hit_rate": self.hit_rate,
             "prediction_accuracy": self.prediction_accuracy,
             "runtime_ns": self.runtime_ns,
-            "payload_digest": result_digest(self),
+            # result_digest(self), from the dicts already built above.
+            "payload_digest": payload_digest(stats, phases),
         }
 
     @classmethod
@@ -95,8 +107,7 @@ class RunResult:
         """Rebuild a result from :meth:`to_dict` output."""
         try:
             timing_data = dict(data["timing"])
-            known = {f.name for f in fields(TimingBreakdown)}
-            unknown = set(timing_data) - known
+            unknown = timing_data.keys() - _TIMING_FIELD_SET
             if unknown:
                 raise SimulationError(
                     f"unknown TimingBreakdown fields: {sorted(unknown)}"

@@ -26,7 +26,7 @@ The root defaults to ``$REPRO_TRACE_DIR``, else
 ``$REPRO_RESULTS_DIR/traces``, else ``~/.cache/repro/traces``. Setting
 ``REPRO_TRACE_CACHE=0`` disables the cache entirely.
 
-The cache holds three kinds of entry, told apart by their key:
+The cache holds four kinds of entry, told apart by their key:
 
 * :class:`TraceKey` — a generated workload trace (the DRAM-cache
   request stream every simulation job replays);
@@ -35,7 +35,15 @@ The cache holds three kinds of entry, told apart by their key:
   SRAM levels' hit counters as ``meta``, and the raw stream's reads;
 * :class:`repro.experiments.fig6_cyclic.CyclicKey` — Figure 6 at one
   N: the (a,b)^N kernel trace, whose sidecar ``meta`` carries the
-  per-PIP simulated hit rates and a sha256 over them.
+  per-PIP simulated hit rates and a sha256 over them;
+* :class:`repro.experiments.ablations.MruKey` — the MRU-filtering
+  ablation: an empty trace, whose sidecar ``meta`` carries MRU's
+  accuracy on the raw and on the L3-filtered stream and a sha256 over
+  them.
+
+The last two are read with :meth:`TraceCache.get_meta`, which checks
+the key sidecar and its ``meta`` (:func:`parse_digested_floats`) and
+never opens the payload.
 
 All satisfy :class:`CacheKey` (``canonical()``/``digest()``), which is
 all the cache asks of a key. ``TRACE_SCHEMA_VERSION`` doubles as the
@@ -57,7 +65,9 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple, TypeVar, Union
+from typing import (
+    Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, TypeVar, Union,
+)
 
 # NOTE: repro.exec.{faults,resilience} are imported lazily inside the
 # methods that need them: importing anything under repro.exec at module
@@ -155,6 +165,34 @@ class TraceKey:
         return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
 
 
+def digested_floats(name: str, values: Sequence[float]) -> Dict[str, Any]:
+    """A sidecar ``meta`` carrying ``values`` under ``name`` plus a
+    sha256 over them, for :func:`parse_digested_floats` to check."""
+    values = list(values)
+    payload = json.dumps(values, separators=(",", ":")).encode("ascii")
+    return {name: values, "sha256": hashlib.sha256(payload).hexdigest()}
+
+
+def parse_digested_floats(name: str, count: int, meta: Any) -> List[float]:
+    """The ``count`` floats in [0, 1] a :func:`digested_floats` meta
+    carries under ``name``; ValueError if malformed or tampered."""
+    if not isinstance(meta, dict) or set(meta) != {name, "sha256"}:
+        raise ValueError(f"expected {name} with their sha256, got {meta!r}")
+    values = meta[name]
+    if not (
+        isinstance(values, list) and len(values) == count
+        and all(type(v) is float and 0.0 <= v <= 1.0 for v in values)
+    ):
+        raise ValueError(f"bad {name} {values!r}")
+    recomputed = digested_floats(name, values)["sha256"]
+    if meta["sha256"] != recomputed:
+        raise ValueError(
+            f"{name} digest mismatch (stored {meta['sha256']!r}, "
+            f"recomputed {recomputed})"
+        )
+    return values
+
+
 @dataclass
 class TraceCacheStats:
     """Hit/miss and degradation counters for one cache instance."""
@@ -214,9 +252,27 @@ class TraceCache:
         """
         return self._load(key, parse_meta)
 
+    def get_meta(
+        self, key: CacheKey, parse_meta: Callable[[Any], M]
+    ) -> Optional[M]:
+        """``parse_meta`` of the entry's ``meta``, without its payload.
+
+        Reads only the key sidecar, with the same checks as
+        :meth:`get_with_meta`: a sidecar that is unreadable, names
+        another key or carries meta that ``parse_meta`` rejects is
+        quarantined and reads as a miss. The npz payload is neither
+        stat'ed nor opened, so this is for entries whose meta carries
+        its own integrity check; ``repro audit`` still checks payloads.
+        """
+        entry = self._load(key, parse_meta, payload=False)
+        return None if entry is None else entry[1]
+
     def _load(
-        self, key: CacheKey, parse_meta: Optional[Callable[[Any], M]]
-    ) -> Optional[Tuple[Trace, Optional[M]]]:
+        self,
+        key: CacheKey,
+        parse_meta: Optional[Callable[[Any], M]],
+        payload: bool = True,
+    ) -> Optional[Tuple[Optional[Trace], Optional[M]]]:
         path = self.path_for(key)
         key_path = self._key_path(path)
         try:
@@ -241,6 +297,9 @@ class TraceCache:
                 self._quarantine(path, f"bad meta in key sidecar: {exc}")
                 self.stats.misses += 1
                 return None
+        if not payload:
+            self.stats.hits += 1
+            return None, meta
         try:
             size = path.stat().st_size
             trace = load_trace_npz(str(path), mmap=True)

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.analytic import (
     cyclic_direct_mapped_hit_rate,
     cyclic_pws_hit_rate,
+    cyclic_pws_hit_rates,
     lookup_cost_table,
 )
 from repro.analysis.energy import EnergyModel, EnergyParams
@@ -84,6 +85,43 @@ class TestCyclicModel:
             cyclic_pws_hit_rate(1.5, 10)
         with pytest.raises(PolicyError):
             cyclic_pws_hit_rate(0.5, 0)
+        with pytest.raises(PolicyError):
+            cyclic_pws_hit_rates(0.5, ())
+        with pytest.raises(PolicyError):
+            cyclic_pws_hit_rates(0.5, (4, 0))
+
+
+def single_n_chain(pip, iterations):
+    """The Markov chain run to one N only, as a separate DP would."""
+    from repro.analysis.analytic import _install
+
+    dist = {(-1, -1): 1.0}
+    expected_hits = 0.0
+    for _ in range(iterations):
+        for which in (0, 1):
+            expected_hits += sum(
+                prob for locs, prob in dist.items() if locs[which] != -1
+            )
+            dist = _install(dist, which, pip)
+    return expected_hits / (2.0 * iterations)
+
+
+class TestCyclicModelOneChain:
+    """cyclic_pws_hit_rates reads every N off one chain run, bit-exactly."""
+
+    @pytest.mark.parametrize("pip", [0.5, 0.7, 0.8, 0.9])
+    def test_equals_per_n_for_figure6(self, pip):
+        from repro.experiments.fig6_cyclic import ITERATIONS, PIPS
+
+        assert pip in PIPS
+        rates = cyclic_pws_hit_rates(pip, ITERATIONS)
+        assert rates == [cyclic_pws_hit_rate(pip, n) for n in ITERATIONS]
+        assert rates == [single_n_chain(pip, n) for n in ITERATIONS]
+
+    def test_any_order_and_repeats(self):
+        rates = cyclic_pws_hit_rates(0.85, (8, 1, 3, 8))
+        assert rates == [single_n_chain(0.85, n) for n in (8, 1, 3, 8)]
+        assert rates[1] == 0.0  # one pass over (a, b): two cold misses
 
 
 class TestStorage:

@@ -181,3 +181,65 @@ class TestStorageOverhead:
     def test_stateless_stack_is_free(self):
         cache = make_cache()
         assert cache.storage_overhead_bits() == 0
+
+
+class TestReferenceCounting:
+    """A finished cache is freed by reference counting alone.
+
+    The cache and its access path must not reference each other: a
+    cycle would keep every finished run's cache (tag store, policy
+    state) alive until the cyclic collector happens to run, so peak
+    memory would depend on collector timing.
+    """
+
+    @staticmethod
+    def _freed_without_gc(build_and_drive):
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(build_and_drive())
+            return ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("engine", ["auto", "loop"])
+    @pytest.mark.parametrize("spec", [
+        "direct", "unbiased:2", "pws:2", "accord:2", "sws:8:2", "dueling:2",
+        "mru:2", "ca",
+    ])
+    def test_driven_cache_freed_without_the_cycle_collector(
+        self, spec, engine
+    ):
+        from repro.exec.jobs import parse_design_spec
+        from repro.params.system import scaled_system
+        from repro.sim.runner import TraceFactory
+        from repro.sim.system import Simulator
+
+        design = parse_design_spec(spec)
+        config = scaled_system(ways=design.ways)
+        trace = TraceFactory(config, num_accesses=2000).trace_for("soplex")
+
+        def build_and_drive():
+            simulator = Simulator(config, design)
+            simulator.run(trace, epoch=300, engine=engine)
+            return simulator.cache
+
+        assert self._freed_without_gc(build_and_drive)
+
+    def test_observed_cache_freed_without_the_cycle_collector(self):
+        from repro.cache.events import StatsObserver
+
+        def build_and_drive():
+            cache = make_cache(prefill=True)
+            cache.add_observer(StatsObserver())
+            for addr in range(0, 64 * 4096, 64 * 7):
+                cache.read(addr)
+                cache.writeback(addr)
+            return cache
+
+        assert self._freed_without_gc(build_and_drive)

@@ -150,6 +150,89 @@ class TestRunResultRoundTrip:
             RunResult.from_dict(good)
 
 
+def introspected_result_dict(result):
+    """``RunResult.to_dict()`` as written with ``asdict``/``fields()``."""
+    from dataclasses import asdict, fields
+
+    from repro.verify.digest import payload_digest
+
+    stats = {}
+    for f in fields(result.stats):
+        value = getattr(result.stats, f.name)
+        stats[f.name] = dict(value) if f.name == "extras" else value
+    phases = None
+    if result.phases is not None:
+        phases = {
+            "epoch": result.phases.epoch,
+            "samples": [asdict(sample) for sample in result.phases.samples],
+        }
+    return {
+        "design": asdict(result.design),
+        "workload": result.workload,
+        "stats": stats,
+        "timing": asdict(result.timing),
+        "instructions": result.instructions,
+        "phases": phases,
+        "hit_rate": result.hit_rate,
+        "prediction_accuracy": result.prediction_accuracy,
+        "runtime_ns": result.runtime_ns,
+        "payload_digest": payload_digest(stats, phases),
+    }
+
+
+class TestRecordSerialization:
+    """to_dict/from_dict read field-name tuples, not the dataclasses."""
+
+    @staticmethod
+    def _result(kind, epoch):
+        design = AccordDesign(kind=kind, ways=1 if kind == "direct" else 2,
+                              label=f"{kind} label")
+        result = execute_job(key_for(design=design, epoch=epoch))
+        result.stats.bump("custom_counter", 3)
+        return result
+
+    @pytest.mark.parametrize("epoch", [None, 500], ids=["flat", "phased"])
+    @pytest.mark.parametrize("kind", DESIGN_KINDS)
+    def test_to_dict_matches_introspection(self, kind, epoch):
+        from dataclasses import asdict
+
+        result = self._result(kind, epoch)
+        expected = introspected_result_dict(result)
+        record = result.to_dict()
+        assert record == expected
+        assert list(record["stats"]) == list(expected["stats"])
+        assert result.stats.to_dict() == asdict(result.stats)
+        assert record["stats"]["extras"]["custom_counter"] == 3
+        clone = RunResult.from_dict(json.loads(json.dumps(record)))
+        assert clone.to_dict() == record
+        assert clone.design == result.design
+
+    def test_phases_present_when_requested(self):
+        assert self._result("accord", 500).phases is not None
+        assert self._result("accord", None).phases is None
+
+    @pytest.mark.parametrize("block, field", [
+        ("stats", "not_a_counter"), ("timing", "not_a_timing"),
+    ])
+    def test_unknown_fields_rejected(self, block, field):
+        record = self._result("accord", 500).to_dict()
+        record[block][field] = 1
+        with pytest.raises(ReproError, match=f"unknown .*{field}"):
+            RunResult.from_dict(record)
+
+    def test_unknown_phase_sample_field_rejected(self):
+        record = self._result("accord", 500).to_dict()
+        record["phases"]["samples"][0]["not_a_sample_field"] = 1
+        with pytest.raises(ReproError, match="unknown PhaseSample"):
+            RunResult.from_dict(record)
+
+    def test_non_mapping_stats_rejected(self):
+        record = self._result("accord", None).to_dict()
+        record["stats"] = ["hits"]
+        with pytest.raises(ReproError):
+            RunResult.from_dict(record)
+
+
 class TestResultStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -131,10 +131,18 @@ class TestFig6Memo:
             lambda *args, **kwargs: designs.append(args) or make_design(
                 *args, **kwargs),
         )
+        import repro.workloads.trace_cache as trace_cache_module
+
+        opened = []
+        monkeypatch.setattr(
+            trace_cache_module, "load_trace_npz",
+            lambda *args, **kwargs: opened.append(args),
+        )
         passes = multi.fused_pass_count()
         assert fig6_cyclic.run(trials=FIG6_TRIALS) == cold
         assert multi.fused_pass_count() == passes
         assert designs == []
+        assert opened == []  # the rates come from the key sidecars alone
 
     def test_memoized_rates_equal_simulated(self, fig6_trace_dir):
         from repro.experiments import fig6_cyclic

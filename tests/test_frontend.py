@@ -228,6 +228,18 @@ class TestFilteredFrontend:
         assert_results_equal(cold, expected)
         assert_results_equal(warm, expected)
 
+    def test_filtered_part_alone(self, trace_dir):
+        expected = run_frontend(FrontendSpec(), RAW, seed=5, **SMALL_LEVELS)
+        for _ in range(2):  # cold (stores both parts), then warm
+            result, raw_reads = filtered_frontend(
+                FrontendSpec(), RAW, seed=5, with_raw_reads=False,
+                **SMALL_LEVELS,
+            )
+            assert raw_reads is None
+            assert_results_equal(result, expected)
+            assert len(_entries(trace_dir)) == 4
+        assert isinstance(result.dram_cache_trace.numpy_addrs(), np.memmap)
+
     def test_raw_reads_are_the_generator_reads(self, trace_dir):
         expected = [
             addr
@@ -387,3 +399,123 @@ class TestMruFilteringAblation:
         assert run_mru_filtering(self._settings()) == cached
         assert len(calls) == 8000
         assert _entries(trace_dir) == trace_dir_files
+
+    def _engine_drives(self, monkeypatch):
+        import repro.sim.engines as engines
+
+        drives = []
+        resolve = engines.resolve_engine
+        monkeypatch.setattr(
+            engines, "resolve_engine",
+            lambda cache, *args, **kwargs: drives.append(cache) or resolve(
+                cache, *args, **kwargs),
+        )
+        return drives
+
+    def _payload_loads(self, monkeypatch):
+        import repro.workloads.trace_cache as trace_cache_module
+
+        names = []
+        load = trace_cache_module.load_trace_npz
+
+        def spy(*args, **kwargs):
+            trace = load(*args, **kwargs)
+            names.append(trace.name)
+            return trace
+
+        monkeypatch.setattr(trace_cache_module, "load_trace_npz", spy)
+        return names
+
+    def _mru_sidecar(self, trace_dir):
+        sidecars = [
+            path for path in trace_dir.glob("*/*.key.json")
+            if '\\"experiment\\":\\"mru-filtering\\"' in path.read_text()
+        ]
+        assert len(sidecars) == 1
+        return sidecars[0]
+
+    def test_warm_run_in_another_process_drives_no_engine(
+        self, trace_dir, monkeypatch
+    ):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.experiments.ablations import run_mru_filtering
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        code = (
+            "from dataclasses import replace; "
+            "from repro.experiments.common import Settings; "
+            "from repro.experiments.ablations import run_mru_filtering; "
+            "print(run_mru_filtering(replace(Settings().quick(), "
+            "num_accesses=4000)), end='')"
+        )
+        cold = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True, timeout=300,
+        ).stdout
+        assert len(list(trace_dir.glob("*/*.npz"))) == 3  # + the MRU memo
+        drives = self._engine_drives(monkeypatch)
+        loads = self._payload_loads(monkeypatch)
+        calls = self._count_accesses(monkeypatch)
+        assert run_mru_filtering(self._settings()) == cold
+        assert drives == [] and calls == []
+        assert loads == ["frontend"]  # the raw-reads payload stays shut
+
+    @pytest.mark.parametrize("tamper", [
+        lambda meta: meta["mru_accuracies"].__setitem__(0, 0.5),
+        lambda meta: meta.__setitem__("sha256", "0" * 64),
+        lambda meta: meta["mru_accuracies"].append(0.5),
+        lambda meta: meta.pop("sha256"),
+    ], ids=["edited-accuracy", "edited-digest", "long", "no-digest"])
+    def test_tampered_accuracies_are_quarantined_and_recomputed(
+        self, trace_dir, monkeypatch, tamper
+    ):
+        import json
+
+        from repro.experiments.ablations import run_mru_filtering
+
+        expected = run_mru_filtering(self._settings())
+        sidecar = self._mru_sidecar(trace_dir)
+        record = json.loads(sidecar.read_text())
+        tamper(record["meta"])
+        sidecar.write_text(json.dumps(record))
+        drives = self._engine_drives(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert run_mru_filtering(self._settings()) == expected
+        assert len(drives) == 2  # both accuracies recomputed
+        assert len(list((trace_dir / "quarantine").glob("*.npz"))) == 1
+        drives.clear()
+        # The recompute was stored again; the next run reads it cleanly.
+        assert run_mru_filtering(self._settings()) == expected
+        assert drives == []
+
+    def test_key_digest_covers_every_input(self):
+        from dataclasses import replace
+
+        from repro.experiments.ablations import MruKey
+
+        levels = tuple(SMALL_LEVELS[name] for name in ("l1", "l2", "l3"))
+        frontend = FrontendKey(FrontendSpec(), RAW, 5, levels, 3.0)
+        base = MruKey(frontend, CacheGeometry(8 * 1024 * 1024, 2), 5)
+        variants = [
+            replace(base, frontend=replace(frontend, seed=6)),
+            replace(base, frontend=replace(frontend, raw_accesses=RAW + 1)),
+            replace(base, geometry=CacheGeometry(8 * 1024 * 1024, 4)),
+            replace(base, geometry=CacheGeometry(4 * 1024 * 1024, 2)),
+            replace(base, seed=6),
+        ]
+        digests = {key.digest() for key in variants}
+        assert base.digest() not in digests
+        assert len(digests) == len(variants)
+        import json
+
+        from repro.workloads.trace_cache import TRACE_SCHEMA_VERSION
+
+        assert json.loads(base.canonical())["schema"] == TRACE_SCHEMA_VERSION

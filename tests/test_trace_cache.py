@@ -219,6 +219,76 @@ class TestTraceCache:
             assert cache.get(key) is None
         assert cache.stats.quarantined == 1
 
+    def test_get_meta_reads_the_sidecar_alone(self, tmp_path, monkeypatch):
+        import repro.workloads.trace_cache as trace_cache_module
+
+        cache = TraceCache(tmp_path)
+        key = self.key()
+        assert cache.get_meta(key, lambda meta: meta) is None  # cold miss
+        cache.put(key, small_trace(), meta={"hits": [3, 4]})
+        opened = []
+        load = trace_cache_module.load_trace_npz
+        monkeypatch.setattr(
+            trace_cache_module, "load_trace_npz",
+            lambda *args, **kwargs: opened.append(args) or load(
+                *args, **kwargs),
+        )
+        assert cache.get_meta(key, lambda meta: meta) == {"hits": [3, 4]}
+        assert opened == []
+        # The payload is never stat'ed or opened: a missing npz still
+        # serves the meta (a full get() would quarantine the entry).
+        cache.path_for(key).unlink()
+        assert cache.get_meta(key, lambda meta: meta) == {"hits": [3, 4]}
+        assert cache.stats.quarantined == 0
+        assert cache.stats.hits == 2
+
+    def test_get_meta_quarantines_a_mismatched_key(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        key = self.key()
+        cache.put(key, small_trace(), meta=[1])
+        sidecar = cache._key_path(cache.path_for(key))
+        record = json.loads(sidecar.read_text())
+        record["key"] = self.key(seed=4).canonical()
+        sidecar.write_text(json.dumps(record))
+        with pytest.warns(RuntimeWarning, match="does not match"):
+            assert cache.get_meta(key, lambda meta: meta) is None
+        assert cache.stats.quarantined == 1
+        assert len(cache) == 0
+
+    def test_get_meta_quarantines_rejected_meta(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        key = self.key()
+        cache.put(key, small_trace(), meta=[1])
+
+        def reject(meta):
+            raise ValueError(f"not a dict: {meta!r}")
+
+        with pytest.warns(RuntimeWarning, match="bad meta"):
+            assert cache.get_meta(key, reject) is None
+        assert cache.stats.quarantined == 1
+        assert len(cache) == 0
+        assert not cache._key_path(cache.path_for(key)).exists()
+
+    def test_digested_floats_round_trip_and_reject_edits(self):
+        from repro.workloads.trace_cache import (
+            digested_floats,
+            parse_digested_floats,
+        )
+
+        meta = digested_floats("rates", [0.25, 1.0])
+        assert parse_digested_floats("rates", 2, meta) == [0.25, 1.0]
+        for bad in (
+            {**meta, "rates": [0.5, 1.0]},  # edited value, stale digest
+            {**meta, "rates": [0.25]},
+            {**meta, "rates": [0.25, 1]},  # ints are not rates
+            {**meta, "rates": [0.25, 1.5]},
+            {"rates": meta["rates"]},
+            {**meta, "extra": 1},
+            [0.25, 1.0],
+        ):
+            with pytest.raises(ValueError):
+                parse_digested_floats("rates", 2, bad)
+
     def test_unwritable_root_warns_once_and_degrades(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where the root should be")
