@@ -1,16 +1,13 @@
-"""Memory device models: DRAM banks/channels, NVM, buses, scheduling.
+"""Cycle-level memory device models: DRAM banks/channels, NVM, scheduling.
 
-Two levels of fidelity are provided:
-
-* :class:`repro.mem.bus.BandwidthAccountant` — event counting used by
-  the fast interval timing model.
-* :class:`repro.mem.dram.DramDevice` / :class:`repro.mem.nvm.NvmDevice`
-  with banks, row buffers and an FR-FCFS scheduler — the cycle-level
-  detailed engine used for validation.
+:class:`repro.mem.dram.DramDevice` and :class:`repro.mem.nvm.NvmDevice`
+model banks, row buffers and an FR-FCFS scheduler. They back the
+detailed and scheduled engines (:mod:`repro.sim.detailed`,
+:mod:`repro.sim.scheduled`) that cross-check the interval timing model;
+the interval model itself (:mod:`repro.sim.timing_model`) needs none of
+them.
 """
 
-from repro.mem.request import Access, AccessType
-from repro.mem.bus import BandwidthAccountant
 from repro.mem.bank import Bank
 from repro.mem.channel import Channel
 from repro.mem.dram import DramDevice
@@ -18,9 +15,6 @@ from repro.mem.nvm import NvmDevice
 from repro.mem.scheduler import FrFcfsScheduler
 
 __all__ = [
-    "Access",
-    "AccessType",
-    "BandwidthAccountant",
     "Bank",
     "Channel",
     "DramDevice",

@@ -1,42 +1,8 @@
-"""Memory access records exchanged between the hierarchy and devices."""
+"""Timing records returned by the cycle-level memory devices."""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-
-
-class AccessType(enum.Enum):
-    """Kind of traffic arriving at the DRAM cache from the LLC."""
-
-    READ = "read"
-    WRITE = "write"  # dirty writeback from the LLC
-    PREFETCH = "prefetch"
-
-    @property
-    def is_write(self) -> bool:
-        return self is AccessType.WRITE
-
-
-@dataclass
-class Access:
-    """One line-granularity memory access.
-
-    ``addr`` is a physical byte address; the cache models align it to a
-    64B line internally. ``instructions`` carries how many instructions
-    retired since the previous L3 miss of the same core — the interval
-    timing model uses it to reconstruct CPI.
-    """
-
-    addr: int
-    type: AccessType = AccessType.READ
-    core: int = 0
-    instructions: int = 0
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def is_write(self) -> bool:
-        return self.type.is_write
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

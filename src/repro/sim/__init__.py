@@ -33,7 +33,6 @@ __all__ = [
     "MultiCoreSimulator",
     "profile_trace",
     "TraceProfile",
-    "CacheCheckpoint",
 ]
 
 _LAZY = {
@@ -52,7 +51,6 @@ _LAZY = {
     "MultiCoreSimulator": ("repro.sim.multicore", "MultiCoreSimulator"),
     "profile_trace": ("repro.sim.profile", "profile_trace"),
     "TraceProfile": ("repro.sim.profile", "TraceProfile"),
-    "CacheCheckpoint": ("repro.sim.checkpoint", "CacheCheckpoint"),
 }
 
 

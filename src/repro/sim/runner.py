@@ -133,58 +133,20 @@ def run_suite(
     num_accesses: int = DEFAULT_ACCESSES,
     warmup: float = DEFAULT_WARMUP,
     seed: int = 7,
-    jobs: int = 1,
-    store=None,
     epoch: Optional[int] = None,
-    retries: int = 1,
-    timeout: Optional[float] = None,
     engine: str = "auto",
 ) -> Dict[str, RunResult]:
-    """Run one design across a workload suite.
+    """Run one design across a workload suite, serially and unmemoized.
 
-    With ``jobs > 1`` or a :class:`repro.exec.ResultStore`, execution
-    routes through the parallel executor; that path requires the standard
-    :func:`scaled_system` geometry (workers rebuild the config from
-    ``(ways, scale)`` alone), so custom configs/trace factories must
-    run serially and unmemoized. ``retries`` bounds per-job retry
-    attempts on transient failures and dead workers; ``timeout`` is the
-    per-job wall-clock watchdog in seconds (parallel path only).
+    Every workload's trace comes from one shared ``traces`` factory, so
+    the runs are paired. For parallel or store-backed runs, build
+    :class:`repro.exec.JobKey` objects and call
+    ``repro.exec.Executor(...).run(keys)``.
     """
     if not workloads:
         raise WorkloadError("workload suite is empty")
     config = config or scaled_system(ways=design.ways)
     traces = traces or TraceFactory(config, num_accesses, seed)
-    if jobs != 1 or store is not None:
-        from repro.errors import ConfigError
-        from repro.exec import Executor, JobKey
-
-        if config != scaled_system(ways=design.ways, scale=config.scale):
-            raise ConfigError(
-                "parallel/memoized run_suite requires a scaled_system() config"
-            )
-        if traces.seed != seed or traces.num_accesses != num_accesses:
-            raise ConfigError(
-                "parallel/memoized run_suite requires the trace factory to "
-                "match the num_accesses/seed arguments"
-            )
-        keys = [
-            JobKey(
-                design=design,
-                workload=workload,
-                num_accesses=num_accesses,
-                warmup=warmup,
-                seed=seed,
-                scale=config.scale,
-                footprint_scale=traces.footprint_scale,
-                epoch=epoch,
-                engine=engine,
-            )
-            for workload in workloads
-        ]
-        resolved = Executor(
-            jobs=jobs, store=store, retries=retries, timeout=timeout
-        ).run(keys)
-        return {key.workload: resolved[key] for key in keys}
     results: Dict[str, RunResult] = {}
     for workload in workloads:
         results[workload] = run_design(

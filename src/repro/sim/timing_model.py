@@ -45,10 +45,6 @@ class TimingBreakdown:
     dram_queue_ns: float
     nvm_queue_ns: float
 
-    @property
-    def cpi(self) -> float:
-        return self.runtime_ns  # placeholder; use cycles_per_instruction()
-
     def cycles_per_instruction(self, instructions: float, frequency_ghz: float) -> float:
         if instructions <= 0:
             raise SimulationError("instruction count must be positive")
@@ -130,7 +126,8 @@ class IntervalTimingModel:
         transfers_per_read = stats.cache_read_transfers / reads if reads else 0.0
         wb_nvm_latency = self.config.nvm_timing.read_ns
 
-        def runtime(elapsed_ns: float) -> float:
+        def components(elapsed_ns: float):
+            """Utilizations, queueing delays and mean read latency."""
             rho_dram = self._utilization(
                 dram_total, self.config.dram_bus.sustainable_bandwidth_gbps, elapsed_ns
             )
@@ -146,6 +143,10 @@ class IntervalTimingModel:
                 + extra_per_read * (self.extra_probe_ns + self.dram_service_ns)
                 + miss_per_read * (wb_nvm_latency + self.nvm_service_ns + q_nvm)
             )
+            return rho_dram, rho_nvm, q_dram, q_nvm, read_latency
+
+        def runtime(elapsed_ns: float) -> float:
+            read_latency = components(elapsed_ns)[4]
             stall_ns = reads * read_latency / core_cfg.mlp
             return base_ns + stall_ns
 
@@ -155,22 +156,8 @@ class IntervalTimingModel:
             final = solve_fixed_point(runtime, initial=max(base_ns, 1.0))
 
         # Recompute the components at the solution for reporting.
-        rho_dram = self._utilization(
-            dram_total, self.config.dram_bus.sustainable_bandwidth_gbps, final
-        )
-        rho_nvm = self._utilization(
-            nvm_total, self.config.nvm_bus.sustainable_bandwidth_gbps, final
-        )
-        q_dram = self._queue_ns(self.dram_service_ns, rho_dram, knee=3)
-        q_nvm = self._queue_ns(self.nvm_service_ns, rho_nvm)
+        rho_dram, rho_nvm, q_dram, q_nvm, read_latency = components(final)
         if reads:
-            read_latency = (
-                self.first_probe_ns
-                + self.dram_service_ns
-                + transfers_per_read * q_dram
-                + extra_per_read * (self.extra_probe_ns + self.dram_service_ns)
-                + miss_per_read * (wb_nvm_latency + self.nvm_service_ns + q_nvm)
-            )
             stall_ns = reads * read_latency / core_cfg.mlp
         else:
             read_latency = 0.0

@@ -38,6 +38,13 @@ class TestExamples:
                           "--workload", "libq")
         assert "best:" in out
 
+    def test_mix_contention(self):
+        out = run_example("mix_contention_study.py", "--accesses", "8000")
+        assert "4 cores sharing one" in out
+        for member in ("soplex", "libq", "mcf", "sphinx"):
+            assert member in out
+        assert "weighted speedup  ACCORD SWS(8,2):" in out
+
     def test_predictor_comparison_importable(self):
         # Full run is minutes; validate the module's table wiring only.
         import importlib.util

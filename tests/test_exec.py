@@ -475,30 +475,6 @@ class TestExecutor:
             Executor(retries=-1)
 
 
-class TestRunSuiteRouting:
-    def test_run_suite_store_and_jobs(self, tmp_path):
-        from repro.sim.runner import run_suite
-
-        design = AccordDesign(kind="accord", ways=2)
-        store = ResultStore(tmp_path)
-        plain = run_suite(design, ["soplex", "libq"], num_accesses=ACCESSES)
-        routed = run_suite(design, ["soplex", "libq"], num_accesses=ACCESSES,
-                           jobs=2, store=store)
-        assert {w: r.to_dict() for w, r in plain.items()} == \
-               {w: r.to_dict() for w, r in routed.items()}
-        assert len(store) == 2
-
-    def test_run_suite_rejects_custom_config_when_routed(self, tmp_path):
-        from repro.params.system import scaled_system
-        from repro.sim.runner import run_suite
-
-        design = AccordDesign(kind="accord", ways=2)
-        custom = scaled_system(ways=2).with_dram_cache(2 * 1024 * 1024, 2)
-        with pytest.raises(ConfigError):
-            run_suite(design, ["soplex"], config=custom,
-                      num_accesses=ACCESSES, store=ResultStore(tmp_path))
-
-
 class TestDesignSpecParsing:
     def test_kind_only(self):
         assert parse_design_spec("direct") == AccordDesign(kind="direct", ways=1)

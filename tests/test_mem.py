@@ -1,10 +1,9 @@
 """Tests for the detailed memory device models (banks, channels, NVM,
-scheduler, bandwidth accounting)."""
+scheduler, bus timing)."""
 
 import pytest
 
 from repro.mem.bank import Bank
-from repro.mem.bus import BandwidthAccountant
 from repro.mem.channel import Channel
 from repro.mem.dram import DramDevice
 from repro.mem.nvm import NvmDevice
@@ -148,42 +147,6 @@ class TestScheduler:
         scheduler.enqueue("a", 5.0, (0, 0), row=1)
         scheduler.enqueue("b", 3.0, (0, 0), row=1)
         assert scheduler.oldest_arrival() == 3.0
-
-
-class TestBandwidthAccountant:
-    def test_classes_accumulate(self):
-        accountant = BandwidthAccountant(hbm_bus())
-        accountant.add("reads", 720)
-        accountant.add("reads", 72)
-        accountant.add("fills", 72)
-        assert accountant.total_bytes == 864
-        assert accountant.snapshot() == {"reads": 792, "fills": 72}
-
-    def test_utilization(self):
-        accountant = BandwidthAccountant(hbm_bus())
-        # 128 GB/s aggregate: 128 bytes per ns.
-        accountant.add("x", 1280)
-        assert accountant.utilization(10.0) == pytest.approx(1.0)
-
-    def test_queueing_monotone(self):
-        accountant = BandwidthAccountant(hbm_bus())
-        accountant.add("x", 1000)
-        low = accountant.queueing_delay_ns(1000.0, 4.5)
-        high = accountant.queueing_delay_ns(10.0, 4.5)
-        assert high > low
-
-    def test_rejects_bad_input(self):
-        accountant = BandwidthAccountant(hbm_bus())
-        with pytest.raises(ValueError):
-            accountant.add("x", -1)
-        with pytest.raises(ValueError):
-            accountant.utilization(0.0)
-
-    def test_reset(self):
-        accountant = BandwidthAccountant(hbm_bus())
-        accountant.add("x", 10)
-        accountant.reset()
-        assert accountant.total_bytes == 0
 
 
 class TestBusConfig:

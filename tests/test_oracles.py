@@ -20,9 +20,12 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from repro.analysis.analytic import lookup_cost_table
+from repro.core.steering import preferred_way
 from repro.exec.jobs import parse_design_spec
 from repro.params.system import scaled_system
-from repro.sim.system import Simulator
+from repro.sim.engines import ENGINES
+from repro.sim.system import Simulator, build_dram_cache
 from repro.sim.trace import Trace
 
 LINE_BYTES = 64
@@ -39,13 +42,13 @@ def capacity_lines(ways: int, scale: float = SCALE) -> int:
         // LINE_BYTES
 
 
-def uniform_trace(lines: int, seed: int) -> Trace:
-    """``ACCESSES`` reads of i.i.d. uniform line addresses in [0, lines)."""
+def uniform_trace(lines: int, seed: int, accesses: int = ACCESSES) -> Trace:
+    """``accesses`` reads of i.i.d. uniform line addresses in [0, lines)."""
     picks = np.random.default_rng(seed).integers(
-        0, lines, size=ACCESSES, dtype=np.int64
+        0, lines, size=accesses, dtype=np.int64
     )
     return Trace("uniform", picks * LINE_BYTES,
-                 np.zeros(ACCESSES, np.uint8), 1.0)
+                 np.zeros(accesses, np.uint8), 1.0)
 
 
 def z_score(spec: str, footprint_factor: int, seed: int = 11) -> float:
@@ -185,3 +188,194 @@ def test_lru_approaches_fully_associative_as_ways_grow():
         assert abs(measured - predicted) < MAX_Z * sigma, ways
         gaps.append(1.0 - measured)
     assert gaps == sorted(gaps, reverse=True)
+
+
+# -- Table I as counter identities -------------------------------------------
+#
+# Table I (lookup_cost_table) gives each lookup organization's probes
+# ("accesses") and 72B transfers per hit and per miss. On a read-only
+# trace the counters must obey the miss column exactly: a miss makes one
+# first probe plus (miss_accesses - 1) follow-ups. Where a probe moves
+# one unit (every organization but parallel lookup), transfers equal
+# first probes plus follow-ups; parallel lookup instead moves all N ways
+# on every read. Each identity must hold on every engine that serves
+# the design.
+
+TABLE1_ACCESSES = 40_000
+TABLE1_MEASURED = TABLE1_ACCESSES - int(TABLE1_ACCESSES * WARMUP)
+
+# spec -> (ways of the Table I column, organization prefix). SWS(N,k)
+# confines a line to k candidate ways, so its miss column is that of a
+# k-way way-predicted lookup; Table I lists the k = 2 row only.
+TABLE1_ROWS = {
+    "direct": (1, "Direct-mapped"),
+    "parallel:2": (2, "Parallel Lookup"),
+    "parallel:4": (4, "Parallel Lookup"),
+    "serial:4": (4, "Serial Lookup"),
+    "serial:8": (8, "Serial Lookup"),
+    "pws:2": (2, "Way Predicted (2-way)"),
+    "accord:2": (2, "Way Predicted (2-way)"),
+    "sws:8:2": (8, "Way Predicted SWS(8,2)"),
+    "sws:8:4": (4, "Way Predicted (4-way)"),
+}
+
+
+def table1_row(spec: str):
+    ways, prefix = TABLE1_ROWS[spec]
+    (row,) = [r for r in lookup_cost_table(ways)
+              if r.organization.startswith(prefix)]
+    return row
+
+
+def serving_engines(spec: str):
+    """``loop`` plus every fast engine that supports the design."""
+    design = parse_design_spec(spec)
+    cache = build_dram_cache(design, scaled_system(ways=design.ways, scale=SCALE))
+    return [name for name, engine in ENGINES.items()
+            if name == "loop" or engine.supports(cache)]
+
+
+def uniform_stats(spec: str, engine: str):
+    """Counters of ``spec`` on 40k uniform reads over 4x its capacity."""
+    design = parse_design_spec(spec)
+    lines = capacity_lines(design.ways)
+    trace = uniform_trace(4 * lines, seed=23, accesses=TABLE1_ACCESSES)
+    stats = Simulator(
+        scaled_system(ways=design.ways, scale=SCALE), design, seed=7
+    ).run(
+        trace, warmup_fraction=WARMUP, engine=engine, engine_strict=True
+    ).stats
+    assert stats.demand_reads == TABLE1_MEASURED
+    assert stats.hits + stats.misses == stats.demand_reads
+    return stats
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE1_ROWS))
+def test_counters_obey_table1(spec):
+    row = table1_row(spec)
+    for engine in serving_engines(spec):
+        stats = uniform_stats(spec, engine)
+        assert stats.first_probes == stats.demand_reads, engine
+        assert stats.miss_extra_probes == \
+            (row.miss_accesses - 1) * stats.misses, engine
+        if row.hit_transfers == row.hit_accesses \
+                and row.miss_transfers == row.miss_accesses:
+            assert stats.cache_read_transfers == (
+                stats.demand_reads
+                + stats.hit_extra_probes
+                + stats.miss_extra_probes
+            ), engine
+        else:
+            # Parallel lookup: one probe streams every way.
+            assert row.hit_accesses == row.miss_accesses == 1
+            assert stats.hit_extra_probes == 0, engine
+            assert stats.cache_read_transfers == (
+                row.hit_transfers * stats.hits
+                + row.miss_transfers * stats.misses
+            ), engine
+
+
+@pytest.mark.parametrize("ways", [4, 8])
+def test_serial_hit_cost_is_table1_mean(ways):
+    """Serial lookup finds a hit in way w after w follow-up probes.
+    Under uniform reads and random replacement a resident line sits in
+    each way with equal probability, so the follow-ups per hit are
+    uniform on {0..N-1}: mean (N+1)/2 - 1 (Table I's hit column minus
+    the first probe) and variance (N^2-1)/12, which with the hit count
+    sets the tolerance."""
+    spec = f"serial:{ways}"
+    expected = table1_row(spec).hit_accesses - 1
+    for engine in serving_engines(spec):
+        stats = uniform_stats(spec, engine)
+        sigma = math.sqrt((ways * ways - 1) / 12.0 / stats.hits)
+        measured = stats.hit_extra_probes / stats.hits
+        assert abs(measured - expected) < MAX_Z * sigma, engine
+
+
+# -- PWS accuracy: a per-set Markov chain ------------------------------------
+#
+# PWS installs a line in its preferred way with probability PIP, and
+# predicts the preferred way. Accuracy is not PIP: a line sitting in its
+# non-preferred way leaves the absent lines skewed toward the other
+# way, so the next install there tends to evict it (above PIP for an
+# even split of lines between the ways, below for 6/2). On uniform reads
+# over a 2-way cache whose every set holds ``a`` lines preferring way 0
+# and ``b`` preferring way 1, the state of a set is the preferred way of
+# each slot's line (4 states). A hit leaves it unchanged; a miss draws
+# the missing line uniformly from the a + b - 2 absent ones and installs
+# it. Accuracy is the stationary share of resident lines that sit in
+# their preferred way.
+#
+# The tolerance is binomial in the hit count. Hits on one resident line
+# between its install and its eviction share its placement, which
+# widens the spread: at PIP 0.5 with L lines per set the variance grows
+# by 1 + 4/(L-2), so sigma by 1.4x at L = 6 and less above. MAX_Z
+# leaves room for that.
+
+
+def pws_chain_accuracy(pip: float, a: int, b: int) -> float:
+    """Exact stationary PWS accuracy for ``a``/``b`` lines per
+    preferred way in each set of a full 2-way cache."""
+    states = [(p0, p1) for p0 in (0, 1) for p1 in (0, 1)]
+    index = {state: i for i, state in enumerate(states)}
+    absent = a + b - 2
+    move = np.zeros((4, 4))
+    for state in states:
+        resident = [state.count(0), state.count(1)]
+        for pref, count in ((0, a), (1, b)):
+            draw = (count - resident[pref]) / absent
+            for way, way_prob in ((pref, pip), (1 - pref, 1.0 - pip)):
+                after = list(state)
+                after[way] = pref
+                move[index[state], index[tuple(after)]] += draw * way_prob
+    # Stationary distribution: the left eigenvector for eigenvalue 1.
+    values, vectors = np.linalg.eig(move.T)
+    pi = np.real(vectors[:, np.argmin(abs(values - 1.0))])
+    pi /= pi.sum()
+    return sum(pi[index[s]] * ((s[0] == 0) + (s[1] == 1)) / 2.0
+               for s in states)
+
+
+def test_pws_chain_values():
+    assert pws_chain_accuracy(0.5, 4, 4) == pytest.approx(0.5)
+    assert pws_chain_accuracy(1.0, 4, 4) == pytest.approx(1.0)
+    for pip, accuracy in ((0.7, 0.7235), (0.85, 0.8738), (0.95, 0.9609)):
+        assert pws_chain_accuracy(pip, 4, 4) == pytest.approx(
+            accuracy, abs=5e-5
+        )
+
+
+def balanced_trace(sets: int, a: int, b: int, seed: int) -> Trace:
+    """Uniform reads over ``a`` + ``b`` lines in each of ``sets`` sets:
+    the first ``a`` tags whose preferred way is 0 and ``b`` whose is 1,
+    so every set holds the same split. ``preferred_way`` only picks the
+    input here; the chain itself shares no code with the cache."""
+    tags = {0: [], 1: []}
+    tag = 0
+    while len(tags[0]) < a or len(tags[1]) < b:
+        tags[preferred_way(tag, 2)].append(tag)
+        tag += 1
+    chosen = np.array(tags[0][:a] + tags[1][:b], dtype=np.int64)
+    lines = (chosen[:, None] * sets + np.arange(sets)[None, :]).ravel()
+    picks = np.random.default_rng(seed).integers(
+        0, len(lines), size=ACCESSES
+    )
+    return Trace("balanced", lines[picks] * LINE_BYTES,
+                 np.zeros(ACCESSES, np.uint8), 1.0)
+
+
+@pytest.mark.parametrize("a,b", [(3, 3), (4, 4), (6, 2), (8, 8)])
+@pytest.mark.parametrize("pip", [0.5, 0.7, 0.85, 0.95])
+def test_pws_accuracy_matches_the_chain(pip, a, b):
+    config = scaled_system(ways=2, scale=SCALE)
+    sets = config.dram_cache.capacity_bytes // LINE_BYTES // 2
+    design = parse_design_spec(f"pws:2:pip={pip}")
+    stats = Simulator(config, design, seed=7).run(
+        balanced_trace(sets, a, b, seed=29), warmup_fraction=WARMUP
+    ).stats
+    expected = pws_chain_accuracy(pip, a, b)
+    sigma = math.sqrt(expected * (1.0 - expected) / stats.hits)
+    assert abs(stats.prediction_accuracy - expected) < MAX_Z * sigma
+    if (a, b) == (4, 4) and pip in (0.7, 0.85):
+        # The measurement tells the chain from PIP itself.
+        assert abs(stats.prediction_accuracy - pip) > MAX_Z * sigma
