@@ -632,6 +632,8 @@ def _cmd_submit(args: argparse.Namespace,
     except ExecutionError as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return EXIT_EXECUTION
+    finally:
+        client.close()
 
     per_design = {label: {} for label in labels}
     missing = []

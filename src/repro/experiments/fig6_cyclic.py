@@ -2,18 +2,18 @@
 
 Two independent evaluations of the same model:
 
-* *analytic* — exact Markov-chain expectation, one chain run per PIP
-  for every N (:func:`repro.analysis.analytic.cyclic_pws_hit_rates`);
+* *analytic* — exact Markov-chain expectation
+  (:func:`repro.analysis.analytic.cyclic_pws_hit_rate`);
 * *simulated* — the actual 2-way PWS cache replaying the kernel trace,
   averaged over trials; every PIP's trials at one N run as one fused
   pass (:func:`repro.sim.engines.multi.drive_fused`).
 
-The simulated rates are a pure function of the kernel, the PIPs and the
-trial count, so :func:`run` memoizes them in the shared trace cache
+Both are pure functions of the kernel, the PIPs and the trial count,
+so :func:`run` memoizes them in the shared trace cache
 (:mod:`repro.workloads.trace_cache`), one entry per N under a
 :class:`CyclicKey`: a warm run reads seven key sidecars, simulates
-nothing and opens no trace payload. ``REPRO_TRACE_CACHE=0`` turns the
-memo off.
+nothing, runs no chain and opens no trace payload.
+``REPRO_TRACE_CACHE=0`` turns the memo off.
 
 Expected shape: PIP=50% (unbiased) learns to use both ways fastest;
 PIP=80% stays close; PIP=90% learns slowly but converges with enough
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.analytic import cyclic_pws_hit_rates
+from repro.analysis.analytic import cyclic_pws_hit_rate
 from repro.cache.geometry import CacheGeometry
 from repro.core.accord import AccordDesign, make_design
 from repro.exec.jobs import RESULT_SCHEMA_VERSION
@@ -56,9 +56,10 @@ class CyclicKey:
     """Everything that determines Figure 6's simulated rates at one N.
 
     The trace-cache entry's payload is the (a,b)^N kernel trace; its
-    sidecar ``meta`` carries the per-PIP simulated hit rates and a
-    sha256 over them (:func:`~repro.workloads.trace_cache.parse_digested_floats`
-    checks both).
+    sidecar ``meta`` carries the per-PIP simulated (``hit_rates``) and
+    analytic (``analytic_rates``) hit rates and one sha256 over them
+    (:func:`~repro.workloads.trace_cache.parse_digested_floats` checks
+    all three).
     """
 
     capacity_bytes: int
@@ -94,16 +95,15 @@ def _kernel_trace(iterations: int) -> Trace:
     return cyclic_trace(addresses, iterations)
 
 
-def simulated_hit_rates(
+def trial_hit_rates(
     pips: Sequence[float], iterations: int, trials: int = 32
-) -> List[float]:
-    """Replay (a,b)^N against real 2-way PWS caches; one average per PIP.
+) -> List[List[float]]:
+    """Replay (a,b)^N against real 2-way PWS caches; per PIP, each
+    trial's hit rate in trial order.
 
     Trial ``t`` of each PIP is a fresh cache seeded ``t + 1``. All
-    ``len(pips) * trials`` caches run in one fused pass, and each
-    average sums its trials' hit rates in trial order, exactly as
+    ``len(pips) * trials`` caches run in one fused pass, exactly as
     reading the trace into each cache one address at a time would.
-    Always simulates; :func:`cached_hit_rates` is the memoized form.
     """
     trace = _kernel_trace(iterations)
     geometry = CacheGeometry(_KERNEL_CAPACITY, _WAYS)
@@ -117,9 +117,19 @@ def simulated_hit_rates(
             )
             runs.append(FusedRun(fusion_plan(cache), 0, segments, None))
     results = drive_fused(runs, TraceStream(trace, geometry), geometry)
+    rates = [stats.hit_rate for stats, _phases in results]
+    return [rates[i:i + trials] for i in range(0, len(rates), trials)]
+
+
+def simulated_hit_rates(
+    pips: Sequence[float], iterations: int, trials: int = 32
+) -> List[float]:
+    """Per PIP, the mean of :func:`trial_hit_rates`, summed in trial
+    order. Always simulates; :func:`cached_rates` is the memoized form.
+    """
     return [
-        sum(stats.hit_rate for stats, _phases in results[i:i + trials]) / trials
-        for i in range(0, len(results), trials)
+        sum(rates) / trials
+        for rates in trial_hit_rates(pips, iterations, trials)
     ]
 
 
@@ -128,41 +138,46 @@ def simulated_hit_rate(pip: float, iterations: int, trials: int = 32) -> float:
     return simulated_hit_rates((pip,), iterations, trials)[0]
 
 
-def cached_hit_rates(
+def cached_rates(
     pips: Sequence[float], iterations: int, trials: int = 32
-) -> List[float]:
-    """:func:`simulated_hit_rates`, memoized in the shared trace cache.
+) -> Tuple[List[float], List[float]]:
+    """Per-PIP (analytic, simulated) hit rates at one N, memoized.
 
-    Returns the same floats. A warm call reads one key sidecar and
-    simulates nothing (the rates carry their own sha256, so the kernel
-    trace payload is not opened); an entry whose rates fail their
-    sha256 is quarantined and recomputed. ``REPRO_TRACE_CACHE=0`` turns
-    the memo off.
+    The simulated rates equal :func:`simulated_hit_rates`, the analytic
+    ones :func:`~repro.analysis.analytic.cyclic_pws_hit_rate`. A warm
+    call reads one key sidecar and neither simulates nor runs a chain
+    (the rates carry their own sha256, so the kernel trace payload is
+    not opened). An entry whose rates are missing or fail their sha256
+    is quarantined, and both lists are recomputed and stored again.
+    ``REPRO_TRACE_CACHE=0`` turns the memo off.
     """
     key = CyclicKey(_KERNEL_CAPACITY, _WAYS, tuple(pips), iterations, trials)
     disk = shared_trace_cache()
     if disk is not None:
-        rates = disk.get_meta(
-            key, partial(parse_digested_floats, "hit_rates", len(key.pips))
-        )
+        rates = disk.get_meta(key, partial(_parse_rates, len(key.pips)))
         if rates is not None:
             return rates
-    rates = simulated_hit_rates(pips, iterations, trials)
+    analytic = [cyclic_pws_hit_rate(pip, iterations) for pip in pips]
+    simulated = simulated_hit_rates(pips, iterations, trials)
     if disk is not None:
-        disk.put(key, _kernel_trace(iterations),
-                 meta=digested_floats("hit_rates", rates))
-    return rates
+        disk.put(key, _kernel_trace(iterations), meta=digested_floats(
+            "hit_rates", simulated, analytic_rates=analytic,
+        ))
+    return analytic, simulated
+
+
+def _parse_rates(count: int, meta) -> Tuple[List[float], List[float]]:
+    flat = parse_digested_floats("hit_rates", count, meta, "analytic_rates")
+    return flat[count:], flat[:count]
 
 
 def run(settings: Optional[Settings] = None, trials: int = 32) -> str:
-    analytic = [cyclic_pws_hit_rates(pip, ITERATIONS) for pip in PIPS]
     rows = []
-    for column, n in enumerate(ITERATIONS):
-        row = [str(n)]
-        simulated = cached_hit_rates(PIPS, n, trials=trials)
-        for by_n, rate in zip(analytic, simulated):
-            row.append(f"{by_n[column]:.3f}/{rate:.3f}")
-        rows.append(row)
+    for n in ITERATIONS:
+        analytic, simulated = cached_rates(PIPS, n, trials=trials)
+        rows.append([str(n)] + [
+            f"{ana:.3f}/{sim:.3f}" for ana, sim in zip(analytic, simulated)
+        ])
     return format_table(
         ["iterations N"] + [f"PIP={int(p * 100)}% (ana/sim)" for p in PIPS],
         rows,

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import http.client
 import json
-from typing import Any, Callable, Dict, Iterator, Optional
+import threading
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError, ReproError
 from repro.service.server import DEFAULT_PORT
@@ -52,7 +53,18 @@ class ServiceError(ReproError):
 
 
 class ServiceClient:
-    """Talks to one daemon; one HTTP connection per call."""
+    """Talks to one daemon over a pool of keep-alive connections.
+
+    A call takes an idle connection from the pool (or opens one) and
+    gives it back once its response, framed by ``Content-Length``, is
+    read to the end; close-delimited streams and ``Connection: close``
+    answers end their connection. The pool is shared by every thread
+    using the client. A pooled connection the daemon has since closed
+    fails before any status line arrives; that request is sent once
+    more on a fresh connection, which is safe because submissions are
+    content-addressed and deduplicated. Nothing is retried once a
+    response has begun. :meth:`close` drops the idle connections.
+    """
 
     def __init__(
         self,
@@ -63,31 +75,94 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     def _connect(self) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
 
-    def _get_json(self, path: str) -> Dict[str, Any]:
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request; the connection and its response's head."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            try:
+                return conn, self._send(conn, method, path, body, headers)
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # RemoteDisconnected too: dropped while idle; resend
         conn = self._connect()
+        return conn, self._send(conn, method, path, body, headers)
+
+    @staticmethod
+    def _send(conn, method, path, body, headers) -> http.client.HTTPResponse:
         try:
-            conn.request("GET", path)
-            response = conn.getresponse()
-            body = response.read()
-            payload = json.loads(body.decode("utf-8"))
-            if response.status != 200:
-                raise ServiceError(
-                    f"GET {path} failed with {response.status}",
-                    status=response.status, payload=payload,
-                )
-            return payload
-        except (OSError, ValueError) as exc:
+            conn.request(method, path, body=body, headers=headers or {})
+            return conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
+
+    def _release(
+        self,
+        conn: http.client.HTTPConnection,
+        response: http.client.HTTPResponse,
+    ) -> None:
+        """Pool ``conn`` if its finished response allows reuse, else close."""
+        if (
+            response.isclosed()
+            and not response.will_close
+            and response.getheader("Content-Length") is not None
+        ):
+            with self._lock:
+                self._idle.append(conn)
+        else:
+            response.close()
+            conn.close()
+
+    def close(self) -> None:
+        """Close every pooled connection (the client stays usable)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _get_json(self, path: str) -> Dict[str, Any]:
+        try:
+            conn, response = self._exchange("GET", path)
+        except OSError as exc:
             raise ServiceError(
                 f"cannot reach service at {self.host}:{self.port}: {exc}"
             ) from exc
-        finally:
+        try:
+            body = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            response.close()
             conn.close()
+            raise ServiceError(
+                f"GET {path} broke mid-response: {exc}"
+            ) from exc
+        self._release(conn, response)
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except ValueError as exc:
+            raise ServiceError(
+                f"GET {path} answered malformed JSON: {exc}",
+                status=response.status,
+            ) from exc
+        if response.status != 200:
+            raise ServiceError(
+                f"GET {path} failed with {response.status}",
+                status=response.status, payload=payload,
+            )
+        return payload
 
     def health(self) -> Dict[str, Any]:
         return self._get_json("/healthz")
@@ -104,20 +179,21 @@ class ServiceClient:
         caller can never mistake a truncated stream for success.
         """
         body = json.dumps(spec).encode("utf-8")
-        conn = self._connect()
         try:
-            try:
-                conn.request(
-                    "POST", "/v1/jobs", body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = conn.getresponse()
-            except OSError as exc:
-                raise ServiceError(
-                    f"cannot reach service at {self.host}:{self.port}: {exc}"
-                ) from exc
+            conn, response = self._exchange(
+                "POST", "/v1/jobs", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+        except OSError as exc:
+            raise ServiceError(
+                f"cannot reach service at {self.host}:{self.port}: {exc}"
+            ) from exc
+        released = False
+        try:
             if response.status != 200:
                 raw = response.read()
+                self._release(conn, response)
+                released = True
                 try:
                     payload = json.loads(raw.decode("utf-8"))
                 except (ValueError, UnicodeDecodeError):
@@ -166,8 +242,14 @@ class ServiceClient:
                 raise ServiceError(
                     "stream ended before the service's 'done' event"
                 )
+            if not response.will_close:
+                response.read()  # mark the framed body consumed
+            self._release(conn, response)
+            released = True
         finally:
-            conn.close()
+            if not released:
+                response.close()
+                conn.close()
 
     def submit(
         self,

@@ -7,10 +7,14 @@ stream an open-ended NDJSON/SSE body. This module hand-rolls those
 over ``asyncio.StreamReader``/``StreamWriter`` so the daemon has no
 hard dependency beyond the stdlib.
 
-Streaming responses are close-delimited (``Connection: close``, no
-``Content-Length``), which HTTP/1.1 permits for responses and which
-keeps both our own client and ``curl`` trivially compatible: read
-lines until EOF.
+Connections are persistent (HTTP/1.1 keep-alive): a response framed
+with ``Content-Length`` leaves the connection open for the next
+request, unless the request said ``Connection: close`` or spoke
+HTTP/1.0. Streaming responses are close-delimited (``Connection:
+close``, no ``Content-Length``), which HTTP/1.1 permits for responses
+and which keeps both our own client and ``curl`` trivially compatible:
+read lines until EOF. :func:`send_events` answers a submission that is
+already complete with one ``Content-Length`` NDJSON body instead.
 
 Everything here is transport-shaped and policy-free; routing, rate
 limiting and scheduling live in :mod:`repro.service.server`.
@@ -21,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError
@@ -61,6 +65,7 @@ class Request:
     query: Dict[str, str]
     headers: Dict[str, str]
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     def json(self) -> Any:
         """The body decoded as JSON (raises :class:`ProtocolError`)."""
@@ -75,6 +80,14 @@ class Request:
     def wants_sse(self) -> bool:
         """Did the client ask for Server-Sent Events framing?"""
         return "text/event-stream" in self.headers.get("accept", "")
+
+    @property
+    def keep_alive(self) -> bool:
+        """May the connection carry another request after this one?"""
+        return (
+            self.version != "HTTP/1.0"
+            and "close" not in self.headers.get("connection", "").lower()
+        )
 
 
 async def read_request(
@@ -142,12 +155,15 @@ async def read_request(
         raise ProtocolError("chunked request bodies are not supported")
     return Request(
         method=method, path=split.path, query=query, headers=headers,
-        body=body,
+        body=body, version=parts[2],
     )
 
 
 def _head(
-    status: int, headers: Dict[str, str], length: Optional[int]
+    status: int,
+    headers: Dict[str, str],
+    length: Optional[int],
+    keep_alive: bool = False,
 ) -> bytes:
     reason = REASONS.get(status, "Unknown")
     lines = [f"HTTP/1.1 {status} {reason}"]
@@ -155,7 +171,7 @@ def _head(
         lines.append(f"{name}: {value}")
     if length is not None:
         lines.append(f"Content-Length: {length}")
-    lines.append("Connection: close")
+    lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
@@ -164,13 +180,32 @@ async def send_json(
     status: int,
     payload: Any,
     extra_headers: Optional[Dict[str, str]] = None,
+    keep_alive: bool = False,
 ) -> None:
     """Send one complete JSON response and flush."""
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if extra_headers:
         headers.update(extra_headers)
-    writer.write(_head(status, headers, len(body)) + body)
+    writer.write(_head(status, headers, len(body), keep_alive) + body)
+    await writer.drain()
+
+
+async def send_events(
+    writer, events: Sequence[Dict[str, Any]], keep_alive: bool = False
+) -> None:
+    """Send a finished NDJSON event response in one write and flush.
+
+    The lines are byte-for-byte what :meth:`EventStream.send` writes;
+    only the framing differs (``Content-Length`` instead of EOF).
+    """
+    body = "".join(
+        json.dumps(event, sort_keys=True) + "\n" for event in events
+    ).encode("utf-8")
+    headers = {
+        "Content-Type": "application/x-ndjson", "Cache-Control": "no-store",
+    }
+    writer.write(_head(200, headers, len(body), keep_alive) + body)
     await writer.drain()
 
 
@@ -182,6 +217,7 @@ async def send_error(
     exit_code: Optional[int] = None,
     retry_after: Optional[float] = None,
     retryable: Optional[bool] = None,
+    keep_alive: bool = False,
 ) -> None:
     """Send the service's uniform error payload.
 
@@ -208,7 +244,9 @@ async def send_error(
         # Integral seconds, rounded up: Retry-After takes whole numbers.
         headers["Retry-After"] = str(max(1, int(retry_after + 0.999)))
         payload["error"]["retry_after"] = float(headers["Retry-After"])
-    await send_json(writer, status, payload, extra_headers=headers)
+    await send_json(
+        writer, status, payload, extra_headers=headers, keep_alive=keep_alive
+    )
 
 
 @dataclass
@@ -258,5 +296,6 @@ __all__ = [
     "Request",
     "read_request",
     "send_error",
+    "send_events",
     "send_json",
 ]

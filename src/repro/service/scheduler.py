@@ -163,6 +163,10 @@ class JobManager:
             "shed_queue_full": 0,
             "shed_rate_limited": 0,
             "resumed_batches": 0,
+            # Maintained by the HTTP front-end: accepted TCP connections
+            # and parsed requests (their ratio is connection reuse).
+            "connections": 0,
+            "requests": 0,
         }
 
     # -- lifecycle ---------------------------------------------------------

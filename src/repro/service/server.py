@@ -3,14 +3,23 @@
 Routes:
 
 * ``POST /v1/jobs`` — submit a job spec (:mod:`repro.service.jobspec`);
-  the response is a close-delimited NDJSON event stream (or SSE with
+  the response is an NDJSON event stream (or SSE with
   ``Accept: text/event-stream``): ``accepted``, ``scheduled``,
   ``progress``, ``phase`` (per-epoch :class:`PhaseSample` when the
   spec sets ``epoch``), ``result`` (with an ETag-style validator), and
   ``error`` events, ending with one ``done`` summary line.
 * ``GET /healthz`` — liveness + schema version.
 * ``GET /metrics`` — queue depth, in-flight jobs, store hit ratio,
-  shed counts, cumulative executor stats.
+  shed counts, connection and request counts, cumulative executor
+  stats.
+
+One connection carries requests until a response cannot be framed by
+``Content-Length``, the client asks to close (``Connection: close``
+or HTTP/1.0), a request is malformed, or the daemon shuts down. A
+submission whose every key is already in the store is answered with
+one ``Content-Length`` NDJSON body in a single write; any submission
+with queued or deduplicated keys, and every SSE request, streams
+close-delimited events instead.
 
 Overload degrades gracefully instead of falling over: per-client
 token buckets answer ``429 Too Many Requests`` and a full admission
@@ -28,7 +37,7 @@ import asyncio
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, Optional, Set
 
 from repro.errors import ConfigError
 from repro.exec.executor import Executor
@@ -37,7 +46,7 @@ from repro.exec.store import ResultStore
 from repro.service import protocol
 from repro.service.jobspec import expand_spec
 from repro.service.ratelimit import RateLimiter
-from repro.service.scheduler import JobManager, Overloaded
+from repro.service.scheduler import JobManager, Overloaded, Subscription
 from repro.verify.shadow import DEFAULT_VERIFY_ENGINE, VERIFY_ENGINES
 
 #: The service's default port: "ACRD" on a phone keypad would be nice,
@@ -109,6 +118,10 @@ class SweepService:
         )
         self.limiter = RateLimiter(config.rate, config.burst)
         self._server: Optional[asyncio.AbstractServer] = None
+        # Connections waiting for their next request: close() ends them
+        # rather than waiting on clients that keep them pooled.
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -136,7 +149,10 @@ class SweepService:
 
     async def close(self) -> None:
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         await self.manager.close()
@@ -150,14 +166,25 @@ class SweepService:
     # -- request handling --------------------------------------------------
 
     async def _handle(self, reader, writer) -> None:
+        counters = self.manager.counters
+        counters["connections"] += 1
         try:
-            request = await protocol.read_request(
-                reader, max_body=self.config.max_body
-            )
-            if request is None:
-                return
-            await self._route(request, writer)
+            while not self._closing:
+                self._idle.add(writer)
+                try:
+                    request = await protocol.read_request(
+                        reader, max_body=self.config.max_body
+                    )
+                finally:
+                    self._idle.discard(writer)
+                if request is None:
+                    return
+                counters["requests"] += 1
+                keep_alive = request.keep_alive and not self._closing
+                if not await self._route(request, writer, keep_alive):
+                    return
         except protocol.ProtocolError as exc:
+            # The request stream may be out of step: answer and close.
             try:
                 await protocol.send_error(
                     writer, exc.status, str(exc), kind="config"
@@ -179,44 +206,49 @@ class SweepService:
             return str(peer[0])
         return str(peer)
 
-    async def _route(self, request: protocol.Request, writer) -> None:
-        if request.path in ("/healthz", "/health"):
+    async def _route(
+        self, request: protocol.Request, writer, keep_alive: bool
+    ) -> bool:
+        """Answer one request; True if the connection stays open."""
+        if request.path in ("/healthz", "/health", "/metrics"):
             if request.method != "GET":
                 await protocol.send_error(
-                    writer, 405, "use GET", kind="config"
+                    writer, 405, "use GET", kind="config",
+                    keep_alive=keep_alive,
                 )
-                return
-            await protocol.send_json(writer, 200, {
-                "status": "ok",
-                "schema_version": RESULT_SCHEMA_VERSION,
-                "uptime_seconds": self.manager.metrics()["uptime_seconds"],
-                "inflight": len(self.manager._inflight),
-            })
-            return
-        if request.path == "/metrics":
-            if request.method != "GET":
-                await protocol.send_error(
-                    writer, 405, "use GET", kind="config"
+            elif request.path == "/metrics":
+                await protocol.send_json(
+                    writer, 200, self.manager.metrics(),
+                    keep_alive=keep_alive,
                 )
-                return
-            await protocol.send_json(writer, 200, self.manager.metrics())
-            return
+            else:
+                await protocol.send_json(writer, 200, {
+                    "status": "ok",
+                    "schema_version": RESULT_SCHEMA_VERSION,
+                    "uptime_seconds":
+                        self.manager.metrics()["uptime_seconds"],
+                    "inflight": len(self.manager._inflight),
+                }, keep_alive=keep_alive)
+            return keep_alive
         if request.path == "/v1/jobs":
             if request.method != "POST":
                 await protocol.send_error(
-                    writer, 405, "POST a job spec", kind="config"
+                    writer, 405, "POST a job spec", kind="config",
+                    keep_alive=keep_alive,
                 )
-                return
-            await self._submit(request, writer)
-            return
+                return keep_alive
+            return await self._submit(request, writer, keep_alive)
         await protocol.send_error(
             writer, 404,
             f"no such endpoint {request.path!r}; "
             "try POST /v1/jobs, GET /healthz, GET /metrics",
-            kind="config",
+            kind="config", keep_alive=keep_alive,
         )
+        return keep_alive
 
-    async def _submit(self, request: protocol.Request, writer) -> None:
+    async def _submit(
+        self, request: protocol.Request, writer, keep_alive: bool
+    ) -> bool:
         allowed, wait = self.limiter.check(self._client_key(writer))
         if not allowed:
             self.manager.counters["shed_rate_limited"] += 1
@@ -224,50 +256,71 @@ class SweepService:
                 writer, 429,
                 "per-client rate limit exceeded",
                 kind="execution", retryable=True, retry_after=wait,
+                keep_alive=keep_alive,
             )
-            return
+            return keep_alive
         try:
             spec = request.json()
             keys, labels, workloads = expand_spec(spec)
         except (protocol.ProtocolError, ConfigError) as exc:
-            await protocol.send_error(writer, 400, str(exc), kind="config")
-            return
+            await protocol.send_error(
+                writer, 400, str(exc), kind="config", keep_alive=keep_alive
+            )
+            return keep_alive
         try:
             sub = self.manager.submit(keys)
         except Overloaded as exc:
             await protocol.send_error(
                 writer, 503, str(exc),
                 kind="execution", retryable=True,
-                retry_after=exc.retry_after,
+                retry_after=exc.retry_after, keep_alive=keep_alive,
             )
-            return
+            return keep_alive
+
+        accepted = {
+            "event": "accepted",
+            "schema_version": RESULT_SCHEMA_VERSION,
+            "keys": len(sub.remaining) + sub.counts["cached"],
+            "designs": labels,
+            "workloads": workloads,
+            "counts": dict(sub.counts),
+        }
+        if not sub.remaining and not request.wants_sse:
+            # Fully warm: every event is already settled in the queue.
+            sub.closed = True
+            events = [accepted]
+            while not sub.queue.empty():
+                event = sub.queue.get_nowait()
+                if event is not None:
+                    events.append(event)
+            events.append(self._done_event(sub))
+            await protocol.send_events(writer, events, keep_alive=keep_alive)
+            return keep_alive
 
         stream = protocol.EventStream(writer, sse=request.wants_sse)
         try:
             await stream.start()
-            await stream.send({
-                "event": "accepted",
-                "schema_version": RESULT_SCHEMA_VERSION,
-                "keys": len(sub.remaining) + sub.counts["cached"],
-                "designs": labels,
-                "workloads": workloads,
-                "counts": dict(sub.counts),
-            })
+            await stream.send(accepted)
             while True:
                 event = await sub.queue.get()
                 if event is None:
                     break
                 await stream.send(event)
-            await stream.send({
-                "event": "done",
-                "counts": dict(sub.counts),
-                "failed": sub.counts["failed"],
-            })
+            await stream.send(self._done_event(sub))
         except (ConnectionError, OSError):
             pass  # client disconnected mid-stream; computation continues
         finally:
             sub.closed = True
             await stream.close()
+        return False
+
+    @staticmethod
+    def _done_event(sub: Subscription) -> Dict[str, Any]:
+        return {
+            "event": "done",
+            "counts": dict(sub.counts),
+            "failed": sub.counts["failed"],
+        }
 
 
 async def run_service(config: ServiceConfig) -> None:

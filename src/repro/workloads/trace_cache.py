@@ -35,7 +35,7 @@ The cache holds four kinds of entry, told apart by their key:
   SRAM levels' hit counters as ``meta``, and the raw stream's reads;
 * :class:`repro.experiments.fig6_cyclic.CyclicKey` — Figure 6 at one
   N: the (a,b)^N kernel trace, whose sidecar ``meta`` carries the
-  per-PIP simulated hit rates and a sha256 over them;
+  per-PIP simulated and analytic hit rates and one sha256 over them;
 * :class:`repro.experiments.ablations.MruKey` — the MRU-filtering
   ablation: an empty trace, whose sidecar ``meta`` carries MRU's
   accuracy on the raw and on the L3-filtered stream and a sha256 over
@@ -66,7 +66,8 @@ import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, TypeVar, Union,
+    Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
+    TypeVar, Union,
 )
 
 # NOTE: repro.exec.{faults,resilience} are imported lazily inside the
@@ -165,32 +166,48 @@ class TraceKey:
         return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
 
 
-def digested_floats(name: str, values: Sequence[float]) -> Dict[str, Any]:
-    """A sidecar ``meta`` carrying ``values`` under ``name`` plus a
-    sha256 over them, for :func:`parse_digested_floats` to check."""
-    values = list(values)
-    payload = json.dumps(values, separators=(",", ":")).encode("ascii")
-    return {name: values, "sha256": hashlib.sha256(payload).hexdigest()}
+def digested_floats(
+    name: str, values: Sequence[float], **more: Sequence[float]
+) -> Dict[str, Any]:
+    """A sidecar ``meta`` carrying ``values`` under ``name`` (and each
+    list in ``more`` under its own name) plus one sha256 over all of
+    them in order, for :func:`parse_digested_floats` to check."""
+    fields = {name: list(values)}
+    fields.update((field, list(rest)) for field, rest in more.items())
+    return dict(fields, sha256=_floats_sha256(fields.values()))
 
 
-def parse_digested_floats(name: str, count: int, meta: Any) -> List[float]:
+def _floats_sha256(lists: Iterable[List[float]]) -> str:
+    flat = [value for values in lists for value in values]
+    payload = json.dumps(flat, separators=(",", ":")).encode("ascii")
+    return hashlib.sha256(payload).hexdigest()
+
+
+def parse_digested_floats(
+    name: str, count: int, meta: Any, *more: str
+) -> List[float]:
     """The ``count`` floats in [0, 1] a :func:`digested_floats` meta
-    carries under ``name``; ValueError if malformed or tampered."""
-    if not isinstance(meta, dict) or set(meta) != {name, "sha256"}:
-        raise ValueError(f"expected {name} with their sha256, got {meta!r}")
-    values = meta[name]
-    if not (
-        isinstance(values, list) and len(values) == count
-        and all(type(v) is float and 0.0 <= v <= 1.0 for v in values)
-    ):
-        raise ValueError(f"bad {name} {values!r}")
-    recomputed = digested_floats(name, values)["sha256"]
+    carries under ``name``, followed by the ``count`` under each name in
+    ``more``; ValueError if any is missing, malformed or tampered."""
+    names = (name,) + more
+    if not isinstance(meta, dict) or set(meta) != {*names, "sha256"}:
+        raise ValueError(
+            f"expected {', '.join(names)} with their sha256, got {meta!r}"
+        )
+    lists = [meta[field] for field in names]
+    for field, values in zip(names, lists):
+        if not (
+            isinstance(values, list) and len(values) == count
+            and all(type(v) is float and 0.0 <= v <= 1.0 for v in values)
+        ):
+            raise ValueError(f"bad {field} {values!r}")
+    recomputed = _floats_sha256(lists)
     if meta["sha256"] != recomputed:
         raise ValueError(
-            f"{name} digest mismatch (stored {meta['sha256']!r}, "
+            f"{'/'.join(names)} digest mismatch (stored {meta['sha256']!r}, "
             f"recomputed {recomputed})"
         )
-    return values
+    return [value for values in lists for value in values]
 
 
 @dataclass

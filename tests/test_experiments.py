@@ -149,8 +149,8 @@ class TestFig6Memo:
 
         expected = fig6_cyclic.simulated_hit_rates(fig6_cyclic.PIPS, 16, 3)
         for _ in range(2):  # cold, then read back
-            assert fig6_cyclic.cached_hit_rates(
-                fig6_cyclic.PIPS, 16, 3) == expected
+            assert fig6_cyclic.cached_rates(
+                fig6_cyclic.PIPS, 16, 3)[1] == expected
         assert len(fig6_entries(fig6_trace_dir)) == 1
 
     def test_cache_off_writes_nothing(self, fig6_trace_dir, monkeypatch):
@@ -158,7 +158,7 @@ class TestFig6Memo:
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
         expected = fig6_cyclic.simulated_hit_rates(fig6_cyclic.PIPS, 4, 3)
-        assert fig6_cyclic.cached_hit_rates(fig6_cyclic.PIPS, 4, 3) == expected
+        assert fig6_cyclic.cached_rates(fig6_cyclic.PIPS, 4, 3)[1] == expected
         assert not fig6_trace_dir.exists()
 
     def test_key_digest_covers_every_input(self):
@@ -181,7 +181,9 @@ class TestFig6Memo:
         lambda meta: meta.__setitem__("sha256", "0" * 64),
         lambda meta: meta["hit_rates"].pop(),
         lambda meta: meta.pop("sha256"),
-    ], ids=["edited-rate", "edited-digest", "short", "no-digest"])
+        lambda meta: meta["analytic_rates"].__setitem__(1, 0.5),
+    ], ids=["edited-rate", "edited-digest", "short", "no-digest",
+            "edited-analytic"])
     def test_tampered_rates_are_quarantined_and_recomputed(
         self, fig6_trace_dir, tamper
     ):
@@ -201,6 +203,46 @@ class TestFig6Memo:
         # The recompute was stored again; the next run reads it cleanly.
         assert len(fig6_entries(fig6_trace_dir)) == len(fig6_cyclic.ITERATIONS)
         assert fig6_cyclic.run(trials=FIG6_TRIALS) == expected
+
+
+    def test_warm_run_runs_no_chain(self, fig6_trace_dir, monkeypatch):
+        from repro.experiments import fig6_cyclic
+
+        cold = fig6_in_subprocess()
+        chains = []
+        monkeypatch.setattr(
+            fig6_cyclic, "cyclic_pws_hit_rate",
+            lambda *args: chains.append(args),
+        )
+        assert fig6_cyclic.run(trials=FIG6_TRIALS) == cold
+        assert chains == []  # the analytic rates ride in the sidecars
+
+    def test_sidecar_without_analytic_rates_is_rewritten(
+        self, fig6_trace_dir
+    ):
+        import json
+
+        from repro.analysis.analytic import cyclic_pws_hit_rate
+        from repro.experiments import fig6_cyclic
+        from repro.workloads.trace_cache import digested_floats
+
+        expected = fig6_cyclic.run(trials=FIG6_TRIALS)
+        sidecar = sorted(fig6_trace_dir.glob("*/*.key.json"))[0]
+        record = json.loads(sidecar.read_text())
+        # The simulated rates alone, as the sidecar held them before the
+        # analytic rates rode along.
+        record["meta"] = digested_floats(
+            "hit_rates", record["meta"]["hit_rates"]
+        )
+        sidecar.write_text(json.dumps(record))
+        with pytest.warns(RuntimeWarning, match="analytic_rates"):
+            assert fig6_cyclic.run(trials=FIG6_TRIALS) == expected
+        rewritten = json.loads(sidecar.read_text())["meta"]
+        assert set(rewritten) == {"hit_rates", "analytic_rates", "sha256"}
+        n = json.loads(record["key"])["iterations"]
+        assert rewritten["analytic_rates"] == [
+            cyclic_pws_hit_rate(pip, n) for pip in fig6_cyclic.PIPS
+        ]
 
 
 class TestPaperGeometryFootprint:

@@ -379,3 +379,85 @@ def test_pws_accuracy_matches_the_chain(pip, a, b):
     if (a, b) == (4, 4) and pip in (0.7, 0.85):
         # The measurement tells the chain from PIP itself.
         assert abs(stats.prediction_accuracy - pip) > MAX_Z * sigma
+
+
+# -- Figure 6: the cyclic kernel against its chain, banded by trial count --
+#
+# Two lines a and b share one 2-way set and both prefer way 0; the
+# kernel reads a, b, a, b, ... (N rounds). A miss installs the line in
+# way 0 with probability PIP, else in way 1, evicting whatever sits
+# there. The state is each line's way (or absent), so the expected hit
+# rate follows from matrix products over the 9 states. Figure 6's
+# simulation averages independent trials (one seeded cache each), so
+# the tolerance is the standard error of the mean: MAX_Z sample
+# standard deviations of the per-trial hit rates over sqrt(trials).
+
+CYCLIC_TRIALS = 64
+
+
+def cyclic_chain_hit_rate(pip: float, rounds: int) -> float:
+    """Exact expected hit rate of (a,b)^rounds on the set above."""
+    places = (None, 0, 1)
+    states = [(pa, pb) for pa in places for pb in places
+              if pa is None or pa != pb]
+    index = {state: i for i, state in enumerate(states)}
+    resident = []
+    moves = []
+    for line in (0, 1):
+        hit = np.array([float(s[line] is not None) for s in states])
+        move = np.zeros((len(states), len(states)))
+        for state in states:
+            if state[line] is not None:
+                move[index[state], index[state]] = 1.0
+                continue
+            for way, prob in ((0, pip), (1, 1.0 - pip)):
+                after = list(state)
+                other = 1 - line
+                if after[other] == way:
+                    after[other] = None  # evicted
+                after[line] = way
+                move[index[state], index[tuple(after)]] += prob
+        resident.append(hit)
+        moves.append(move)
+    dist = np.zeros(len(states))
+    dist[index[(None, None)]] = 1.0
+    hits = 0.0
+    for _ in range(rounds):
+        for line in (0, 1):
+            hits += dist @ resident[line]
+            dist = dist @ moves[line]
+    return hits / (2 * rounds)
+
+
+def test_cyclic_chain_values():
+    assert cyclic_chain_hit_rate(1.0, 64) == 0.0  # direct-mapped
+    assert cyclic_chain_hit_rate(0.5, 1) == 0.0  # two cold misses
+    # a, b, a, b: the second round hits twice when the lines went to
+    # different ways (2pq); otherwise a misses again, and b survives
+    # when a lands in the other way (p*p*q + q*q*p).
+    p, q = 0.7, 0.3
+    assert cyclic_chain_hit_rate(p, 2) == pytest.approx(
+        (2 * 2 * p * q + p * p * q + q * q * p) / 4
+    )
+
+
+@pytest.mark.parametrize("rounds", [4, 16, 64])
+@pytest.mark.parametrize("pip", [0.5, 0.7, 0.9])
+def test_figure6_simulation_matches_the_chain(pip, rounds):
+    from repro.analysis.analytic import cyclic_pws_hit_rate
+    from repro.experiments.fig6_cyclic import (
+        simulated_hit_rate,
+        trial_hit_rates,
+    )
+
+    expected = cyclic_chain_hit_rate(pip, rounds)
+    # The report's analytic column is the same chain.
+    assert cyclic_pws_hit_rate(pip, rounds) == pytest.approx(
+        expected, abs=1e-12
+    )
+    (rates,) = trial_hit_rates((pip,), rounds, CYCLIC_TRIALS)
+    mean = simulated_hit_rate(pip, rounds, CYCLIC_TRIALS)
+    assert mean == sum(rates) / CYCLIC_TRIALS
+    spread = float(np.std(rates, ddof=1))
+    assert spread > 0.0
+    assert abs(mean - expected) < MAX_Z * spread / math.sqrt(CYCLIC_TRIALS)

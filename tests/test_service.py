@@ -6,7 +6,12 @@ from a worker thread — the same split a production deployment has.
 """
 
 import asyncio
+import http.client
 import json
+import socket
+import sys
+import threading
+import time
 
 import pytest
 
@@ -54,6 +59,7 @@ def serve(config, body):
                 None, body, client, service
             )
         finally:
+            client.close()
             await service.close()
 
     return asyncio.run(main())
@@ -482,3 +488,345 @@ class TestServiceChaos:
             return events
 
         serve(self.config(tmp_path, retries=0), body)
+
+
+def read_raw_request(conn):
+    """Read one HTTP request off a raw socket; False on EOF."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return False
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    while len(body) < length:
+        body += conn.recv(4096)
+    return True
+
+
+def json_response(payload=b'{"status": "ok"}\n', length=None):
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\nConnection: keep-alive\r\n\r\n"
+        % (len(payload) if length is None else length)
+    ) + payload
+
+
+class ScriptedServer:
+    """A raw TCP server: its i-th accepted connection runs ``scripts[i]``.
+
+    Counts accepted connections, so a test can tell whether a client
+    opened a second one.
+    """
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+        self.accepted = 0
+        self.sock = socket.socket()
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.listen(8)
+        self.port = self.sock.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        for script in self.scripts:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return  # closed by the test
+            self.accepted += 1
+            with conn:
+                script(conn)
+
+    def close(self):
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
+        except OSError:
+            pass
+        self.sock.close()
+        self.thread.join(timeout=10)
+
+
+def raw_exchange(port, request):
+    """Send raw request bytes; return everything read until EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)  # socket.timeout: never closed
+            if not chunk:
+                return data
+            data += chunk
+
+
+class TestKeepAlive:
+    config = TestServiceHTTP.config
+
+    WARM = {"kind": "run", "designs": "direct", "workloads": "soplex",
+            "accesses": ACCESSES}
+
+    def test_warm_submissions_share_one_connection(self, tmp_path):
+        def body(client, service):
+            ServiceClient(port=service.port).submit(self.WARM)  # cold
+            counters = service.manager.counters
+            before = dict(counters)
+            for _ in range(20):
+                results = client.submit(self.WARM)
+                assert [e["source"] for e in results.values()] == ["cached"]
+            metrics = client.metrics()["counters"]
+            assert metrics["connections"] - before["connections"] == 1
+            assert metrics["requests"] - before["requests"] == 21
+            assert metrics["store_hits"] - before["store_hits"] == 20
+
+        serve(self.config(tmp_path), body)
+
+    def test_cold_then_warm_opens_two_connections(self, tmp_path):
+        def body(client, service):
+            assert client.submit(self.WARM)  # cold: streamed, then closed
+            assert not client._idle
+            client.submit(self.WARM)  # warm: a new, pooled connection
+            assert len(client._idle) == 1
+            client.submit(self.WARM)
+            assert service.manager.counters["connections"] == 2
+            assert service.manager.counters["requests"] == 3
+
+        serve(self.config(tmp_path), body)
+
+    def test_warm_answer_is_one_content_length_body(self, tmp_path):
+        spec = json.dumps(spec_for()).encode()
+
+        def body(client, service):
+            streamed = list(client.stream_job(spec_for()))  # cold
+            conn = http.client.HTTPConnection("127.0.0.1", service.port)
+            try:
+                conn.request("POST", "/v1/jobs", body=spec)
+                response = conn.getresponse()
+                assert response.getheader("Connection") == "keep-alive"
+                length = int(response.getheader("Content-Length"))
+                raw = response.read()
+                assert len(raw) == length
+                events = [json.loads(line) for line in raw.splitlines()]
+                kinds = [e["event"] for e in events]
+                assert kinds == ["accepted"] + ["result"] * 4 + ["done"]
+                assert events[-1]["counts"]["cached"] == 4
+                # The same connection serves the next request.
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().read()
+            finally:
+                conn.close()
+            cold_results = {
+                e["key"]: e["result"] for e in streamed
+                if e["event"] == "result"
+            }
+            assert {e["key"]: e["result"] for e in events[1:-1]} == \
+                cold_results
+            assert service.manager.counters["connections"] == 2
+
+        serve(self.config(tmp_path), body)
+
+    def test_connection_close_and_http10_close(self, tmp_path):
+        def body(client, service):
+            for request in (
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+                b"GET /healthz HTTP/1.0\r\n\r\n",
+            ):
+                # raw_exchange reads to EOF, so the server must close.
+                answer = raw_exchange(service.port, request)
+                assert answer.startswith(b"HTTP/1.1 200 OK")
+                assert b"Connection: close\r\n" in answer
+                assert b"Content-Length: " in answer
+
+        serve(self.config(tmp_path), body)
+
+    def test_malformed_request_closes_the_connection(self, tmp_path):
+        def body(client, service):
+            answer = raw_exchange(
+                service.port,
+                b"GET /healthz HTTP/1.1\r\n\r\nnot an http request\r\n\r\n",
+            )
+            first, _, second = answer.partition(b"HTTP/1.1 400")
+            assert b"Connection: keep-alive" in first
+            assert b"Connection: close" in second
+
+        serve(self.config(tmp_path), body)
+
+    def test_streamed_responses_close(self, tmp_path):
+        def body(client, service):
+            client.submit(self.WARM)  # cold: close-delimited stream
+            assert not client._idle
+            client.health()
+            assert service.manager.counters["connections"] == 2
+            # SSE always streams, even when every key is warm.
+            answer = raw_exchange(
+                service.port,
+                b"POST /v1/jobs HTTP/1.1\r\n"
+                b"Accept: text/event-stream\r\n"
+                b"Content-Length: %d\r\n\r\n%s"
+                % (len(json.dumps(self.WARM)), json.dumps(self.WARM).encode()),
+            )
+            head, _, events = answer.partition(b"\r\n\r\n")
+            assert b"Connection: close" in head
+            assert b"Content-Length" not in head
+            assert events.count(b"data: ") == 3
+            client.health()  # the pooled connection is still good
+            assert service.manager.counters["connections"] == 3
+
+        serve(self.config(tmp_path), body)
+
+    def test_retries_once_when_an_idle_connection_was_dropped(self, tmp_path):
+        async def main():
+            service = SweepService(self.config(tmp_path))
+            await service.start()
+            loop = asyncio.get_running_loop()
+            client = ServiceClient(port=service.port, timeout=60)
+
+            async def drop_idle():
+                (writer,) = service._idle
+                writer.close()
+                await writer.wait_closed()
+
+            def body():
+                client.health()
+                assert len(client._idle) == 1
+                # The daemon drops the idle connection under the client.
+                asyncio.run_coroutine_threadsafe(drop_idle(), loop).result(10)
+                assert client.health()["status"] == "ok"
+
+            try:
+                await loop.run_in_executor(None, body)
+            finally:
+                client.close()
+                await service.close()
+            assert service.manager.counters["connections"] == 2
+            assert service.manager.counters["requests"] == 2
+
+        asyncio.run(main())
+
+    def test_retry_against_a_server_that_drops_idle_connections(self):
+        def answer_then_drop(conn):
+            assert read_raw_request(conn)
+            conn.sendall(json_response())
+
+        def answer(conn):
+            assert read_raw_request(conn)
+            conn.sendall(json_response())
+
+        server = ScriptedServer([answer_then_drop, answer])
+        client = ServiceClient(port=server.port, timeout=10)
+        try:
+            assert client.health() == {"status": "ok"}
+            assert client.health() == {"status": "ok"}
+            assert server.accepted == 2
+        finally:
+            client.close()
+            server.close()
+
+    def test_no_retry_after_a_response_has_begun(self):
+        def answer_then_truncate(conn):
+            assert read_raw_request(conn)
+            conn.sendall(json_response())
+            assert read_raw_request(conn)
+            conn.sendall(json_response(b"{}\n", length=500))
+
+        def count_only(conn):
+            pass
+
+        server = ScriptedServer([answer_then_truncate, count_only])
+        client = ServiceClient(port=server.port, timeout=10)
+        try:
+            client.health()
+            with pytest.raises(ServiceError, match="mid-response"):
+                client.health()  # short body: IncompleteRead
+            assert server.accepted == 1
+        finally:
+            client.close()
+            server.close()
+
+    def test_truncated_warm_body_raises_without_retry(self):
+        def answer_then_truncate(conn):
+            assert read_raw_request(conn)
+            conn.sendall(json_response())
+            assert read_raw_request(conn)
+            conn.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+                b"Content-Length: 500\r\nConnection: keep-alive\r\n\r\n"
+                b'{"event": "accepted"}\n'
+            )
+
+        def count_only(conn):
+            pass
+
+        server = ScriptedServer([answer_then_truncate, count_only])
+        client = ServiceClient(port=server.port, timeout=10)
+        try:
+            client.health()
+            with pytest.raises(ServiceError, match="'done' event"):
+                list(client.stream_job(self.WARM))
+            assert server.accepted == 1
+        finally:
+            client.close()
+            server.close()
+
+    def test_close_does_not_wait_on_idle_pooled_connections(self, tmp_path):
+        async def main():
+            service = SweepService(self.config(tmp_path))
+            await service.start()
+            client = ServiceClient(port=service.port, timeout=60)
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, client.health)
+            (conn,) = client._idle  # held open by the client
+            started = time.monotonic()
+            await asyncio.wait_for(service.close(), timeout=2)
+            assert time.monotonic() - started < 2
+            # The daemon closed its end: the pooled socket reads EOF.
+            conn.sock.settimeout(5)
+            assert await loop.run_in_executor(None, conn.sock.recv, 1) == b""
+            client.close()
+
+        asyncio.run(main())
+
+    def test_threads_share_the_pool(self, tmp_path):
+        threads, per_thread = 6, 15
+
+        def body(client, service):
+            expected = client.submit(self.WARM)  # cold
+            before = dict(service.manager.counters)
+            errors = []
+
+            def hammer():
+                try:
+                    for _ in range(per_thread):
+                        assert client.submit(self.WARM).keys() == \
+                            expected.keys()
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [
+                    threading.Thread(target=hammer) for _ in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=120)
+                assert not any(worker.is_alive() for worker in workers)
+            finally:
+                sys.setswitchinterval(interval)
+            assert errors == []
+            counters = service.manager.counters
+            assert counters["requests"] - before["requests"] == \
+                threads * per_thread
+            # A connection serves one thread at a time, and idle ones
+            # are reused: never more connections than threads.
+            assert counters["connections"] - before["connections"] <= threads
+            assert len(client._idle) <= threads
+
+        serve(self.config(tmp_path), body)

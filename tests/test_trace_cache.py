@@ -289,6 +289,26 @@ class TestTraceCache:
             with pytest.raises(ValueError):
                 parse_digested_floats("rates", 2, bad)
 
+    def test_digested_floats_several_lists_share_one_digest(self):
+        from repro.workloads.trace_cache import (
+            digested_floats,
+            parse_digested_floats,
+        )
+
+        meta = digested_floats("sim", [0.25, 0.5], ana=[0.75, 1.0])
+        assert parse_digested_floats("sim", 2, meta, "ana") == \
+            [0.25, 0.5, 0.75, 1.0]
+        # One list alone digests as the single-list form does.
+        assert digested_floats("sim", [0.25, 0.5])["sha256"] != meta["sha256"]
+        for bad in (
+            {**meta, "ana": [0.75, 0.5]},  # edited value, stale digest
+            {**meta, "sim": meta["ana"], "ana": meta["sim"]},  # swapped
+            {**meta, "ana": [0.75]},
+            digested_floats("sim", [0.25, 0.5]),  # "ana" missing
+        ):
+            with pytest.raises(ValueError):
+                parse_digested_floats("sim", 2, bad, "ana")
+
     def test_unwritable_root_warns_once_and_degrades(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where the root should be")
