@@ -229,7 +229,7 @@ def _cmd_sweep(args: argparse.Namespace,
         JobKey,
         SweepJournal,
         default_store_root,
-        parse_design_spec,
+        parse_design_specs,
     )
     from repro.exec.faults import active_plan
     from repro.experiments.common import settings_from_args
@@ -245,17 +245,13 @@ def _cmd_sweep(args: argparse.Namespace,
     except ConfigError as exc:
         parser.error(f"{FAULT_PLAN_ENV}: {exc}")
     try:
-        designs = [
-            parse_design_spec(spec)
-            for spec in args.designs.split(",") if spec.strip()
-        ]
+        designs, labels = parse_design_specs(
+            [spec for spec in args.designs.split(",") if spec.strip()]
+        )
     except ConfigError as exc:
         parser.error(str(exc))
     if not designs:
         parser.error("--designs: no design specs given")
-    labels = [design.display_name for design in designs]
-    if len(set(labels)) != len(labels):
-        parser.error("--designs: duplicate designs in sweep")
 
     keys = {
         label: [
@@ -672,6 +668,7 @@ def _add_endpoint_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.exec import usable_cpus
     from repro.experiments.common import add_settings_arguments
     from repro.verify.shadow import DEFAULT_VERIFY_ENGINE, VERIFY_ENGINES
 
@@ -915,7 +912,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         passthrough += ["--workloads", args.workloads]
     if args.quick:
         passthrough += ["--quick"]
-    if args.jobs != 1:
+    if args.jobs != usable_cpus():
         passthrough += ["--jobs", str(args.jobs)]
     if args.results_dir is not None:
         passthrough += ["--results-dir", args.results_dir]

@@ -10,7 +10,9 @@
   with quarantine of corrupt entries.
 * :mod:`repro.exec.executor` — :class:`Executor`, which serves warm
   keys from the store (or a resume journal) and fans cold keys out
-  over a process pool with retries, backoff, and a timeout watchdog.
+  over the process-wide worker pool (:func:`retire_pool` joins it) with
+  retries, backoff, and a timeout watchdog; :func:`usable_cpus` is the
+  default worker count of ``repro run``/``sweep``.
 * :mod:`repro.exec.resilience` — :class:`BackoffPolicy`,
   :class:`SweepJournal` (crash-safe ``--resume``), and quarantine
   helpers.
@@ -25,7 +27,12 @@ shadow-verify a sample of jobs on the reference engine
 the circuit breaker (which calls :func:`clear_engine_plans`).
 """
 
-from repro.exec.executor import Executor, ExecutorStats
+from repro.exec.executor import (
+    Executor,
+    ExecutorStats,
+    retire_pool,
+    usable_cpus,
+)
 from repro.exec.faults import (
     FAULT_PLAN_ENV,
     FaultPlan,
@@ -38,6 +45,7 @@ from repro.exec.jobs import (
     clear_engine_plans,
     execute_job,
     parse_design_spec,
+    parse_design_specs,
     resolve_job_engine,
 )
 from repro.exec.resilience import BackoffPolicy, SweepJournal, quarantine_entry
@@ -65,7 +73,10 @@ __all__ = [
     "execute_job",
     "fault_point",
     "parse_design_spec",
+    "parse_design_specs",
     "quarantine_entry",
     "resolve_job_engine",
+    "retire_pool",
     "suppressed",
+    "usable_cpus",
 ]

@@ -6,7 +6,7 @@ Jobs are independent (design, workload) simulations named by
 :class:`~repro.exec.resilience.SweepJournal`), chunks the cold ones
 into :class:`~repro.exec.batching.BatchTask` work items — same-trace
 groups of up to ``batch_size`` jobs, or one job each under
-``batch=False`` — fans the tasks out over a ``ProcessPoolExecutor``
+``batch=False`` — fans the tasks out over the process-wide worker pool
 (or runs them inline for ``jobs=1``), and reports progress through an
 optional callback. A task is the only unit the retry, claim, watchdog
 and degrade machinery below sees; its results are absorbed per job.
@@ -31,6 +31,17 @@ Results are bit-identical to a fault-free serial run: every job
 rebuilds its trace from the seeded generator, so neither scheduling,
 retries, nor process boundaries can perturb the outcome.
 
+One worker pool serves every executor in a process. It is forked on the
+first parallel run and reused by every later run whose identity — the
+worker count plus every ``REPRO_*`` environment variable, which workers
+read as they were when forked — matches. It is retired (its workers
+joined, its shared-memory trace segments unlinked) on a pool break, on
+a watchdog kill, when the identity changes (a circuit-breaker trip
+rewrites ``REPRO_ENGINE_DENY``), on :meth:`Executor.shutdown`,
+:func:`retire_pool`, and at interpreter exit. Parallel runs hold one
+module-level lock, so retiring the pool never cancels another
+executor's tasks.
+
 With ``verify_fraction > 0`` a deterministic sample of executed jobs
 is additionally *shadow-verified*: each sampled result is compared (by
 :func:`~repro.verify.digest.result_digest`) against a re-execution on
@@ -42,6 +53,7 @@ reference result — the sweep still completes, bit-identically.
 
 from __future__ import annotations
 
+import atexit
 import os
 import shutil
 import signal
@@ -51,8 +63,9 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     ConfigError,
@@ -144,6 +157,119 @@ def _kill(pid: int) -> None:
         pass
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the default worker count."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return max(1, os.cpu_count() or 1)
+
+
+# -- the process-wide worker pool ---------------------------------------------
+
+
+def _unlink_segment(shm) -> None:
+    try:
+        shm.close()
+        shm.unlink()
+    except (FileNotFoundError, OSError):
+        pass
+
+
+class _WorkerPool:
+    """Forked workers plus the shared-memory traces published for them.
+
+    Segments are unlinked after the workers are joined, so a worker's
+    attach memo never outlives its segment. Only the cap unlinks one
+    earlier; workers that attached it keep a valid mapping.
+    """
+
+    #: Cap on concurrently published trace segments (a long-lived pool
+    #: sweeps many workloads); oldest unlink first.
+    SEGMENT_LIMIT = 32
+
+    def __init__(self, identity: Tuple):
+        self.identity = identity
+        # Workers fork on the first submission. Forked with the tracker
+        # already running, a worker that attaches a segment registers it
+        # with the parent's tracker; otherwise it starts its own, which
+        # unlinks the parent's segments and warns when the worker exits.
+        resource_tracker.ensure_running()
+        self.processes = ProcessPoolExecutor(
+            max_workers=identity[0], initializer=mark_worker_process
+        )
+        #: trace token -> (SharedMemory, TraceRef).
+        self.segments: Dict[str, Tuple] = {}
+
+    def publish(self, key: JobKey) -> TraceRef:
+        """The segment holding ``key``'s trace, published on first use."""
+        token = trace_key_for(key).digest()
+        entry = self.segments.get(token)
+        if entry is None:
+            trace = _trace_factory(key).trace_for(key.workload)
+            entry = self.segments[token] = publish_trace(trace, token)
+            while len(self.segments) > self.SEGMENT_LIMIT:
+                oldest = next(iter(self.segments))
+                _unlink_segment(self.segments.pop(oldest)[0])
+        return entry[1]
+
+    def close(self) -> None:
+        """Join the workers (queued tasks cancelled), then unlink."""
+        self.processes.shutdown(wait=True, cancel_futures=True)
+        segments, self.segments = self.segments, {}
+        for shm, _ref in segments.values():
+            _unlink_segment(shm)
+
+
+#: Held by every parallel run and by :func:`retire_pool`. Reentrant, so
+#: a run can retire the pool it is using.
+_POOL_LOCK = threading.RLock()
+_POOL: Optional[_WorkerPool] = None
+
+
+def _pool_identity(workers: int) -> Tuple:
+    return (workers, tuple(sorted(
+        (name, value) for name, value in os.environ.items()
+        if name.startswith("REPRO_")
+    )))
+
+
+def _shared_pool(workers: int) -> _WorkerPool:
+    """The live pool if its identity matches, else a freshly forked one.
+
+    The caller holds :data:`_POOL_LOCK`. A stale pool is joined before
+    the new one forks, so no fork happens while its manager thread runs.
+    """
+    global _POOL
+    identity = _pool_identity(workers)
+    if (
+        _POOL is None
+        or _POOL.identity != identity
+        # A worker that died between runs (killed, out of memory) broke
+        # the pool; the next submission would fail outright.
+        or getattr(_POOL.processes, "_broken", False)
+    ):
+        retire_pool()
+        _POOL = _WorkerPool(identity)
+    return _POOL
+
+
+def retire_pool() -> None:
+    """Join the shared worker pool and unlink its trace segments.
+
+    A no-op without a pool; the next parallel run forks a fresh one.
+    Waits for a parallel run in progress on another thread to finish.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+        if pool is not None:
+            pool.close()
+
+
+atexit.register(retire_pool)
+
+
 class Executor:
     """Runs batches of jobs, warm-first, then parallel or serial."""
 
@@ -206,112 +332,27 @@ class Executor:
         self.on_verify = on_verify
         self.batch = batch
         self.batch_size = batch_size
-        #: trace token -> (SharedMemory, TraceRef). Published segments
-        #: outlive pool breaks deliberately — the rebuilt pool's workers
-        #: re-attach to the same bytes — and are unlinked when the run
-        #: (or, for persistent owners, :meth:`shutdown`) ends.
-        self._segments: Dict[str, tuple] = {}
         self.stats = ExecutorStats()
         self._forced_timeouts: Set[BatchTask] = set()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_tainted = False
-        self._persistent = False
         self._lock = threading.Lock()
 
-    # -- lifecycle (long-lived owners: the sweep service) ------------------
+    # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "Executor":
-        """Adopt long-lived ownership: keep the pool across ``run`` calls.
+    def shutdown(self) -> None:
+        """Retire the shared worker pool (idempotent).
 
-        Idempotent — calling it again is a no-op. The worker pool itself
-        is created lazily on the first parallel batch and then reused,
-        instead of being torn down at the end of every :meth:`run`.
-        Batch (one-shot) callers never need this; without it the
-        executor behaves exactly as before.
-        """
-        self._persistent = True
-        return self
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Release the worker pool (idempotent; waits out a running batch).
-
-        The executor stays usable: a later :meth:`run` simply rebuilds
-        the pool (still persistent if :meth:`start` was called). Safe to
-        call repeatedly and from a thread other than the one running
-        batches — it serializes against :meth:`run`.
+        The executor stays usable: a later parallel :meth:`run` forks a
+        fresh pool. Safe to call from a thread other than the one
+        running batches — it serializes against :meth:`run`.
         """
         with self._lock:
-            self._discard_pool(wait=wait)
-            self._release_segments()
+            retire_pool()
 
     def __enter__(self) -> "Executor":
-        return self.start()
+        return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    def _acquire_pool(self, items: int) -> ProcessPoolExecutor:
-        """The persistent pool if one is alive, else a fresh pool."""
-        if self._pool is not None:
-            return self._pool
-        workers = self.jobs
-        if not self._persistent:
-            workers = min(workers, items)
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=mark_worker_process
-        )
-        return self._pool
-
-    def _discard_pool(self, wait: bool = False) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=True)
-
-    # -- shared-memory trace segments --------------------------------------
-
-    #: Cap on concurrently published trace segments (a persistent
-    #: service executor sweeps many workloads); oldest unlink first.
-    _SEGMENT_LIMIT = 32
-
-    def _publish_for(self, key: JobKey) -> Optional[TraceRef]:
-        """Publish (or reuse) the shared-memory segment for a job's trace.
-
-        Returns None — batches then fall back to worker-side trace
-        factories — whenever shared memory is unavailable or the trace
-        cannot be resolved here; publishing is an optimization, never a
-        correctness dependency.
-        """
-        try:
-            token = trace_key_for(key).digest()
-        except ReproError:
-            return None
-        entry = self._segments.get(token)
-        if entry is not None:
-            return entry[1]
-        try:
-            trace = _trace_factory(key).trace_for(key.workload)
-            shm, ref = publish_trace(trace, token)
-        except (OSError, ValueError, ReproError) as exc:
-            self._note("shm_degraded", key=key.digest(), error=str(exc))
-            return None
-        self._segments[token] = (shm, ref)
-        while len(self._segments) > self._SEGMENT_LIMIT:
-            oldest = next(iter(self._segments))
-            self._unlink_segment(*self._segments.pop(oldest))
-        return ref
-
-    @staticmethod
-    def _unlink_segment(shm, _ref) -> None:
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-
-    def _release_segments(self) -> None:
-        segments, self._segments = self._segments, {}
-        for entry in segments.values():
-            self._unlink_segment(*entry)
 
     def run(self, keys: Sequence[JobKey]) -> Dict[JobKey, RunResult]:
         """Resolve every key to a result; ``stats`` reflects this call.
@@ -497,10 +538,10 @@ class Executor:
             engine,
             reason=f"shadow verification mismatch on {key.display}",
         )
-        # Workers forked before the trip never saw the deny list; make
-        # the next batch rebuild the pool (in-flight jobs finish on the
-        # old pool — their sampled results still get verified).
-        self._pool_tainted = True
+        # The trip rewrote REPRO_ENGINE_DENY, so the next pool
+        # acquisition no longer matches the pool's identity and forks
+        # fresh workers (in-flight jobs finish on the old pool — their
+        # sampled results still get verified).
         return reference
 
     # -- inline path (jobs=1, single pending job, or degraded) ------------
@@ -531,23 +572,33 @@ class Executor:
         ``batch=False``)."""
         return plan_batches(pending, self.batch_size if self.batch else 1)
 
-    def _plan_items(self, pending: Sequence[JobKey]) -> List[BatchTask]:
-        """Tasks for the pool, multi-job ones over a published trace.
+    def _publish_for(
+        self, pool: _WorkerPool, key: JobKey
+    ) -> Optional[TraceRef]:
+        """The pool's shared-memory segment for a job's trace, or None.
 
-        Explicit engine requests are resolved here, in the parent, so a
-        fallback warning prints once (workers suppress it).
+        None — the worker then falls back to its trace factory — when
+        shared memory is unavailable or the trace cannot be resolved
+        here; publishing is an optimization, never a correctness
+        dependency.
         """
-        for key in pending:
-            if key.engine != "auto":
-                resolve_job_engine(key)
-        items: List[BatchTask] = []
-        for task in self._plan_tasks(pending):
-            if len(task.jobs) > 1:
-                ref = self._publish_for(task.jobs[0])
-                if ref is not None:
-                    task = replace(task, trace_ref=ref)
-            items.append(task)
-        return items
+        try:
+            return pool.publish(key)
+        except (OSError, ValueError, ReproError) as exc:
+            self._note("shm_degraded", key=key.digest(), error=str(exc))
+            return None
+
+    def _submit(self, pool: _WorkerPool, task: BatchTask, claims: str):
+        """Queue a task on the pool, a multi-job one over a published trace.
+
+        Publishing happens per submission, so a task resubmitted after a
+        pool break finds its segment republished on the fresh pool.
+        """
+        if len(task.jobs) > 1:
+            ref = self._publish_for(pool, task.jobs[0])
+            if ref is not None:
+                task = replace(task, trace_ref=ref)
+        return pool.processes.submit(execute_batch_traced, task, claims)
 
     def _absorb(
         self,
@@ -580,23 +631,45 @@ class Executor:
     def _run_parallel(
         self, pending: Sequence[JobKey], results: Dict[JobKey, RunResult]
     ) -> None:
-        items = self._plan_items(pending)
-        attempts: Dict[BatchTask, int] = {item: 0 for item in items}
-        remaining: Dict[BatchTask, None] = dict.fromkeys(items)
+        # Explicit engine requests are resolved here, in the parent, so
+        # a fallback warning prints once (workers suppress it).
+        for key in pending:
+            if key.engine != "auto":
+                resolve_job_engine(key)
+        tasks = self._plan_tasks(pending)
+        attempts: Dict[BatchTask, int] = {task: 0 for task in tasks}
+        remaining: Dict[BatchTask, None] = dict.fromkeys(tasks)
         claims = tempfile.mkdtemp(prefix="repro-claims-")
+        try:
+            with _POOL_LOCK:
+                self._dispatch(remaining, results, attempts, claims)
+            if remaining:
+                self._degrade_to_serial(remaining, results, attempts)
+        finally:
+            shutil.rmtree(claims, ignore_errors=True)
+
+    def _dispatch(
+        self,
+        remaining: Dict[BatchTask, None],
+        results: Dict[JobKey, RunResult],
+        attempts: Dict[BatchTask, int],
+        claims: str,
+    ) -> None:
+        """Run tasks on the shared pool until they drain or it keeps breaking.
+
+        The caller holds :data:`_POOL_LOCK`. A run that fails leaves no
+        task of its own queued on the pool: the pool is retired.
+        """
         consecutive_breaks = 0
         try:
-            while remaining:
-                if consecutive_breaks >= self.pool_break_limit:
-                    self._degrade_to_serial(remaining, results, attempts)
-                    return
+            while remaining and consecutive_breaks < self.pool_break_limit:
                 self._forced_timeouts = set()
                 try:
-                    pool = self._acquire_pool(len(remaining))
+                    pool = _shared_pool(self.jobs)
                     for task in remaining:
                         clear_claim(claims, task.digest())
                     futures = {
-                        pool.submit(execute_batch_traced, task, claims): task
+                        self._submit(pool, task, claims): task
                         for task in remaining
                     }
                     try:
@@ -612,7 +685,7 @@ class Executor:
                         ) from None
                     consecutive_breaks = 0
                 except _PoolBroken as broken:
-                    self._discard_pool()
+                    retire_pool()
                     consecutive_breaks += 1
                     self.stats.pool_breaks += 1
                     self._penalize(broken.suspects, attempts)
@@ -621,25 +694,13 @@ class Executor:
                         retried=[task.digest() for task in broken.suspects],
                     )
                     self._backoff.sleep(consecutive_breaks)
-        finally:
-            shutil.rmtree(claims, ignore_errors=True)
-            if not self._persistent:
-                # One-shot callers: published trace segments are scoped
-                # to this run (persistent owners keep them warm across
-                # runs and release on shutdown()).
-                self._release_segments()
-            if self._pool_tainted:
-                # A verification trip happened while this pool's
-                # workers were already forked (without the deny env);
-                # retire it so the next batch resolves engines fresh.
-                self._pool_tainted = False
-                self._discard_pool(wait=True)
-            elif not self._persistent:
-                self._discard_pool(wait=True)
+        except BaseException:
+            retire_pool()
+            raise
 
     def _drain(
         self,
-        pool: ProcessPoolExecutor,
+        pool: _WorkerPool,
         futures: Dict,
         remaining: Dict[BatchTask, None],
         results: Dict[JobKey, RunResult],
@@ -660,7 +721,7 @@ class Executor:
                 if now >= ready_at:
                     del backoff_until[task]
                     clear_claim(claims, task.digest())
-                    future = pool.submit(execute_batch_traced, task, claims)
+                    future = self._submit(pool, task, claims)
                     futures[future] = task
                     outstanding.add(future)
             if not outstanding:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.core.accord import DCP_MODES, DESIGN_KINDS, AccordDesign
@@ -265,3 +266,30 @@ def parse_design_spec(spec: str) -> AccordDesign:
                 f"one of {', '.join(accepted)}"
             )
     return AccordDesign(kind=kind, **kwargs)
+
+
+def parse_design_specs(
+    specs: Sequence[str],
+) -> Tuple[List[AccordDesign], List[str]]:
+    """Parse a sweep's design specs into (designs, row labels).
+
+    A design named twice — the same spec, or two spellings of one
+    design — raises :class:`ConfigError`. Rows are labelled by
+    ``display_name``, except that designs whose display names collide
+    (a one-knob sweep such as ``pws:2:pip=0.6,pws:2:pip=0.8``) are
+    labelled by their spec text. The CLI ``sweep`` and the service's
+    job specs both call this, so their tables agree.
+    """
+    designs = [parse_design_spec(spec) for spec in specs]
+    seen = set()
+    for spec, design in zip(specs, designs):
+        if design in seen:
+            raise ConfigError(f"duplicate design {spec.strip()!r} in sweep")
+        seen.add(design)
+    names = Counter(design.display_name for design in designs)
+    labels = [
+        spec.strip() if names[design.display_name] > 1
+        else design.display_name
+        for spec, design in zip(specs, designs)
+    ]
+    return designs, labels

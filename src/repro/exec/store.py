@@ -69,7 +69,7 @@ class ResultStore:
         digest = key.digest()
         return self.root / digest[:2] / f"{digest}.json"
 
-    def get(self, key: JobKey) -> Optional[RunResult]:
+    def get(self, key: JobKey, with_digest: bool = False):
         """Stored result for ``key``, or None (quarantining bad entries).
 
         Checks, in order: the record's schema version, that its stored
@@ -78,7 +78,9 @@ class ResultStore:
         and that the ``payload_digest`` recomputed from the
         *reconstructed* result equals the stored one. Any failure
         quarantines the entry. Each hit is a freshly built result that
-        the caller owns.
+        the caller owns; with ``with_digest`` a hit is ``(result,
+        digest)``, the digest just verified, which
+        :meth:`RunResult.to_dict` takes instead of recomputing it.
         """
         digest = key.digest()
         # :meth:`path_for` as a string: no Path objects on the hot read.
@@ -116,7 +118,7 @@ class ResultStore:
                     f"payload digest mismatch (stored {declared!r}, "
                     f"recomputed {recomputed})"
                 )
-            return result
+            return (result, recomputed) if with_digest else result
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             self._quarantine(Path(path), f"malformed result entry: {exc}")
             return None

@@ -7,9 +7,10 @@ every design.
 
 Execution routes through :mod:`repro.exec`: each (design, workload)
 pair becomes a :class:`~repro.exec.JobKey`, warm keys are served from
-the content-addressed result store, and cold keys run in parallel when
-``Settings.jobs > 1``. Parallel replay is bit-identical to serial
-because trace generation is seeded per key.
+the content-addressed result store, and cold keys run in parallel on
+``Settings.jobs`` workers (by default every CPU this process may use).
+Parallel replay is bit-identical to serial because trace generation is
+seeded per key.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.accord import AccordDesign
 from repro.errors import WorkloadError
-from repro.exec import Executor, JobKey, ResultStore
+from repro.exec import Executor, JobKey, ResultStore, usable_cpus
 from repro.params.system import SystemConfig, scaled_system
 from repro.sim.runner import (
     geometric_mean,
@@ -44,7 +45,8 @@ class Settings:
     seed: int = 7
     scale: float = DEFAULT_SCALE
     suite: List[str] = field(default_factory=main_suite)
-    jobs: int = 1
+    # Worker processes (--jobs); 1 runs every job inline.
+    jobs: int = field(default_factory=usable_cpus)
     results_dir: Optional[str] = None
     use_store: bool = True
     # Demand reads per phase-metrics sample (--epoch-metrics); None
@@ -124,8 +126,9 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=None,
                         help="system scale factor in (0, 1] "
                              "(default 1/128: 32MB cache)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (1 = serial, the default)")
+    parser.add_argument("--jobs", "-j", type=int, default=usable_cpus(),
+                        help="worker processes (default: every CPU this "
+                             "process may use; 1 = serial)")
     parser.add_argument("--results-dir", type=str, default=None,
                         help="result-store directory "
                              "(default: $REPRO_RESULTS_DIR or ~/.cache/repro)")

@@ -1,7 +1,7 @@
 """JSON job specs: the service's request schema, expanded to JobKeys.
 
 A spec names the same knobs the CLI ``sweep``/``run`` flags do, and is
-expanded through the same code paths (:func:`parse_design_spec`,
+expanded through the same code paths (:func:`parse_design_specs`,
 ``Settings``-compatible defaults), so a served job is *the same job* —
 same :class:`~repro.exec.JobKey`, same digest, same store slot — as
 its CLI equivalent. That identity is what lets the scheduler
@@ -40,7 +40,7 @@ from repro.errors import ConfigError, WorkloadError
 from repro.exec.jobs import (
     RESULT_SCHEMA_VERSION,
     JobKey,
-    parse_design_spec,
+    parse_design_specs,
 )
 from repro.workloads.spec import get_workload, is_mix, main_suite
 
@@ -62,17 +62,18 @@ _KNOWN_FIELDS = frozenset({
 })
 
 
-def _designs_from(spec: Dict[str, Any]) -> List[AccordDesign]:
+def _designs_from(
+    spec: Dict[str, Any],
+) -> Tuple[List[AccordDesign], List[str]]:
     raw = spec.get("designs")
     if isinstance(raw, str):
         raw = [part for part in raw.split(",") if part.strip()]
     if not isinstance(raw, list) or not raw:
         raise ConfigError("job spec needs a non-empty 'designs' list")
-    designs = [parse_design_spec(str(item)) for item in raw]
-    labels = [design.display_name for design in designs]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("job spec: duplicate designs")
-    return designs
+    try:
+        return parse_design_specs([str(item) for item in raw])
+    except ConfigError as exc:
+        raise ConfigError(f"job spec: {exc}") from exc
 
 
 def _workloads_from(spec: Dict[str, Any], quick: bool) -> List[str]:
@@ -131,7 +132,7 @@ def expand_spec(
             f"job spec: unknown kind {kind!r}; expected one of {SPEC_KINDS}"
         )
     quick = bool(spec.get("quick", False))
-    designs = _designs_from(spec)
+    designs, labels = _designs_from(spec)
     workloads = _workloads_from(spec, quick)
     if kind == "run" and (len(designs) != 1 or len(workloads) != 1):
         raise ConfigError(
@@ -171,7 +172,6 @@ def expand_spec(
         for design in designs
         for workload in workloads
     ]
-    labels = [design.display_name for design in designs]
     return keys, labels, workloads
 
 

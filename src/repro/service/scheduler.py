@@ -1,8 +1,9 @@
 """The service scheduler: dedup, admission control, executor bridge.
 
 One :class:`JobManager` owns the long-lived
-:class:`~repro.exec.Executor` (started persistent, so the worker pool
-survives across batches) and mediates every submission:
+:class:`~repro.exec.Executor` (whose worker pool, like every
+executor's, is process-wide and survives across batches) and mediates
+every submission:
 
 * **Warm answers.** A key whose result is already in the
   :class:`~repro.exec.ResultStore` is answered immediately from the
@@ -126,7 +127,7 @@ class JobManager:
             raise ConfigError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
-        self.executor = executor.start()
+        self.executor = executor
         self.store = store
         self.max_pending = max_pending
         self._journal_dir = (
@@ -208,7 +209,7 @@ class JobManager:
                 unique.append(key)
 
         # Pass 1: classify without mutating.
-        warm: List[Tuple[JobKey, RunResult]] = []
+        warm: List[Tuple[JobKey, Tuple[RunResult, str]]] = []
         dedup: List[JobKey] = []
         cold: List[JobKey] = []
         for key in unique:
@@ -236,10 +237,13 @@ class JobManager:
             queue=asyncio.Queue(),
             remaining={key.digest() for key in unique},
         )
-        for key, result in warm:
+        for key, (result, digest) in warm:
             self.counters["store_hits"] += 1
             sub.counts["cached"] += 1
-            sub.settle(key.digest(), self._result_event(key, result, "cached"))
+            sub.settle(
+                key.digest(),
+                self._result_event(key, result, "cached", digest),
+            )
         for key in dedup:
             self.counters["deduped"] += 1
             sub.counts["deduped"] += 1
@@ -258,13 +262,14 @@ class JobManager:
             self._wake.set()
         return sub
 
-    def _store_get(self, key: JobKey) -> Optional[RunResult]:
+    def _store_get(self, key: JobKey) -> Optional[Tuple[RunResult, str]]:
+        """A stored (result, verified payload digest), or None."""
         if self.store is None:
             return None
         self.counters["store_lookups"] += 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return self.store.get(key)
+            return self.store.get(key, with_digest=True)
 
     def _retry_after_estimate(self) -> float:
         depth = len(self._queue) + sum(
@@ -285,14 +290,23 @@ class JobManager:
         }
 
     @staticmethod
-    def _result_event(key: JobKey, result: RunResult, source: str) -> Dict:
+    def _result_event(
+        key: JobKey, result: RunResult, source: str,
+        digest: Optional[str] = None,
+    ) -> Dict:
+        """A ``result`` event; ``digest`` is the store-verified digest.
+
+        The derived top-level values (``hit_rate`` and the rest) are
+        recomputed from the result, never copied from the stored
+        record: its digest covers only the counters and phases.
+        """
         return {
             "event": "result",
             "key": key.digest(),
             "display": key.display,
             "source": source,
             "etag": etag_for(key.digest()),
-            "result": result.to_dict(),
+            "result": result.to_dict(digest),
         }
 
     @staticmethod

@@ -75,7 +75,7 @@ class RunResult:
             )
         return baseline.runtime_ns / self.runtime_ns
 
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, digest: Optional[str] = None) -> Dict[str, Any]:
         """JSON-ready representation; inverse of :meth:`from_dict`.
 
         Besides the raw fields, the top level carries the derived
@@ -83,7 +83,9 @@ class RunResult:
         exported records are self-describing, plus a ``payload_digest``
         (:func:`repro.verify.digest.result_digest`) that the store and
         ``repro audit`` verify on read; :meth:`from_dict` ignores them
-        (they are recomputed from the counters).
+        (they are recomputed from the counters). ``digest`` is this
+        result's payload digest when the caller has just verified it
+        (``ResultStore.get(key, with_digest=True)``), saving a recompute.
         """
         design, timing = self.design, self.timing
         stats = self.stats.to_dict()
@@ -99,7 +101,10 @@ class RunResult:
             "prediction_accuracy": self.prediction_accuracy,
             "runtime_ns": self.runtime_ns,
             # result_digest(self), from the dicts already built above.
-            "payload_digest": payload_digest(stats, phases),
+            "payload_digest": (
+                digest if digest is not None
+                else payload_digest(stats, phases)
+            ),
         }
 
     @classmethod

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.geometry import CacheGeometry
+from repro.exec import retire_pool
 from repro.utils.rng import XorShift64
 
 
@@ -19,6 +20,14 @@ def _no_ambient_fault_plan(monkeypatch):
     """Fault injection is opt-in per test, never inherited from the
     invoking shell's REPRO_FAULT_PLAN."""
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_worker_pool():
+    """Retire the process-wide worker pool after every test, so no test
+    inherits workers forked before its own ``monkeypatch`` edits."""
+    yield
+    retire_pool()
 
 
 @pytest.fixture

@@ -258,15 +258,22 @@ class TestSharedMemorySegments:
         shm.close()
         return False
 
-    def test_one_segment_per_trace_released_after_run(self):
+    def _pool_tokens(self):
+        from repro.exec import executor as executor_module
+
+        return list(executor_module._POOL.segments)
+
+    def test_one_segment_per_trace_released_with_the_pool(self):
+        from repro.exec import retire_pool
         from repro.exec.batching import _segment_name
 
         keys = sweep_keys(12)
         token = trace_key_for(keys[0]).digest()
-        ex = Executor(jobs=2, batch=True, backoff=fast_backoff())
-        ex.run(keys)
-        # transient executor: the run tears down pool and segments
-        assert ex._segments == {}
+        Executor(jobs=2, batch=True, backoff=fast_backoff()).run(keys)
+        # the segment lives as long as the pool whose workers attach it
+        assert self._pool_tokens() == [token]
+        assert not self._segment_gone(_segment_name(token))
+        retire_pool()
         assert self._segment_gone(_segment_name(token))
 
     def test_persistent_executor_releases_on_shutdown(self):
@@ -276,11 +283,12 @@ class TestSharedMemorySegments:
         token = trace_key_for(keys[0]).digest()
         with Executor(jobs=2, batch=True, backoff=fast_backoff()) as ex:
             ex.run(keys)
-            assert list(ex._segments) == [token]
-        assert ex._segments == {}
+            ex.run(sweep_keys(12, workload="libq"))
+            assert len(self._pool_tokens()) == 2
         assert self._segment_gone(_segment_name(token))
 
     def test_no_leak_across_pool_rebuild(self, tmp_path, monkeypatch):
+        from repro.exec import retire_pool
         from repro.exec.batching import _segment_name
 
         monkeypatch.setenv(
@@ -292,7 +300,9 @@ class TestSharedMemorySegments:
         resolved = ex.run(keys)
         assert ex.stats.pool_breaks >= 1  # the crash really happened
         assert len(resolved) == len(keys)
-        assert ex._segments == {}
+        # the broken pool unlinked its copy; the rebuilt one republished
+        assert self._pool_tokens() == [token]
+        retire_pool()
         assert self._segment_gone(_segment_name(token))
 
 

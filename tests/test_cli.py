@@ -84,6 +84,20 @@ class TestSweepCli:
         with pytest.raises(SystemExit):
             main(["sweep", "--designs", "accord:2,accord:2"])
 
+    def test_sweep_labels_a_one_knob_sweep_by_spec(self, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--designs", "direct,pws:2:pip=0.6,pws:2:pip=0.8",
+            "--workloads", "soplex", "--accesses", "3000", "-j", "1",
+            "--results-dir", str(tmp_path / "store"), "--csv", str(csv_path),
+        ]) == 0
+        from repro.analysis.export import load_series_csv
+
+        # speedups over the first design, whose label is unchanged
+        assert "speedup over direct-1way" in capsys.readouterr().out
+        series = load_series_csv(str(csv_path))
+        assert set(series) == {"pws:2:pip=0.6", "pws:2:pip=0.8"}
+
     def test_sweep_phase_csv_export(self, capsys, tmp_path):
         csv_path = tmp_path / "phases.csv"
         assert main(self.ARGS + [

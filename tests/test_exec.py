@@ -1,6 +1,12 @@
 """Tests for the sweep engine: job keys, result store, executor."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -344,41 +350,81 @@ class TestResultStore:
         assert "stale result schema" in why["reason"]
 
 
+def _pool():
+    from repro.exec import executor as executor_module
+
+    return executor_module._POOL
+
+
+def _worker_pids():
+    return set(_pool().processes._processes)
+
+
+def _process_gone(pid):
+    """True once ``pid`` has exited (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state == "Z"
+
+
+_EXIT_SCRIPT = """
+import json
+from repro.core.accord import AccordDesign
+from repro.exec import Executor, JobKey
+from repro.exec import executor as executor_module
+
+def key(kind, workload):
+    return JobKey(design=AccordDesign(kind=kind, ways=2), workload=workload,
+                  num_accesses=3000, warmup=0.3, seed=7)
+
+# One-job tasks fork the workers before any trace is published.
+Executor(jobs=2).run([key("accord", "libq"), key("accord", "mcf")])
+Executor(jobs=2).run([key(kind, "soplex") for kind in ("accord", "pws", "gws")])
+pool = executor_module._POOL
+print(json.dumps({
+    "pids": sorted(pool.processes._processes),
+    "segments": [ref.shm_name for _shm, ref in pool.segments.values()],
+}))
+"""
+
+
 class TestExecutorLifecycle:
-    """start()/shutdown() for long-lived owners (the sweep service)."""
+    """The process-wide worker pool behind every parallel run."""
 
     def keys(self):
         return [key_for(workload=w) for w in ("soplex", "libq", "mcf")]
 
-    def test_transient_run_still_tears_down_pool(self):
+    def test_run_leaves_the_shared_pool_running(self):
         ex = Executor(jobs=2)
         results = ex.run(self.keys())
         assert len(results) == 3
-        assert ex._pool is None  # one-shot callers keep old semantics
+        assert _pool() is not None  # kept for the next parallel run
+        assert _pool().identity[0] == 2
 
     def test_persistent_pool_reused_across_runs(self):
         ex = Executor(jobs=2)
-        assert ex.start() is ex
-        ex.start()  # idempotent
         try:
             first = ex.run(self.keys())
-            pool = ex._pool
+            pool = _pool()
             assert pool is not None
             second = ex.run(self.keys())
-            assert ex._pool is pool  # same pool, not rebuilt per run
+            assert _pool() is pool  # same pool, not rebuilt per run
             for key, result in first.items():
                 assert second[key].to_dict() == result.to_dict()
         finally:
             ex.shutdown()
-        assert ex._pool is None
+        assert _pool() is None
         ex.shutdown()  # idempotent, safe to repeat
 
     def test_usable_again_after_shutdown(self):
-        ex = Executor(jobs=2).start()
+        ex = Executor(jobs=2)
         baseline = ex.run(self.keys())
         ex.shutdown()
-        again = ex.run(self.keys())  # rebuilds the pool transparently
-        assert ex._pool is not None
+        again = ex.run(self.keys())  # forks a fresh pool transparently
+        assert _pool() is not None
         ex.shutdown()
         for key, result in baseline.items():
             assert again[key].to_dict() == result.to_dict()
@@ -386,8 +432,140 @@ class TestExecutorLifecycle:
     def test_context_manager(self):
         with Executor(jobs=2) as ex:
             ex.run(self.keys())
-            assert ex._pool is not None
-        assert ex._pool is None
+            assert _pool() is not None
+        assert _pool() is None
+
+    def test_successive_executors_see_the_same_workers(self):
+        Executor(jobs=2).run(self.keys())
+        pool, pids = _pool(), _worker_pids()
+        assert len(pids) == 2
+        Executor(jobs=2).run(self.keys())
+        assert _pool() is pool
+        assert _worker_pids() == pids
+
+    def test_other_worker_count_forks_a_new_pool(self):
+        Executor(jobs=2).run(self.keys())
+        pids = _worker_pids()
+        Executor(jobs=3).run(self.keys())
+        assert _pool().identity[0] == 3
+        assert not _worker_pids() & pids
+        assert all(_process_gone(pid) for pid in pids)
+
+    def test_changed_repro_variable_forks_workers_that_see_it(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_POOL_TEST_MARK", "first")
+        Executor(jobs=2).run(self.keys())
+        old = _worker_pids()
+        seen = _pool().processes.submit(
+            os.getenv, "REPRO_POOL_TEST_MARK"
+        ).result(timeout=30)
+        assert seen == "first"
+        monkeypatch.setenv("REPRO_POOL_TEST_MARK", "second")
+        Executor(jobs=2).run(self.keys())
+        assert not _worker_pids() & old
+        seen = _pool().processes.submit(
+            os.getenv, "REPRO_POOL_TEST_MARK"
+        ).result(timeout=30)
+        assert seen == "second"
+
+    def test_breaker_trip_forks_workers_that_see_it(self):
+        from repro.verify import breaker
+
+        Executor(jobs=2).run(self.keys())
+        old = _worker_pids()
+        try:
+            with pytest.warns(RuntimeWarning, match="circuit-broken"):
+                breaker.trip("vector", reason="test")
+            Executor(jobs=2).run(self.keys())
+            assert not _worker_pids() & old
+            seen = _pool().processes.submit(
+                breaker.is_tripped, "vector"
+            ).result(timeout=30)
+            assert seen
+        finally:
+            breaker.reset()
+
+    def test_killed_worker_retires_the_pool(self):
+        ex = Executor(jobs=2)
+        baseline = ex.run(self.keys())
+        pids = _worker_pids()
+        os.kill(next(iter(pids)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not _pool().processes._broken:
+            assert time.monotonic() < deadline, "pool never noticed the kill"
+            time.sleep(0.01)
+        again = ex.run(self.keys())
+        assert ex.stats.pool_breaks == 0  # retired before any submission
+        assert not _worker_pids() & pids
+        for key, result in baseline.items():
+            assert again[key].to_dict() == result.to_dict()
+
+    def test_concurrent_executors_and_retires_lose_no_task(self):
+        """Threads share the pool while another keeps retiring it."""
+        import threading
+
+        from repro.exec import retire_pool
+
+        keys = self.keys()
+        expected = {
+            key: result.to_dict()
+            for key, result in Executor(jobs=1).run(keys).items()
+        }
+        failures, stop = [], threading.Event()
+
+        def runner():
+            try:
+                for _ in range(3):
+                    got = Executor(jobs=3).run(keys)  # more workers than CPUs
+                    if {k: r.to_dict() for k, r in got.items()} != expected:
+                        failures.append("results differ")
+            except Exception as exc:  # reported through ``failures``
+                failures.append(repr(exc))
+
+        def retirer():
+            while not stop.is_set():
+                retire_pool()
+                time.sleep(0.01)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=runner) for _ in range(4)]
+            chaos = threading.Thread(target=retirer)
+            chaos.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            stop.set()
+            chaos.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [chaos])
+        assert failures == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc") or not os.path.isdir("/dev/shm"),
+        reason="needs /proc and /dev/shm",
+    )
+    def test_exit_leaves_no_worker_and_no_segment(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   REPRO_RESULTS_DIR=str(tmp_path / "store"),
+                   REPRO_TRACE_DIR=str(tmp_path / "traces"))
+        done = subprocess.run(
+            [sys.executable, "-c", _EXIT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
+        report = json.loads(done.stdout)
+        assert len(report["pids"]) == 2
+        assert len(report["segments"]) == 1  # the three jobs' shared trace
+        assert all(_process_gone(pid) for pid in report["pids"])
+        for name in report["segments"]:
+            assert not os.path.exists(os.path.join("/dev/shm", name))
 
 
 class TestExecutor:

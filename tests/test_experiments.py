@@ -466,6 +466,7 @@ class TestSuiteRunnerMachinery:
         settings.suite = ["sphinx", "mcf"]
         settings.num_accesses = 10_000
         settings.results_dir = str(tmp_path)
+        settings.jobs = 1  # generation is counted in this process
         runner = SuiteRunner(settings)
         runner.run("direct", baseline_design())
         runner.run("accord", AccordDesign(kind="accord", ways=2))

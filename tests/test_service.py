@@ -115,6 +115,7 @@ class TestJobSpec:
         {"designs": ""},
         {"designs": []},
         {"designs": "direct,direct"},
+        {"designs": "pws:2:pip=0.6,pws:2:pip=0.60"},
         {"designs": "direct", "kind": "teleport"},
         {"designs": "direct", "workloads": "soplex,soplex"},
         {"designs": "direct", "workloads": "no_such_workload"},
@@ -124,6 +125,13 @@ class TestJobSpec:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigError):
             expand_spec(bad)
+
+    def test_one_knob_sweep_is_labelled_by_spec_text(self):
+        keys, labels, _ = expand_spec(
+            spec_for(designs="pws:2:pip=0.6, pws:2:pip=0.8,accord:2")
+        )
+        assert labels == ["pws:2:pip=0.6", "pws:2:pip=0.8", "ACCORD 2-way"]
+        assert len({key.digest() for key in keys}) == len(keys)
 
     def test_canonical_round_trip(self):
         keys, _, _ = expand_spec(spec_for(epoch=500))
@@ -305,6 +313,62 @@ class TestJobManager:
             assert not list(service_dir.glob("batch-*.journal.jsonl"))
 
         asyncio.run(scenario())
+
+
+class TestWarmAnswers:
+    """Warm events reuse the digest the store verified, nothing else."""
+
+    def warm_events(self, store, keys):
+        async def scenario():
+            manager = JobManager(Executor(jobs=1, store=store), store=store)
+            try:
+                events = await drain(manager.submit(keys))
+            finally:
+                await manager.close()
+            assert manager.counters["store_hits"] == len(keys)
+            return [e for e in events if e["event"] == "result"]
+
+        return asyncio.run(scenario())
+
+    def test_warm_event_bytes_match_a_recomputed_digest(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.sim.system as system
+
+        keys = expand_spec(spec_for())[0]
+        store = ResultStore(tmp_path)
+        Executor(jobs=1, store=store).run(keys)
+        expected = {
+            key.digest(): JobManager._result_event(
+                key, store.get(key), "cached"
+            )
+            for key in keys
+        }
+        recomputed = []
+        real = system.payload_digest
+        monkeypatch.setattr(
+            system, "payload_digest",
+            lambda *args: recomputed.append(1) or real(*args),
+        )
+        events = self.warm_events(store, keys)
+        assert not recomputed  # to_dict reused the verified digest
+        assert len(events) == len(keys)
+        for event in events:
+            assert json.dumps(event, sort_keys=True) == json.dumps(
+                expected[event["key"]], sort_keys=True
+            )
+
+    def test_hand_edited_hit_rate_is_recomputed(self, tmp_path):
+        key = expand_spec(spec_for())[0][0]
+        store = ResultStore(tmp_path)
+        true_rate = Executor(jobs=1, store=store).run([key])[key].hit_rate
+        path = store.path_for(key)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["result"]["hit_rate"] = 0.123
+        path.write_text(json.dumps(record), encoding="utf-8")
+        (event,) = self.warm_events(store, [key])
+        assert event["source"] == "cached"
+        assert event["result"]["hit_rate"] == true_rate != 0.123
 
 
 class TestServiceHTTP:
