@@ -96,8 +96,11 @@ def _cmd_info() -> int:
     return 0
 
 
-def _cmd_run(names: List[str], passthrough: List[str]) -> int:
-    targets = EXPERIMENT_MODULES if names == ["all"] else names
+def _cmd_run(args: argparse.Namespace,
+             parser: argparse.ArgumentParser) -> int:
+    from repro.experiments.common import settings_from_args
+
+    targets = EXPERIMENT_MODULES if args.names == ["all"] else args.names
     unknown = [n for n in targets if n not in EXPERIMENT_MODULES]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
@@ -106,11 +109,12 @@ def _cmd_run(names: List[str], passthrough: List[str]) -> int:
         return 2
     from repro.errors import ReproError
 
+    settings = settings_from_args(args, parser)
     for name in targets:
         module = importlib.import_module(f"repro.experiments.{name}")
         print(f"==> {name}")
         try:
-            module.main(passthrough)
+            print(module.run(settings))
         except ReproError as exc:
             print(f"{name} failed: {exc}", file=sys.stderr)
             return EXIT_EXECUTION
@@ -226,7 +230,6 @@ def _cmd_sweep(args: argparse.Namespace,
     )
     from repro.exec import (
         FAULT_PLAN_ENV,
-        JobKey,
         SweepJournal,
         default_store_root,
         parse_design_specs,
@@ -253,42 +256,11 @@ def _cmd_sweep(args: argparse.Namespace,
     if not designs:
         parser.error("--designs: no design specs given")
 
-    keys = {
-        label: [
-            JobKey(
-                design=design,
-                workload=workload,
-                num_accesses=settings.num_accesses,
-                warmup=settings.warmup,
-                seed=settings.seed,
-                scale=settings.scale,
-                epoch=settings.epoch,
-                engine=settings.engine,
-            )
-            for workload in settings.suite
-        ]
-        for label, design in zip(labels, designs)
-    }
+    try:
+        keys = settings.job_grid(dict(zip(labels, designs)))
+    except ReproError as exc:
+        parser.error(f"--engine-strict: {exc}")
     flat = [key for per_label in keys.values() for key in per_label]
-
-    if settings.engine_strict and settings.engine != "auto":
-        # Fail fast before any job is scheduled: probe each design's
-        # engine eligibility with the same resolver the workers use.
-        from repro.sim.engines import resolve_engine
-        from repro.sim.system import build_dram_cache
-        from repro.params.system import scaled_system
-
-        for label, design in zip(labels, designs):
-            cache = build_dram_cache(
-                design,
-                scaled_system(ways=design.ways, scale=settings.scale),
-                seed=settings.seed,
-            )
-            try:
-                resolve_engine(cache, requested=settings.engine,
-                               strict=True, design=design)
-            except ReproError as exc:
-                parser.error(f"--engine-strict: {exc}")
 
     journal = None
     if not args.no_journal:
@@ -508,7 +480,6 @@ def _cmd_serve(args: argparse.Namespace,
             burst=args.burst,
             resume=not args.no_resume,
             verify_fraction=args.verify_fraction,
-            verify_engine=args.verify_engine,
         )
         asyncio.run(run_service(config))
     except ConfigError as exc:
@@ -541,7 +512,6 @@ def _cmd_audit(args: argparse.Namespace,
         report = audit_store(
             root,
             recompute_fraction=args.recompute_fraction,
-            engine=args.verify_engine,
             quarantine=not args.no_quarantine,
         )
         if not args.no_traces:
@@ -668,9 +638,7 @@ def _add_endpoint_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.exec import usable_cpus
     from repro.experiments.common import add_settings_arguments
-    from repro.verify.shadow import DEFAULT_VERIFY_ENGINE, VERIFY_ENGINES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -809,12 +777,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               dest="verify_fraction", metavar="F",
                               help="shadow-verify this fraction of computed "
                                    "jobs on the reference engine (default 0)")
-    serve_parser.add_argument("--verify-engine",
-                              default=DEFAULT_VERIFY_ENGINE,
-                              dest="verify_engine",
-                              choices=VERIFY_ENGINES,
-                              help="reference engine for shadow verification "
-                                   f"(default {DEFAULT_VERIFY_ENGINE})")
     audit_parser = sub.add_parser(
         "audit",
         help="verify result-store integrity (schemas, payload digests)",
@@ -828,12 +790,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="re-execute this fraction of entries on "
                                    "the reference engine and compare digests "
                                    "(default 0: digest checks only)")
-    audit_parser.add_argument("--verify-engine",
-                              default=DEFAULT_VERIFY_ENGINE,
-                              dest="verify_engine",
-                              choices=VERIFY_ENGINES,
-                              help="reference engine for --recompute-fraction "
-                                   f"(default {DEFAULT_VERIFY_ENGINE})")
     audit_parser.add_argument("--no-traces", action="store_true",
                               dest="no_traces",
                               help="skip the trace-cache audit")
@@ -901,38 +857,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_submit(args, parser)
     if args.command == "audit":
         return _cmd_audit(args, parser)
-    passthrough: List[str] = []
-    if args.accesses is not None:
-        passthrough += ["--accesses", str(args.accesses)]
-    if args.seed is not None:
-        passthrough += ["--seed", str(args.seed)]
-    if args.scale is not None:
-        passthrough += ["--scale", str(args.scale)]
-    if args.workloads is not None:
-        passthrough += ["--workloads", args.workloads]
-    if args.quick:
-        passthrough += ["--quick"]
-    if args.jobs != usable_cpus():
-        passthrough += ["--jobs", str(args.jobs)]
-    if args.results_dir is not None:
-        passthrough += ["--results-dir", args.results_dir]
-    if args.no_store:
-        passthrough += ["--no-store"]
-    if args.epoch_metrics is not None:
-        passthrough += ["--epoch-metrics", str(args.epoch_metrics)]
-    if args.retries != 1:
-        passthrough += ["--retries", str(args.retries)]
-    if args.timeout is not None:
-        passthrough += ["--timeout", str(args.timeout)]
-    if args.engine != "auto":
-        passthrough += ["--engine", args.engine]
-    if args.engine_strict:
-        passthrough += ["--engine-strict"]
-    if args.verify_fraction:
-        passthrough += ["--verify-fraction", str(args.verify_fraction)]
-    if args.verify_engine != DEFAULT_VERIFY_ENGINE:
-        passthrough += ["--verify-engine", args.verify_engine]
-    return _cmd_run(args.names, passthrough)
+    return _cmd_run(args, parser)
 
 
 if __name__ == "__main__":

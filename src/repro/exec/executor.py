@@ -45,7 +45,7 @@ executor's tasks.
 With ``verify_fraction > 0`` a deterministic sample of executed jobs
 is additionally *shadow-verified*: each sampled result is compared (by
 :func:`~repro.verify.digest.result_digest`) against a re-execution on
-the trusted ``verify_engine``. A mismatch quarantines both payloads,
+the reference engine (``loop``). A mismatch quarantines both payloads,
 trips the offending engine's circuit breaker
 (:mod:`repro.verify.breaker`), and heals in place by recording the
 reference result — the sweep still completes, bit-identically.
@@ -95,7 +95,7 @@ from repro.exec.resilience import (
 from repro.exec.store import ResultStore
 from repro.sim.engines import mark_worker_process
 from repro.sim.system import RunResult
-from repro.verify.shadow import DEFAULT_VERIFY_ENGINE, VERIFY_ENGINES
+from repro.verify.shadow import REFERENCE_ENGINE
 
 #: progress(done, total, key, source) with source in
 #: {"cached", "run", "resumed"}.
@@ -285,7 +285,6 @@ class Executor:
         pool_break_limit: Optional[int] = None,
         poll_interval: float = 0.2,
         verify_fraction: float = 0.0,
-        verify_engine: str = DEFAULT_VERIFY_ENGINE,
         on_verify: Optional[VerifyFn] = None,
         batch: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
@@ -299,11 +298,6 @@ class Executor:
         if not 0.0 <= verify_fraction <= 1.0:
             raise ConfigError(
                 f"verify_fraction must be in [0, 1], got {verify_fraction}"
-            )
-        if verify_engine not in VERIFY_ENGINES:
-            raise ConfigError(
-                f"verify_engine must be one of {', '.join(VERIFY_ENGINES)}, "
-                f"got {verify_engine!r}"
             )
         if timeout is not None and timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {timeout}")
@@ -328,7 +322,6 @@ class Executor:
         self._backoff = backoff if backoff is not None else BackoffPolicy()
         self._poll = poll_interval
         self.verify_fraction = verify_fraction
-        self.verify_engine = verify_engine
         self.on_verify = on_verify
         self.batch = batch
         self.batch_size = batch_size
@@ -494,10 +487,10 @@ class Executor:
         if self.journal is not None:
             self.journal.record_verify(
                 key, "sampled",
-                fraction=self.verify_fraction, engine=self.verify_engine,
+                fraction=self.verify_fraction, engine=REFERENCE_ENGINE,
             )
         suspect_digest = result_digest(result)
-        reference = reference_result(key, self.verify_engine)
+        reference = reference_result(key)
         reference_digest = result_digest(reference)
         if suspect_digest == reference_digest:
             self.stats.verified += 1
@@ -515,12 +508,12 @@ class Executor:
                 key, "mismatch",
                 engine=engine, suspect=suspect_digest,
                 reference=reference_digest,
-                reference_engine=self.verify_engine,
+                reference_engine=REFERENCE_ENGINE,
             )
         if self.store is not None:
             quarantine_mismatch(
                 self.store.root, key, engine, result, reference,
-                suspect_digest, reference_digest, self.verify_engine,
+                suspect_digest, reference_digest,
             )
         if self.on_verify is not None:
             self.on_verify(key, "mismatch", {
@@ -528,7 +521,7 @@ class Executor:
                 "suspect": suspect_digest,
                 "reference": reference_digest,
             })
-        if engine in (self.verify_engine, "loop"):
+        if engine == REFERENCE_ENGINE:
             raise VerificationError(
                 f"{key.display}: result from engine {engine!r} disagrees "
                 f"with its own reference re-run ({suspect_digest[:12]} vs "

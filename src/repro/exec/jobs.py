@@ -18,7 +18,9 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.core.accord import DCP_MODES, DESIGN_KINDS, AccordDesign
@@ -293,3 +295,85 @@ def parse_design_specs(
         for spec, design in zip(specs, designs)
     ]
     return designs, labels
+
+
+#: The grid knobs a caller leaves out: ``Settings`` (every experiment
+#: and ``repro sweep``) and the service's job specs read the same
+#: constants, so one designs x workloads grid names the same keys on
+#: every path.
+GRID_ACCESSES = 200_000
+GRID_WARMUP = 0.5
+GRID_SEED = 7
+GRID_SCALE = 1.0 / 128.0
+#: The ``--quick`` grid: shorter traces over a four-workload suite.
+QUICK_ACCESSES = 40_000
+QUICK_SUITE = ("soplex", "libq", "mcf", "sphinx")
+
+#: A matrix cell: a design at the grid's scale, or a (design, scale)
+#: pair whose cache scale is its own (Table VIII's size sweep).
+Cell = Union[AccordDesign, Tuple[AccordDesign, float]]
+
+
+def job_grid(
+    matrix: Mapping[str, Cell],
+    workloads: Sequence[str],
+    *,
+    num_accesses: int,
+    warmup: float,
+    seed: int,
+    scale: float,
+    epoch: Optional[int],
+    engine: str,
+    footprint_scale: Optional[float] = None,
+) -> Dict[str, List[JobKey]]:
+    """label -> one key per workload, in matrix then workload order.
+
+    The one place a designs x workloads grid becomes :class:`JobKey`
+    objects: experiments, ``repro sweep`` and the service's
+    :func:`~repro.service.jobspec.expand_spec` all call it.
+    ``footprint_scale`` pins every trace's footprint (None: each key's
+    own cache scale).
+    """
+    grid = {}
+    for label, cell in matrix.items():
+        design, cell_scale = cell if isinstance(cell, tuple) else (cell, scale)
+        grid[label] = [
+            JobKey(
+                design=design,
+                workload=workload,
+                num_accesses=num_accesses,
+                warmup=warmup,
+                seed=seed,
+                scale=cell_scale,
+                footprint_scale=footprint_scale,
+                epoch=epoch,
+                engine=engine,
+            )
+            for workload in workloads
+        ]
+    return grid
+
+
+def probe_strict_engines(keys: Iterable[JobKey]) -> None:
+    """Fail fast under ``--engine-strict``, before any job is scheduled.
+
+    Resolves each distinct (design, scale) engine request with the
+    resolver the workers use, in strict mode, so a design the requested
+    engine cannot drive exactly raises its
+    :class:`~repro.errors.ReproError` here. ``auto`` requests always
+    resolve and are skipped.
+    """
+    from repro.sim.engines import resolve_engine
+    from repro.sim.system import build_dram_cache
+
+    seen = set()
+    for key in keys:
+        probe = (key.design, key.scale, key.engine)
+        if key.engine == "auto" or probe in seen:
+            continue
+        seen.add(probe)
+        config = scaled_system(ways=key.design.ways, scale=key.scale)
+        cache = build_dram_cache(key.design, config, seed=key.seed)
+        resolve_engine(
+            cache, requested=key.engine, strict=True, design=key.design
+        )

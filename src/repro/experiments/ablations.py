@@ -21,14 +21,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.accord import AccordDesign
 from repro.exec.jobs import RESULT_SCHEMA_VERSION
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
 from repro.sim.frontend import (
     FRONTEND_VERSION,
     FrontendKey,
@@ -36,6 +36,11 @@ from repro.sim.frontend import (
     filtered_frontend,
     frontend_key,
     mru_accuracy_at_level,
+)
+from repro.sim.runner import (
+    gmean_speedup,
+    mean_hit_rate,
+    mean_prediction_accuracy,
 )
 from repro.sim.trace import Trace
 from repro.utils.tables import format_percent, format_table
@@ -47,19 +52,29 @@ from repro.workloads.trace_cache import (
 )
 
 
-def run_replacement(settings: Settings) -> str:
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
-    runner.run("random", AccordDesign(kind="unbiased", ways=2, replacement="random"))
-    runner.run("lru", AccordDesign(kind="unbiased", ways=2, replacement="lru"))
-    runner.run("nru", AccordDesign(kind="unbiased", ways=2, replacement="nru"))
-    runner.run("rrip", AccordDesign(kind="unbiased", ways=2, replacement="rrip"))
-    rows = [
-        [name,
-         format_percent(runner.mean_hit(name)),
-         f"{runner.gmean_speedup(name, 'direct'):.3f}"]
-        for name in ("random", "lru", "nru", "rrip")
+def _speedup_rows(
+    settings: Settings, designs: Dict[str, AccordDesign], columns: Sequence[str]
+) -> List[List[str]]:
+    """One row per design over a direct-mapped baseline: its label,
+    then each of ``columns`` ("hit", "wp", "speedup") formatted."""
+    results = run_matrix(settings, {"direct": baseline_design(), **designs})
+    direct = results["direct"]
+    cells = {
+        "hit": lambda r: format_percent(mean_hit_rate(r)),
+        "wp": lambda r: format_percent(mean_prediction_accuracy(r)),
+        "speedup": lambda r: f"{gmean_speedup(r, direct):.3f}",
+    }
+    return [
+        [label, *(cells[column](results[label]) for column in columns)]
+        for label in designs
     ]
+
+
+def run_replacement(settings: Settings) -> str:
+    rows = _speedup_rows(settings, {
+        name: AccordDesign(kind="unbiased", ways=2, replacement=name)
+        for name in ("random", "lru", "nru", "rrip")
+    }, ("hit", "speedup"))
     return format_table(
         ["replacement", "hit-rate", "speedup vs direct-mapped"],
         rows,
@@ -68,17 +83,16 @@ def run_replacement(settings: Settings) -> str:
 
 
 def run_table_sizes(settings: Settings) -> str:
-    runner = SuiteRunner(settings)
-    rows = []
-    for entries in (8, 16, 32, 64, 128, 256):
-        label = f"rit{entries}"
-        runner.run(
-            label,
-            AccordDesign(kind="accord", ways=2,
-                         rit_entries=entries, rlt_entries=entries),
-        )
-        rows.append([str(entries), format_percent(runner.mean_wp(label)),
-                     format_percent(runner.mean_hit(label))])
+    results = run_matrix(settings, {
+        str(entries): AccordDesign(kind="accord", ways=2,
+                                   rit_entries=entries, rlt_entries=entries)
+        for entries in (8, 16, 32, 64, 128, 256)
+    })
+    rows = [
+        [entries, format_percent(mean_prediction_accuracy(per_wl)),
+         format_percent(mean_hit_rate(per_wl))]
+        for entries, per_wl in results.items()
+    ]
     return format_table(
         ["RIT/RLT entries", "WP accuracy", "hit-rate"],
         rows,
@@ -87,13 +101,15 @@ def run_table_sizes(settings: Settings) -> str:
 
 
 def run_region_size(settings: Settings) -> str:
-    runner = SuiteRunner(settings)
-    rows = []
-    for region in (1024, 2048, 4096, 8192, 16384):
-        label = f"region{region}"
-        runner.run(label, AccordDesign(kind="accord", ways=2, region_size=region))
-        rows.append([f"{region}B", format_percent(runner.mean_wp(label)),
-                     format_percent(runner.mean_hit(label))])
+    results = run_matrix(settings, {
+        f"{region}B": AccordDesign(kind="accord", ways=2, region_size=region)
+        for region in (1024, 2048, 4096, 8192, 16384)
+    })
+    rows = [
+        [region, format_percent(mean_prediction_accuracy(per_wl)),
+         format_percent(mean_hit_rate(per_wl))]
+        for region, per_wl in results.items()
+    ]
     return format_table(
         ["region size", "WP accuracy", "hit-rate"],
         rows,
@@ -102,18 +118,10 @@ def run_region_size(settings: Settings) -> str:
 
 
 def run_sws_hashes(settings: Settings) -> str:
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
-    rows = []
-    for hashes in (1, 2, 3, 4):
-        label = f"sws8_{hashes}"
-        runner.run(label, AccordDesign(kind="sws", ways=8, hashes=hashes))
-        rows.append([
-            f"SWS(8,{hashes})",
-            format_percent(runner.mean_hit(label)),
-            format_percent(runner.mean_wp(label)),
-            f"{runner.gmean_speedup(label, 'direct'):.3f}",
-        ])
+    rows = _speedup_rows(settings, {
+        f"SWS(8,{hashes})": AccordDesign(kind="sws", ways=8, hashes=hashes)
+        for hashes in (1, 2, 3, 4)
+    }, ("hit", "wp", "speedup"))
     return format_table(
         ["design", "hit-rate", "WP accuracy", "speedup"],
         rows,
@@ -122,17 +130,10 @@ def run_sws_hashes(settings: Settings) -> str:
 
 
 def run_higher_ways_no_sws(settings: Settings) -> str:
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
-    rows = []
-    for ways in (2, 4, 8):
-        label = f"accord{ways}"
-        runner.run(label, AccordDesign(kind="accord", ways=ways))
-        rows.append([
-            f"ACCORD {ways}-way (no SWS)",
-            format_percent(runner.mean_hit(label)),
-            f"{runner.gmean_speedup(label, 'direct'):.3f}",
-        ])
+    rows = _speedup_rows(settings, {
+        f"ACCORD {ways}-way (no SWS)": AccordDesign(kind="accord", ways=ways)
+        for ways in (2, 4, 8)
+    }, ("hit", "speedup"))
     return format_table(
         ["design", "hit-rate", "speedup"],
         rows,
@@ -142,22 +143,12 @@ def run_higher_ways_no_sws(settings: Settings) -> str:
 
 def run_dueling(settings: Settings) -> str:
     """Extension: set-dueling adaptive PIP vs fixed PIP values."""
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
-    rows = []
-    for label, design in (
-        ("ACCORD PIP=70%", AccordDesign(kind="accord", ways=2, pip=0.70)),
-        ("ACCORD PIP=85%", AccordDesign(kind="accord", ways=2, pip=0.85)),
-        ("ACCORD PIP=95%", AccordDesign(kind="accord", ways=2, pip=0.95)),
-        ("ACCORD dueling (70/95)", AccordDesign(kind="dueling", ways=2)),
-    ):
-        runner.run(label, design)
-        rows.append([
-            label,
-            format_percent(runner.mean_hit(label)),
-            format_percent(runner.mean_wp(label)),
-            f"{runner.gmean_speedup(label, 'direct'):.3f}",
-        ])
+    rows = _speedup_rows(settings, {
+        "ACCORD PIP=70%": AccordDesign(kind="accord", ways=2, pip=0.70),
+        "ACCORD PIP=85%": AccordDesign(kind="accord", ways=2, pip=0.85),
+        "ACCORD PIP=95%": AccordDesign(kind="accord", ways=2, pip=0.95),
+        "ACCORD dueling (70/95)": AccordDesign(kind="dueling", ways=2),
+    }, ("hit", "wp", "speedup"))
     return format_table(
         ["design", "hit-rate", "WP accuracy", "speedup"],
         rows,
@@ -167,22 +158,25 @@ def run_dueling(settings: Settings) -> str:
 
 def run_dcp_modes(settings: Settings) -> str:
     """DCP way-information variants (Section II-B.3 extension cost)."""
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
+    modes = {
+        "exact DCP (presence+way)": "exact",
+        "finite DCP (L3-resident only)": "finite",
+        "no DCP (always probe)": "none",
+    }
+    results = run_matrix(settings, {
+        "direct": baseline_design(),
+        **{label: AccordDesign(kind="accord", ways=2, dcp=mode)
+           for label, mode in modes.items()},
+    })
     rows = []
-    for label, mode in (
-        ("exact DCP (presence+way)", "exact"),
-        ("finite DCP (L3-resident only)", "finite"),
-        ("no DCP (always probe)", "none"),
-    ):
-        design = AccordDesign(kind="accord", ways=2, dcp=mode)
-        results = runner.run(label, design)
-        probes = sum(r.stats.writeback_probe_accesses for r in results.values())
-        writebacks = sum(r.stats.writebacks_in for r in results.values())
+    for label in modes:
+        per_wl = results[label].values()
+        probes = sum(r.stats.writeback_probe_accesses for r in per_wl)
+        writebacks = sum(r.stats.writebacks_in for r in per_wl)
         rows.append([
             label,
             f"{probes / max(writebacks, 1):.2f}",
-            f"{runner.gmean_speedup(label, 'direct'):.3f}",
+            f"{gmean_speedup(results[label], results['direct']):.3f}",
         ])
     return format_table(
         ["writeback way-info", "probe accesses per writeback", "speedup"],

@@ -5,10 +5,12 @@ Every experiment runs a set of named designs over a workload suite with
 only on cache capacity, which all designs share) and replayed against
 every design.
 
-Execution routes through :mod:`repro.exec`: each (design, workload)
-pair becomes a :class:`~repro.exec.JobKey`, warm keys are served from
-the content-addressed result store, and cold keys run in parallel on
-``Settings.jobs`` workers (by default every CPU this process may use).
+Execution routes through :mod:`repro.exec`: :func:`run_matrix` turns an
+experiment's whole design matrix into one grid of
+:class:`~repro.exec.JobKey` objects and resolves it in one
+``Executor.run``. Warm keys are served from the content-addressed
+result store; cold keys run in parallel on ``Settings.jobs`` workers
+(by default every CPU this process may use), same-trace jobs batched.
 Parallel replay is bit-identical to serial because trace generation is
 seeded per key.
 """
@@ -17,33 +19,34 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.accord import AccordDesign
 from repro.errors import WorkloadError
 from repro.exec import Executor, JobKey, ResultStore, usable_cpus
-from repro.params.system import SystemConfig, scaled_system
-from repro.sim.runner import (
-    geometric_mean,
-    mean_hit_rate,
-    mean_prediction_accuracy,
-    speedups_vs_baseline,
+from repro.exec.jobs import (
+    GRID_ACCESSES,
+    GRID_SCALE,
+    GRID_SEED,
+    GRID_WARMUP,
+    QUICK_ACCESSES,
+    QUICK_SUITE,
+    Cell,
+    job_grid,
+    probe_strict_engines,
 )
 from repro.sim.system import RunResult
-from repro.verify.shadow import DEFAULT_VERIFY_ENGINE
 from repro.workloads.spec import get_workload, is_mix, main_suite
-
-DEFAULT_SCALE = 1.0 / 128.0
 
 
 @dataclass
 class Settings:
     """Knobs shared by all experiments."""
 
-    num_accesses: int = 200_000
-    warmup: float = 0.5
-    seed: int = 7
-    scale: float = DEFAULT_SCALE
+    num_accesses: int = GRID_ACCESSES
+    warmup: float = GRID_WARMUP
+    seed: int = GRID_SEED
+    scale: float = GRID_SCALE
     suite: List[str] = field(default_factory=main_suite)
     # Worker processes (--jobs); 1 runs every job inline.
     jobs: int = field(default_factory=usable_cpus)
@@ -71,17 +74,35 @@ class Settings:
     # share of executed jobs is re-run on the reference engine and the
     # result digests compared (see repro.verify). 0 disables.
     verify_fraction: float = 0.0
-    # Reference engine for shadow verification and `repro audit`
-    # recomputes (--verify-engine): one of VERIFY_ENGINES.
-    verify_engine: str = DEFAULT_VERIFY_ENGINE
 
     def quick(self) -> "Settings":
         """A reduced configuration for smoke tests and CI."""
         return replace(
             self,
-            num_accesses=40_000,
-            suite=["soplex", "libq", "mcf", "sphinx"],
+            num_accesses=QUICK_ACCESSES,
+            suite=list(QUICK_SUITE),
         )
+
+    def job_grid(
+        self,
+        matrix: Mapping[str, Cell],
+        footprint_scale: Optional[float] = None,
+    ) -> Dict[str, List[JobKey]]:
+        """This configuration's keys for ``matrix`` over the suite.
+
+        Under ``--engine-strict`` every design's engine request is
+        probed first, so an ineligible design fails before any job runs.
+        """
+        grid = job_grid(
+            matrix, self.suite,
+            num_accesses=self.num_accesses, warmup=self.warmup,
+            seed=self.seed, scale=self.scale,
+            footprint_scale=footprint_scale,
+            epoch=self.epoch, engine=self.engine,
+        )
+        if self.engine_strict:
+            probe_strict_engines(key for keys in grid.values() for key in keys)
+        return grid
 
     def make_executor(self, progress=None, journal=None) -> Executor:
         """Executor honouring this configuration's resilience knobs."""
@@ -94,7 +115,6 @@ class Settings:
             timeout=self.timeout,
             journal=journal,
             verify_fraction=self.verify_fraction,
-            verify_engine=self.verify_engine,
             batch=self.batch,
         )
 
@@ -146,7 +166,6 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
                              "worker is killed and the job rescheduled "
                              "(parallel runs only; default: none)")
     from repro.sim.engines import ENGINE_NAMES
-    from repro.verify.shadow import VERIFY_ENGINES
 
     parser.add_argument("--engine", type=str, default="auto",
                         choices=ENGINE_NAMES,
@@ -173,11 +192,6 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
                              "are quarantined, the offending engine is "
                              "circuit-broken, and the sweep heals from the "
                              "reference result; default 0: disabled)")
-    parser.add_argument("--verify-engine", type=str,
-                        default=DEFAULT_VERIFY_ENGINE,
-                        choices=VERIFY_ENGINES, dest="verify_engine",
-                        help="reference engine for shadow verification "
-                             f"(default: {DEFAULT_VERIFY_ENGINE})")
 
 
 def settings_from_args(
@@ -226,7 +240,6 @@ def settings_from_args(
         engine_strict=args.engine_strict,
         batch=not args.no_batch,
         verify_fraction=args.verify_fraction,
-        verify_engine=args.verify_engine,
     )
 
 
@@ -238,85 +251,34 @@ def parse_args(description: str, argv: Optional[Sequence[str]] = None) -> Settin
     return settings_from_args(args, parser)
 
 
-class SuiteRunner:
-    """Runs designs over the settings' suite with shared traces.
+def run_matrix(
+    settings: Settings,
+    matrix: Mapping[str, Cell],
+    footprint_scale: Optional[float] = None,
+) -> Dict[str, Dict[str, RunResult]]:
+    """Run a design matrix over the suite in one ``Executor.run``.
 
-    All simulation goes through one :class:`~repro.exec.Executor`, so a
-    runner transparently gains ``-j`` parallelism and warm-store
-    restarts; per-label results are additionally memoized in-process as
-    before.
+    ``matrix`` maps row label -> design (or a (design, scale) cell, see
+    :func:`~repro.exec.jobs.job_grid`); the result maps label ->
+    workload -> :class:`RunResult`. Warm keys come from the result
+    store, cold ones run on ``settings.jobs`` workers, batched by trace.
+
+    Key order is dispatch order, so a matrix's first label touches
+    every trace: the baseline goes first (in Table VIII, every size's
+    baseline before any ACCORD cell). Each trace is then generated once
+    and reaches the trace cache before a design on another worker asks
+    for it; a worker that asks first generates it a second time.
     """
-
-    def __init__(self, settings: Settings):
-        self.settings = settings
-        # Workload footprints scale with the cache; subclasses may pin
-        # them elsewhere (Table VIII). Jobs get their traces from
-        # repro.exec.jobs, which generates each one once per process.
-        self.footprint_scale = settings.scale
-        self.executor = settings.make_executor()
-        self._results: Dict[str, Dict[str, RunResult]] = {}
-
-    def config_for(self, design: AccordDesign) -> SystemConfig:
-        return scaled_system(ways=design.ways, scale=self.settings.scale)
-
-    def job_key(self, design: AccordDesign, workload: str) -> JobKey:
-        return JobKey(
-            design=design,
-            workload=workload,
-            num_accesses=self.settings.num_accesses,
-            warmup=self.settings.warmup,
-            seed=self.settings.seed,
-            scale=self.settings.scale,
-            footprint_scale=self.footprint_scale,
-            epoch=self.settings.epoch,
-            engine=self.settings.engine,
-        )
-
-    def _check_engine_strict(self, design: AccordDesign) -> None:
-        """Fail fast under --engine-strict before any job is scheduled."""
-        if not self.settings.engine_strict or self.settings.engine == "auto":
-            return
-        from repro.sim.engines import resolve_engine
-        from repro.sim.system import build_dram_cache
-
-        cache = build_dram_cache(
-            design, self.config_for(design), seed=self.settings.seed
-        )
-        resolve_engine(
-            cache, requested=self.settings.engine, strict=True, design=design
-        )
-
-    def run(self, label: str, design: AccordDesign) -> Dict[str, RunResult]:
-        """Run (and memoize) one design across the suite."""
-        if label not in self._results:
-            if not self.settings.suite:
-                raise WorkloadError("workload suite is empty")
-            self._check_engine_strict(design)
-            keys = [self.job_key(design, w) for w in self.settings.suite]
-            resolved = self.executor.run(keys)
-            self._results[label] = {
-                key.workload: resolved[key] for key in keys
-            }
-        return self._results[label]
-
-    # -- aggregates -------------------------------------------------------
-
-    def mean_hit(self, label: str) -> float:
-        return mean_hit_rate(self._results[label])
-
-    def mean_wp(self, label: str) -> float:
-        return mean_prediction_accuracy(self._results[label])
-
-    def gmean_speedup(self, label: str, baseline_label: str) -> float:
-        speedups = speedups_vs_baseline(
-            self._results[label], self._results[baseline_label]
-        )
-        return geometric_mean(speedups.values())
-
-    def speedups(self, label: str, baseline_label: str) -> Dict[str, float]:
-        return speedups_vs_baseline(
-            self._results[label], self._results[baseline_label]
-        )
+    if not settings.suite:
+        raise WorkloadError("workload suite is empty")
+    grid = settings.job_grid(matrix, footprint_scale)
+    resolved = settings.make_executor().run(
+        [key for keys in grid.values() for key in keys]
+    )
+    return {
+        label: {key.workload: resolved[key] for key in keys}
+        for label, keys in grid.items()
+    }
 
 
 def baseline_design() -> AccordDesign:

@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 from repro.analysis.report import per_workload_table
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
+from repro.sim.runner import speedups_vs_baseline
 from repro.workloads.spec import extended_suite, main_suite
 
 DESIGNS = {
@@ -28,12 +29,11 @@ def run(settings: Optional[Settings] = None) -> str:
         # The default suite widens to all 46 workloads; quick mode and
         # an explicit --workloads list are kept as given.
         settings = replace(settings, suite=extended_suite())
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
-    columns = {}
-    for label, design in DESIGNS.items():
-        runner.run(label, design)
-        columns[label] = runner.speedups(label, "direct")
+    results = run_matrix(settings, {"direct": baseline_design(), **DESIGNS})
+    columns = {
+        label: speedups_vs_baseline(results[label], results["direct"])
+        for label in DESIGNS
+    }
     worst = {
         label: min(per_wl.values()) for label, per_wl in columns.items()
     }

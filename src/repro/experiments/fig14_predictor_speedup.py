@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 
 from repro.analysis.report import per_workload_table
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
+from repro.sim.runner import speedups_vs_baseline
 
 DESIGNS = {
     "CA-Cache (0B)": AccordDesign(kind="ca", ways=1),
@@ -24,12 +25,11 @@ DESIGNS = {
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
-    columns = {}
-    for label, design in DESIGNS.items():
-        runner.run(label, design)
-        columns[label] = runner.speedups(label, "direct")
+    results = run_matrix(settings, {"direct": baseline_design(), **DESIGNS})
+    columns = {
+        label: speedups_vs_baseline(results[label], results["direct"])
+        for label in DESIGNS
+    }
     return per_workload_table(
         columns,
         title="Figure 14: speedup of way predictors and ACCORD (2-way)",

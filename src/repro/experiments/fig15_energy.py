@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.energy import EnergyModel
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
 from repro.sim.runner import geometric_mean
 from repro.utils.tables import format_table
 
@@ -24,8 +24,8 @@ DESIGNS = {
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    runner = SuiteRunner(settings)
-    base_results = runner.run("direct", baseline_design())
+    results = run_matrix(settings, {"direct": baseline_design(), **DESIGNS})
+    base_results = results["direct"]
     model = EnergyModel()
 
     base_reports = {
@@ -33,10 +33,9 @@ def run(settings: Optional[Settings] = None) -> str:
     }
 
     rows = []
-    for label, design in DESIGNS.items():
-        results = runner.run(label, design)
+    for label in DESIGNS:
         ratios = {"speedup": [], "power": [], "energy": [], "edp": []}
-        for wl, result in results.items():
+        for wl, result in results[label].items():
             report = model.evaluate(result.stats, result.runtime_ns)
             relative = report.relative_to(base_reports[wl])
             for key in ratios:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
+from repro.sim.runner import gmean_speedup, mean_hit_rate
 from repro.utils.tables import format_percent, format_table
 
 WAYS = (1, 2, 4, 8)
@@ -23,23 +24,21 @@ WAYS = (1, 2, 4, 8)
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
+    matrix = {"direct": baseline_design()}
+    for ways in WAYS[1:]:
+        matrix[f"parallel{ways}"] = AccordDesign(kind="parallel", ways=ways)
+        matrix[f"ideal{ways}"] = AccordDesign(kind="ideal", ways=ways)
+    results = run_matrix(settings, matrix)
+    direct = results["direct"]
 
-    rows = []
-    for ways in WAYS:
-        if ways == 1:
-            hit = runner.mean_hit("direct")
-            rows.append(["1-way", format_percent(hit), "1.000", "1.000"])
-            continue
-        runner.run(f"parallel{ways}", AccordDesign(kind="parallel", ways=ways))
-        runner.run(f"ideal{ways}", AccordDesign(kind="ideal", ways=ways))
+    rows = [["1-way", format_percent(mean_hit_rate(direct)), "1.000", "1.000"]]
+    for ways in WAYS[1:]:
         rows.append(
             [
                 f"{ways}-way",
-                format_percent(runner.mean_hit(f"ideal{ways}")),
-                f"{runner.gmean_speedup(f'parallel{ways}', 'direct'):.3f}",
-                f"{runner.gmean_speedup(f'ideal{ways}', 'direct'):.3f}",
+                format_percent(mean_hit_rate(results[f"ideal{ways}"])),
+                f"{gmean_speedup(results[f'parallel{ways}'], direct):.3f}",
+                f"{gmean_speedup(results[f'ideal{ways}'], direct):.3f}",
             ]
         )
     return format_table(

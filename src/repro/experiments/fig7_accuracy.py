@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 
 from repro.analysis.report import per_workload_table, collect
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, parse_args
+from repro.experiments.common import Settings, parse_args, run_matrix
+from repro.sim.runner import mean_prediction_accuracy
 
 DESIGNS = {
     "Rand Pred": AccordDesign(kind="unbiased", ways=2),
@@ -24,17 +25,18 @@ DESIGNS = {
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    runner = SuiteRunner(settings)
-    columns = {}
-    for label, design in DESIGNS.items():
-        results = runner.run(label, design)
-        columns[label] = collect(results, lambda r: r.prediction_accuracy)
+    results = run_matrix(settings, DESIGNS)
+    columns = {
+        label: collect(results[label], lambda r: r.prediction_accuracy)
+        for label in DESIGNS
+    }
     return per_workload_table(
         columns,
         title="Figure 7: way-prediction accuracy (2-way cache)",
         gmean_row=False,
     ) + "\n" + " | ".join(
-        f"{label} mean={runner.mean_wp(label):.3f}" for label in DESIGNS
+        f"{label} mean={mean_prediction_accuracy(results[label]):.3f}"
+        for label in DESIGNS
     )
 
 

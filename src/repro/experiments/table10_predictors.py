@@ -8,12 +8,13 @@ because SWS keeps the effective choice binary.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.analysis.storage import predictor_storage_bytes
 from repro.cache.geometry import CacheGeometry
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, parse_args
+from repro.experiments.common import Settings, parse_args, run_matrix
+from repro.sim.runner import mean_prediction_accuracy
 from repro.utils.tables import format_percent, format_table
 
 PAPER_CAPACITY = 4 * 1024 * 1024 * 1024
@@ -40,18 +41,13 @@ _STORAGE_KEYS = {"CA-Cache": "ca", "MRU Pred": "mru",
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    runner = SuiteRunner(settings)
-
-    accuracy: Dict[Tuple[str, int], Optional[float]] = {}
+    matrix = {}
     for column in COLUMNS:
         for ways in (2, 4, 8):
             design = _design_for(column, ways)
-            if design is None:
-                accuracy[(column, ways)] = None
-                continue
-            label = f"{column}:{ways}"
-            runner.run(label, design)
-            accuracy[(column, ways)] = runner.mean_wp(label)
+            if design is not None:
+                matrix[f"{column}:{ways}"] = design
+    results = run_matrix(settings, matrix)
 
     storage_row = ["Storage"]
     for column in COLUMNS:
@@ -68,8 +64,9 @@ def run(settings: Optional[Settings] = None) -> str:
     for ways in (2, 4, 8):
         row = [f"Accuracy ({ways}-way)"]
         for column in COLUMNS:
-            value = accuracy[(column, ways)]
-            row.append("N/A" if value is None else format_percent(value))
+            cell = results.get(f"{column}:{ways}")
+            row.append("N/A" if cell is None else
+                       format_percent(mean_prediction_accuracy(cell)))
         rows.append(row)
     return format_table(
         ["", *COLUMNS],

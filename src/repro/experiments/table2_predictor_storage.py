@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 from repro.analysis.storage import predictor_storage_bytes
 from repro.cache.geometry import CacheGeometry
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, parse_args
+from repro.experiments.common import Settings, parse_args, run_matrix
+from repro.sim.runner import mean_prediction_accuracy
 from repro.utils.tables import format_percent, format_table
 
 PAPER_CAPACITY = 4 * 1024 * 1024 * 1024
@@ -22,14 +23,11 @@ LABELS = {"unbiased": "Rand Pred", "mru": "MRU Pred", "partial_tag": "Partial-Ta
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    runner = SuiteRunner(settings)
-
-    accuracy = {}
-    for kind in PREDICTORS:
-        for ways in (2, 4, 8):
-            label = f"{kind}{ways}"
-            runner.run(label, AccordDesign(kind=kind, ways=ways))
-            accuracy[(kind, ways)] = runner.mean_wp(label)
+    results = run_matrix(settings, {
+        f"{kind}{ways}": AccordDesign(kind=kind, ways=ways)
+        for kind in PREDICTORS
+        for ways in (2, 4, 8)
+    })
 
     storage_row = ["Storage (4GB cache)"]
     for kind in PREDICTORS:
@@ -45,7 +43,8 @@ def run(settings: Optional[Settings] = None) -> str:
     for ways in (2, 4, 8):
         rows.append(
             [f"{ways}-way accuracy"]
-            + [format_percent(accuracy[(kind, ways)]) for kind in PREDICTORS]
+            + [format_percent(mean_prediction_accuracy(results[f"{kind}{ways}"]))
+               for kind in PREDICTORS]
         )
     return format_table(
         ["", *(LABELS[p] for p in PREDICTORS)],

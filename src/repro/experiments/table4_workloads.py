@@ -8,10 +8,12 @@ Speedup" column.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
+from repro.sim.runner import speedups_vs_baseline
 from repro.utils.tables import format_table
 from repro.workloads.spec import get_workload, rate_mode_specs
 
@@ -19,11 +21,15 @@ from repro.workloads.spec import get_workload, rate_mode_specs
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
     rate_names = [s.name for s in rate_mode_specs()]
-    settings.suite = [w for w in settings.suite if w in rate_names] or rate_names
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
-    runner.run("ideal8", AccordDesign(kind="ideal", ways=8))
-    speedups = runner.speedups("ideal8", "direct")
+    settings = replace(
+        settings,
+        suite=[w for w in settings.suite if w in rate_names] or rate_names,
+    )
+    results = run_matrix(settings, {
+        "direct": baseline_design(),
+        "ideal8": AccordDesign(kind="ideal", ways=8),
+    })
+    speedups = speedups_vs_baseline(results["ideal8"], results["direct"])
 
     rows = []
     for name in settings.suite:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
+from repro.sim.runner import gmean_speedup, mean_hit_rate, mean_prediction_accuracy
 from repro.utils.tables import format_percent, format_table
 
 PIPS = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 1.0)
@@ -18,21 +19,19 @@ PIPS = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 1.0)
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    runner = SuiteRunner(settings)
-    runner.run("direct", baseline_design())
+    # PIP=100% degenerates into a direct-mapped cache: its row reports
+    # the baseline itself (accuracy is trivially 100%).
+    swept = [pip for pip in PIPS if pip < 1.0]
+    results = run_matrix(settings, {
+        "direct": baseline_design(),
+        **{f"pws{int(pip * 100)}": AccordDesign(kind="pws", ways=2, pip=pip)
+           for pip in swept},
+    })
+    direct = results["direct"]
 
     rows = []
-    for pip in PIPS:
+    for pip in swept:
         label = f"pws{int(pip * 100)}"
-        if pip >= 1.0:
-            # PIP=100% degenerates into a direct-mapped cache: report the
-            # baseline itself (accuracy is trivially 100%).
-            rows.append(
-                ["Direct-Mapped (PIP=100%)",
-                 format_percent(runner.mean_hit("direct")), "100.0%", "1.000"]
-            )
-            continue
-        runner.run(label, AccordDesign(kind="pws", ways=2, pip=pip))
         name = (
             "2-way (Unbiased, PIP=50%)" if pip == 0.5
             else f"2-way PWS (PIP={int(pip * 100)}%)"
@@ -40,11 +39,15 @@ def run(settings: Optional[Settings] = None) -> str:
         rows.append(
             [
                 name,
-                format_percent(runner.mean_hit(label)),
-                format_percent(runner.mean_wp(label)),
-                f"{runner.gmean_speedup(label, 'direct'):.3f}",
+                format_percent(mean_hit_rate(results[label])),
+                format_percent(mean_prediction_accuracy(results[label])),
+                f"{gmean_speedup(results[label], direct):.3f}",
             ]
         )
+    rows.append(
+        ["Direct-Mapped (PIP=100%)",
+         format_percent(mean_hit_rate(direct)), "100.0%", "1.000"]
+    )
     return format_table(
         ["organization", "hit-rate", "WP accuracy", "speedup"],
         rows,

@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
+from repro.sim.runner import mean_hit_rate
 from repro.utils.tables import format_percent, format_table
 
 DESIGNS = {
@@ -24,11 +25,8 @@ DESIGNS = {
 
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
-    runner = SuiteRunner(settings)
-    row = []
-    for label, design in DESIGNS.items():
-        runner.run(label, design)
-        row.append(format_percent(runner.mean_hit(label)))
+    results = run_matrix(settings, DESIGNS)
+    row = [format_percent(mean_hit_rate(results[label])) for label in DESIGNS]
     return format_table(
         list(DESIGNS),
         [row],

@@ -9,37 +9,35 @@ room for improvement).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.core.accord import AccordDesign
-from repro.experiments.common import Settings, SuiteRunner, baseline_design, parse_args
+from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
+from repro.sim.runner import gmean_speedup
 from repro.utils.tables import format_table
 
 SIZES_GB = (1.0, 2.0, 4.0, 8.0)
 BASE_SCALE = 1.0 / 128.0
 
 
-class _SizedRunner(SuiteRunner):
-    """SuiteRunner whose trace footprints stay at the 4GB-equivalent
-    scale while the cache geometry uses the swept scale."""
-
-    def __init__(self, settings: Settings, footprint_scale: float):
-        super().__init__(settings)
-        self.footprint_scale = footprint_scale
-
-
 def run(settings: Optional[Settings] = None) -> str:
     settings = settings or Settings()
+    # Every size's baseline comes first, so the direct cells generate
+    # each (size, workload) trace before an ACCORD cell asks for it.
+    matrix = {}
+    for kind, design in (
+        ("direct", baseline_design()),
+        ("accord", AccordDesign(kind="sws", ways=8, hashes=2)),
+    ):
+        for size_gb in SIZES_GB:
+            matrix[f"{kind}@{size_gb}"] = (design, BASE_SCALE * (size_gb / 4.0))
+    results = run_matrix(settings, matrix, footprint_scale=BASE_SCALE)
     rows = []
     for size_gb in SIZES_GB:
-        sized = replace(settings, scale=BASE_SCALE * (size_gb / 4.0))
-        runner = _SizedRunner(sized, footprint_scale=BASE_SCALE)
-        runner.run("direct", baseline_design())
-        runner.run("accord", AccordDesign(kind="sws", ways=8, hashes=2))
-        rows.append(
-            [f"{size_gb:.1f}GB", f"{runner.gmean_speedup('accord', 'direct'):.3f}"]
+        speedup = gmean_speedup(
+            results[f"accord@{size_gb}"], results[f"direct@{size_gb}"]
         )
+        rows.append([f"{size_gb:.1f}GB", f"{speedup:.3f}"])
     return format_table(
         ["cache size", "speedup from ACCORD SWS(8,2)"],
         rows,

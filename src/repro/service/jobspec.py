@@ -2,9 +2,10 @@
 
 A spec names the same knobs the CLI ``sweep``/``run`` flags do, and is
 expanded through the same code paths (:func:`parse_design_specs`,
-``Settings``-compatible defaults), so a served job is *the same job* —
-same :class:`~repro.exec.JobKey`, same digest, same store slot — as
-its CLI equivalent. That identity is what lets the scheduler
+:func:`~repro.exec.jobs.job_grid` and its ``GRID_*``/``QUICK_*``
+defaults), so a served job is *the same job* — same
+:class:`~repro.exec.JobKey`, same digest, same store slot — as its CLI
+equivalent. That identity is what lets the scheduler
 deduplicate concurrent submissions and answer warm requests straight
 from the result store.
 
@@ -38,21 +39,18 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.accord import AccordDesign
 from repro.errors import ConfigError, WorkloadError
 from repro.exec.jobs import (
+    GRID_ACCESSES,
+    GRID_SCALE,
+    GRID_SEED,
+    GRID_WARMUP,
+    QUICK_ACCESSES,
+    QUICK_SUITE,
     RESULT_SCHEMA_VERSION,
     JobKey,
+    job_grid,
     parse_design_specs,
 )
 from repro.workloads.spec import get_workload, is_mix, main_suite
-
-#: Defaults mirroring ``repro.experiments.common.Settings`` (kept in
-#: lockstep by tests): a spec with no knobs runs the same grid the CLI
-#: would.
-DEFAULT_ACCESSES = 200_000
-QUICK_ACCESSES = 40_000
-QUICK_SUITE = ["soplex", "libq", "mcf", "sphinx"]
-DEFAULT_WARMUP = 0.5
-DEFAULT_SEED = 7
-DEFAULT_SCALE = 1.0 / 128.0
 
 SPEC_KINDS = ("sweep", "run")
 
@@ -139,12 +137,11 @@ def expand_spec(
             "job spec: kind 'run' takes exactly one design and one workload"
         )
     accesses = _number(
-        spec, "accesses",
-        QUICK_ACCESSES if quick else DEFAULT_ACCESSES, int,
+        spec, "accesses", QUICK_ACCESSES if quick else GRID_ACCESSES, int,
     )
-    seed = _number(spec, "seed", DEFAULT_SEED, int)
-    scale = _number(spec, "scale", DEFAULT_SCALE, float)
-    warmup = _number(spec, "warmup", DEFAULT_WARMUP, float)
+    seed = _number(spec, "seed", GRID_SEED, int)
+    scale = _number(spec, "scale", GRID_SCALE, float)
+    warmup = _number(spec, "warmup", GRID_WARMUP, float)
     epoch: Optional[int] = None
     if spec.get("epoch") is not None:
         epoch = _number(spec, "epoch", None, int)
@@ -158,21 +155,12 @@ def expand_spec(
             f"job spec: unknown engine {engine!r}; "
             f"expected one of {ENGINE_NAMES}"
         )
-    keys = [
-        JobKey(
-            design=design,
-            workload=workload,
-            num_accesses=accesses,
-            warmup=warmup,
-            seed=seed,
-            scale=scale,
-            epoch=epoch,
-            engine=engine,
-        )
-        for design in designs
-        for workload in workloads
-    ]
-    return keys, labels, workloads
+    grid = job_grid(
+        dict(zip(labels, designs)), workloads,
+        num_accesses=accesses, warmup=warmup, seed=seed, scale=scale,
+        epoch=epoch, engine=engine,
+    )
+    return [key for keys in grid.values() for key in keys], labels, workloads
 
 
 def key_from_canonical(data: Dict[str, Any]) -> JobKey:
@@ -210,9 +198,6 @@ def key_from_canonical(data: Dict[str, Any]) -> JobKey:
 
 
 __all__ = [
-    "DEFAULT_ACCESSES",
-    "QUICK_ACCESSES",
-    "QUICK_SUITE",
     "SPEC_KINDS",
     "expand_spec",
     "key_from_canonical",

@@ -47,7 +47,6 @@ from repro.service import protocol
 from repro.service.jobspec import expand_spec
 from repro.service.ratelimit import RateLimiter
 from repro.service.scheduler import JobManager, Overloaded, Subscription
-from repro.verify.shadow import DEFAULT_VERIFY_ENGINE, VERIFY_ENGINES
 
 #: The service's default port: "ACRD" on a phone keypad would be nice,
 #: but 8765 is memorable and unprivileged.
@@ -71,7 +70,6 @@ class ServiceConfig:
     max_body: int = protocol.MAX_BODY_BYTES
     resume: bool = True
     verify_fraction: float = 0.0  # shadow-verify this share of computed jobs
-    verify_engine: str = DEFAULT_VERIFY_ENGINE
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -86,11 +84,6 @@ class ServiceConfig:
             raise ConfigError(
                 f"verify_fraction must be in [0, 1], "
                 f"got {self.verify_fraction}"
-            )
-        if self.verify_engine not in VERIFY_ENGINES:
-            raise ConfigError(
-                f"verify_engine must be one of {', '.join(VERIFY_ENGINES)}, "
-                f"got {self.verify_engine!r}"
             )
 
 
@@ -108,7 +101,6 @@ class SweepService:
             retries=config.retries,
             timeout=config.timeout,
             verify_fraction=config.verify_fraction,
-            verify_engine=config.verify_engine,
         )
         self.manager = JobManager(
             executor,

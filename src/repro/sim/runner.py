@@ -180,6 +180,13 @@ def speedups_vs_baseline(
     }
 
 
+def gmean_speedup(
+    results: Dict[str, RunResult], baseline: Dict[str, RunResult]
+) -> float:
+    """Geometric-mean speedup of ``results`` over ``baseline``."""
+    return geometric_mean(speedups_vs_baseline(results, baseline).values())
+
+
 def mean_hit_rate(results: Dict[str, RunResult]) -> float:
     """Arithmetic-mean hit rate across workloads (paper Tables VI/VII)."""
     if not results:

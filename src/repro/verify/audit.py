@@ -35,7 +35,7 @@ from repro.exec.resilience import quarantine_entry
 from repro.sim.system import RunResult
 from repro.verify.digest import result_digest
 from repro.verify.shadow import (
-    DEFAULT_VERIFY_ENGINE,
+    REFERENCE_ENGINE,
     reference_result,
     should_verify,
 )
@@ -104,7 +104,6 @@ def _check_entry(
     report: AuditReport,
     entry: Path,
     recompute_fraction: float,
-    engine: str,
 ) -> Optional[str]:
     """Audit one store entry; returns a quarantine reason or None."""
     try:
@@ -162,7 +161,7 @@ def _check_entry(
         report.recomputed += 1
         try:
             key = key_from_canonical(record["key"])
-            fresh = result_digest(reference_result(key, engine))
+            fresh = result_digest(reference_result(key))
         except ReproError as exc:
             report.malformed += 1
             report._flag(entry, "malformed", f"recompute failed: {exc}")
@@ -171,11 +170,13 @@ def _check_entry(
             report.recompute_mismatches += 1
             report._flag(
                 entry, "recompute-mismatch",
-                f"stored {recomputed[:12]}..., {engine} re-run {fresh[:12]}...",
+                f"stored {recomputed[:12]}..., {REFERENCE_ENGINE} re-run "
+                f"{fresh[:12]}...",
             )
             return (
-                f"audit: stored result disagrees with a fresh {engine!r} "
-                f"re-execution (stored {recomputed}, recomputed {fresh})"
+                f"audit: stored result disagrees with a fresh "
+                f"{REFERENCE_ENGINE!r} re-execution (stored {recomputed}, "
+                f"recomputed {fresh})"
             )
     return None
 
@@ -183,7 +184,6 @@ def _check_entry(
 def audit_store(
     root: Union[str, Path],
     recompute_fraction: float = 0.0,
-    engine: str = DEFAULT_VERIFY_ENGINE,
     quarantine: bool = True,
 ) -> AuditReport:
     """Audit every result entry under ``root``; see the module docstring.
@@ -199,7 +199,7 @@ def audit_store(
             if entry.name.startswith(".tmp-"):
                 continue
             report.scanned += 1
-            reason = _check_entry(report, entry, recompute_fraction, engine)
+            reason = _check_entry(report, entry, recompute_fraction)
             if reason is None:
                 report.clean += 1
             elif quarantine:

@@ -2,11 +2,12 @@
 
 With ``--verify-fraction F`` the executor samples a deterministic
 ``F``-fraction of *executed* jobs (store reads are covered separately
-by payload digests) and re-runs each sampled job on a trusted
-reference engine, comparing :func:`~repro.verify.digest.result_digest`
-of the two answers. The sample is a pure function of the job's content
-address, so a resumed sweep re-samples exactly the same jobs and two
-concurrent sweeps agree on which keys are audited.
+by payload digests) and re-runs each sampled job on
+:data:`REFERENCE_ENGINE`, the per-access loop, comparing
+:func:`~repro.verify.digest.result_digest` of the two answers. The
+sample is a pure function of the job's content address, so a resumed
+sweep re-samples exactly the same jobs and two concurrent sweeps agree
+on which keys are audited.
 
 On a mismatch the executor quarantines *both* payloads (suspect and
 reference, each with a ``.why`` sidecar naming the engine, key, and
@@ -19,8 +20,7 @@ bit-identical to a fault-free reference run.
 This module holds the policy-free helpers; the orchestration lives in
 :meth:`repro.exec.executor.Executor._maybe_verify`. Its module-level
 imports are stdlib-only (the exec layer is imported inside the helpers
-that need it), so the CLI and the executor can import
-:data:`VERIFY_ENGINES` cheaply.
+that need it), so the executor can import it cheaply.
 """
 
 from __future__ import annotations
@@ -35,22 +35,15 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 __all__ = [
-    "DEFAULT_VERIFY_ENGINE",
-    "VERIFY_ENGINES",
+    "REFERENCE_ENGINE",
     "quarantine_mismatch",
     "reference_result",
     "should_verify",
 ]
 
-#: Engines trusted as the shadow reference: the scalar paths whose
-#: equivalence to the per-access loop does not rest on kernel
-#: vectorization. ``loop`` is ground truth; ``stream`` runs the same
-#: per-access decision code over pre-split columns.
-VERIFY_ENGINES = ("stream", "loop")
-
-#: The reference engine every ``--verify-engine`` / ``verify_engine``
-#: default derives from.
-DEFAULT_VERIFY_ENGINE = "loop"
+#: The engine shadow verification and ``repro audit`` recomputes trust:
+#: the per-access reference loop, ground truth for every other engine.
+REFERENCE_ENGINE = "loop"
 
 
 def should_verify(digest: str, fraction: float) -> bool:
@@ -72,8 +65,8 @@ def should_verify(digest: str, fraction: float) -> bool:
     return int.from_bytes(draw[:8], "big") / 2.0 ** 64 < fraction
 
 
-def reference_result(key: Any, engine: str = DEFAULT_VERIFY_ENGINE) -> Any:
-    """Re-execute ``key`` on the reference ``engine``, faults suppressed.
+def reference_result(key: Any) -> Any:
+    """Re-execute ``key`` on :data:`REFERENCE_ENGINE`, faults suppressed.
 
     The re-execution must see the pristine simulation — an injected
     fault firing inside the shadow run would poison the reference — so
@@ -83,7 +76,7 @@ def reference_result(key: Any, engine: str = DEFAULT_VERIFY_ENGINE) -> Any:
     from repro.exec.jobs import execute_job
 
     with suppressed():
-        return execute_job(replace(key, engine=engine))
+        return execute_job(replace(key, engine=REFERENCE_ENGINE))
 
 
 def _write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
@@ -111,7 +104,6 @@ def quarantine_mismatch(
     reference: Any,
     suspect_digest: str,
     reference_digest: str,
-    reference_engine: str,
 ) -> Optional[Path]:
     """Preserve both sides of a verification mismatch for inspection.
 
@@ -136,7 +128,7 @@ def quarantine_mismatch(
         "display": key.display,
         "key": key.canonical(),
         "engine": engine,
-        "reference_engine": reference_engine,
+        "reference_engine": REFERENCE_ENGINE,
         "suspect_digest": suspect_digest,
         "reference_digest": reference_digest,
         "quarantined_utc": stamp,

@@ -38,6 +38,59 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PWS+GWS" in out
 
+    def test_run_passes_every_executor_flag(self, capsys, tmp_path,
+                                            monkeypatch):
+        # `run` parses its settings once, so no flag is lost on the way
+        # to the experiment's executor.
+        from repro.exec import Executor
+
+        built = []
+        init = Executor.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Executor, "__init__", recording)
+        assert main([
+            "run", "table6_hitrate", "--accesses", "3000",
+            "--workloads", "soplex", "--no-batch", "-j", "1",
+            "--retries", "0", "--results-dir", str(tmp_path),
+        ]) == 0
+        (executor,) = built
+        assert (executor.batch, executor.jobs, executor.retries) == (False, 1, 0)
+
+    def test_engine_strict_probe_runs_before_any_job(self, capsys,
+                                                     monkeypatch):
+        # `run` and `sweep` share one --engine-strict probe: the vector
+        # kernel cannot drive ACCORD's global state exactly, so both
+        # stop before a job is scheduled.
+        from repro.__main__ import EXIT_EXECUTION
+        from repro.exec import Executor
+        from repro.experiments import common
+
+        probed = []
+        probe = common.probe_strict_engines
+
+        def counting(keys):
+            probed.append(True)
+            probe(keys)
+
+        def no_jobs(self, keys):
+            raise AssertionError("a job was scheduled")
+
+        monkeypatch.setattr(common, "probe_strict_engines", counting)
+        monkeypatch.setattr(Executor, "run", no_jobs)
+        strict = ["--quick", "--engine", "vector", "--engine-strict"]
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--designs", "direct,accord:2", "--no-journal",
+                  *strict])
+        assert exc.value.code == 2
+        assert "--engine-strict" in capsys.readouterr().err
+        assert main(["run", "table6_hitrate", *strict]) == EXIT_EXECUTION
+        assert "table6_hitrate failed" in capsys.readouterr().err
+        assert len(probed) == 2
+
     def test_unknown_experiment(self, capsys):
         assert main(["run", "not_an_experiment"]) == 2
         err = capsys.readouterr().err

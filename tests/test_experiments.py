@@ -4,10 +4,12 @@ Each experiment's ``run()`` must produce a non-empty report; the cheap
 analytic experiments additionally assert paper-exact content.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import EXPERIMENT_MODULES
-from repro.experiments.common import Settings, SuiteRunner, baseline_design
+from repro.experiments.common import Settings, baseline_design, run_matrix
 
 
 def quick_settings():
@@ -401,23 +403,21 @@ class TestQuickRuns:
 
 class TestFig12Suite:
     """Figure 12 widens only the default suite to all 46 workloads;
-    pinned with the suite runner stubbed, so nothing is simulated."""
+    pinned with the matrix runner stubbed, so nothing is simulated."""
 
     @pytest.fixture
     def fig12(self, monkeypatch):
         from repro.experiments import fig12_all_workloads
 
-        class StubRunner:
-            def __init__(self, settings):
-                self.suite = settings.suite
+        class Even:
+            def speedup_over(self, baseline):
+                return 1.0
 
-            def run(self, label, design):
-                pass
+        def stub_run_matrix(settings, matrix):
+            return {label: {w: Even() for w in settings.suite}
+                    for label in matrix}
 
-            def speedups(self, label, baseline):
-                return {w: 1.0 for w in self.suite}
-
-        monkeypatch.setattr(fig12_all_workloads, "SuiteRunner", StubRunner)
+        monkeypatch.setattr(fig12_all_workloads, "run_matrix", stub_run_matrix)
         return fig12_all_workloads
 
     def test_default_suite_widens_to_46(self, fig12):
@@ -437,14 +437,7 @@ class TestFig12Suite:
 
 
 class TestSuiteRunnerMachinery:
-    def test_memoizes_runs(self):
-        settings = quick_settings()
-        settings.suite = ["sphinx"]
-        settings.num_accesses = 10_000
-        runner = SuiteRunner(settings)
-        first = runner.run("direct", baseline_design())
-        second = runner.run("direct", baseline_design())
-        assert first is second
+    """:func:`run_matrix`, the suite runner every experiment calls."""
 
     def test_traces_shared_across_designs(self, tmp_path, monkeypatch):
         from repro.core.accord import AccordDesign
@@ -462,12 +455,84 @@ class TestSuiteRunnerMachinery:
             return generate(self, num_accesses, name)
 
         monkeypatch.setattr(SyntheticWorkload, "generate", counting)
-        settings = quick_settings()
-        settings.suite = ["sphinx", "mcf"]
-        settings.num_accesses = 10_000
-        settings.results_dir = str(tmp_path)
-        settings.jobs = 1  # generation is counted in this process
-        runner = SuiteRunner(settings)
-        runner.run("direct", baseline_design())
-        runner.run("accord", AccordDesign(kind="accord", ways=2))
+        settings = replace(
+            quick_settings(), suite=["sphinx", "mcf"], num_accesses=10_000,
+            results_dir=str(tmp_path),
+            jobs=1,  # generation is counted in this process
+        )
+        run_matrix(settings, {
+            "direct": baseline_design(),
+            "accord": AccordDesign(kind="accord", ways=2),
+        })
         assert sorted(generated) == ["mcf", "sphinx"]
+
+
+def _pieces():
+    """name -> run(settings): one per experiment, one per ablation section."""
+    import importlib
+
+    from repro.experiments.ablations import ABLATIONS
+
+    pieces = {}
+    for name in EXPERIMENT_MODULES:
+        if name == "ablations":
+            for section, run in ABLATIONS.items():
+                pieces[f"ablations:{section}"] = run
+        else:
+            module = importlib.import_module(f"repro.experiments.{name}")
+            pieces[name] = module.run
+    return pieces
+
+
+#: Pieces that compute analytically or drive their own engines.
+NO_MATRIX = {"table1_lookup_cost", "table9_storage", "fig6_cyclic",
+             "ablations:mru-filtering"}
+
+
+class TestOneMatrixPerPiece:
+    """Every simulating experiment and ablation section resolves its
+    whole design matrix in one ``Executor.run``, and no piece changes
+    the settings it is handed (``repro run all`` shares one)."""
+
+    @pytest.mark.parametrize("name", sorted(_pieces()))
+    def test_one_executor_run_and_settings_untouched(
+        self, name, tmp_path, monkeypatch
+    ):
+        import copy
+
+        from repro.exec import Executor
+
+        calls = []
+        run = Executor.run
+
+        def counting(self, keys):
+            calls.append(len(keys))
+            return run(self, keys)
+
+        monkeypatch.setattr(Executor, "run", counting)
+        # A mix in the suite: Table IV drops it from its own copy.
+        settings = Settings(num_accesses=2000, suite=["soplex", "mix1"],
+                            jobs=1, results_dir=str(tmp_path))
+        before = copy.deepcopy(settings)
+        assert _pieces()[name](settings)
+        assert len(calls) == (0 if name in NO_MATRIX else 1)
+        assert settings == before
+
+    def test_table8_baseline_cells_come_first(self, tmp_path, monkeypatch):
+        from repro.exec import Executor
+        from repro.experiments import table8_cache_size
+
+        seen = []
+        run = Executor.run
+
+        def recording(self, keys):
+            seen.extend(keys)
+            return run(self, keys)
+
+        monkeypatch.setattr(Executor, "run", recording)
+        table8_cache_size.run(Settings(num_accesses=2000, suite=["soplex"],
+                                       jobs=1, results_dir=str(tmp_path)))
+        sizes = len(table8_cache_size.SIZES_GB)
+        assert [k.design.kind for k in seen] == ["direct"] * sizes + ["sws"] * sizes
+        assert {k.footprint_scale for k in seen} == {table8_cache_size.BASE_SCALE}
+        assert len({k.scale for k in seen}) == sizes

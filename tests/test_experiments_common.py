@@ -4,9 +4,9 @@ import pytest
 
 from repro.experiments.common import (
     Settings,
-    SuiteRunner,
     baseline_design,
     parse_args,
+    run_matrix,
 )
 from repro.workloads.spec import main_suite
 
@@ -79,43 +79,53 @@ class TestParseArgs:
 
 
 class TestSuiteRunnerExecution:
-    def settings(self, tmp_path, jobs=1):
+    """:func:`run_matrix` on the executor: parallel, warm and storeless."""
+
+    MATRIX = {"direct": baseline_design()}
+
+    def settings(self, tmp_path, jobs=1, **overrides):
         return Settings(
             num_accesses=3000,
             suite=["soplex", "libq"],
             jobs=jobs,
             results_dir=str(tmp_path),
+            **overrides,
         )
 
+    @pytest.fixture
+    def executors(self, monkeypatch):
+        """Every executor :func:`run_matrix` builds, in order."""
+        built = []
+        make = Settings.make_executor
+
+        def keep(self, *args, **kwargs):
+            built.append(make(self, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(Settings, "make_executor", keep)
+        return built
+
     def test_parallel_matches_serial(self, tmp_path):
-        serial = SuiteRunner(self.settings(tmp_path / "a"))
-        parallel = SuiteRunner(self.settings(tmp_path / "b", jobs=2))
-        design = baseline_design()
-        left = serial.run("direct", design)
-        right = parallel.run("direct", design)
-        assert {w: r.to_dict() for w, r in left.items()} == \
-               {w: r.to_dict() for w, r in right.items()}
+        left = run_matrix(self.settings(tmp_path / "a"), self.MATRIX)
+        right = run_matrix(self.settings(tmp_path / "b", jobs=2), self.MATRIX)
+        assert {w: r.to_dict() for w, r in left["direct"].items()} == \
+               {w: r.to_dict() for w, r in right["direct"].items()}
 
-    def test_warm_restart_skips_simulation(self, tmp_path):
-        design = baseline_design()
-        cold = SuiteRunner(self.settings(tmp_path))
-        cold.run("direct", design)
-        assert cold.executor.stats.executed == 2
+    def test_warm_restart_skips_simulation(self, tmp_path, executors):
+        run_matrix(self.settings(tmp_path), self.MATRIX)
+        run_matrix(self.settings(tmp_path), self.MATRIX)
+        cold, warm = executors
+        assert cold.stats.executed == 2
+        assert warm.stats.executed == 0
+        assert warm.stats.cached == 2
 
-        warm = SuiteRunner(self.settings(tmp_path))
-        warm.run("direct", design)
-        assert warm.executor.stats.executed == 0
-        assert warm.executor.stats.cached == 2
-
-    def test_store_disabled(self, tmp_path):
-        settings = self.settings(tmp_path)
-        settings.use_store = False
-        runner = SuiteRunner(settings)
-        runner.run("direct", baseline_design())
-        assert runner.executor.store is None
-        rerun = SuiteRunner(settings)
-        rerun.run("direct", baseline_design())
-        assert rerun.executor.stats.executed == 2
+    def test_store_disabled(self, tmp_path, executors):
+        settings = self.settings(tmp_path, use_store=False)
+        run_matrix(settings, self.MATRIX)
+        run_matrix(settings, self.MATRIX)
+        first, rerun = executors
+        assert first.store is None
+        assert rerun.stats.executed == 2
 
 
 class TestBaseline:

@@ -22,13 +22,8 @@ from repro.exec.faults import FAULT_PLAN_ENV
 from repro.exec.jobs import RESULT_SCHEMA_VERSION
 from repro.experiments.common import Settings
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobspec import (
-    DEFAULT_ACCESSES,
-    QUICK_ACCESSES,
-    QUICK_SUITE,
-    expand_spec,
-    key_from_canonical,
-)
+from repro.exec.jobs import QUICK_ACCESSES, QUICK_SUITE
+from repro.service.jobspec import expand_spec, key_from_canonical
 from repro.service.ratelimit import RateLimiter, TokenBucket
 from repro.service.scheduler import JobManager, Overloaded, etag_for
 from repro.service.server import ServiceConfig, SweepService
@@ -80,24 +75,39 @@ class TestJobSpec:
         ]
         assert [k.digest() for k in keys] == [k.digest() for k in expected]
 
-    def test_defaults_mirror_cli_settings(self):
-        # The spec defaults and the CLI Settings defaults must stay in
-        # lockstep, or served jobs stop being the same jobs.
-        settings = Settings()
-        quick = settings.quick()
-        assert DEFAULT_ACCESSES == settings.num_accesses
-        assert QUICK_ACCESSES == quick.num_accesses
-        assert QUICK_SUITE == quick.suite
-        keys, _, workloads = expand_spec({"designs": "direct"})
-        assert workloads == settings.suite
-        assert keys[0].num_accesses == settings.num_accesses
-        assert keys[0].warmup == settings.warmup
-        assert keys[0].seed == settings.seed
-        assert keys[0].scale == settings.scale
+    def test_defaults_mirror_cli_settings(self, monkeypatch):
+        # An experiment's matrix, `repro sweep` and a job spec name one
+        # grid with the same keys, in the same order, under the default
+        # and the --quick knobs: served jobs are the CLI's jobs.
+        from repro.__main__ import EXIT_EXECUTION, main
+        from repro.errors import ExecutionError
+        from repro.exec import Executor, parse_design_specs
+        from repro.experiments.common import run_matrix
+
+        grids = []
+
+        def capture(self, keys):
+            grids.append([key.digest() for key in keys])
+            raise ExecutionError("grid captured")
+
+        monkeypatch.setattr(Executor, "run", capture)
+        designs, labels = parse_design_specs(["direct", "accord:2"])
+        for quick in (False, True):
+            settings = Settings().quick() if quick else Settings()
+            with pytest.raises(ExecutionError):
+                run_matrix(settings, dict(zip(labels, designs)))
+            argv = ["sweep", "--designs", "direct,accord:2",
+                    "--no-journal", "--no-store"]
+            assert main(argv + ["--quick"] * quick) == EXIT_EXECUTION
+            keys, _, workloads = expand_spec(
+                {"designs": "direct,accord:2", "quick": quick}
+            )
+            assert workloads == settings.suite
+            assert grids[-2] == grids[-1] == [k.digest() for k in keys]
 
     def test_quick_spec(self):
         keys, _, workloads = expand_spec({"designs": "direct", "quick": True})
-        assert workloads == QUICK_SUITE
+        assert workloads == list(QUICK_SUITE)
         assert all(k.num_accesses == QUICK_ACCESSES for k in keys)
 
     def test_run_kind_takes_one_cell(self):

@@ -224,8 +224,6 @@ class TestShadowVerification:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError, match="verify_fraction"):
             Executor(jobs=1, verify_fraction=1.5)
-        with pytest.raises(ConfigError, match="verify_engine"):
-            Executor(jobs=1, verify_engine="vector")
 
     def test_injected_wrong_answer_caught_quarantined_healed(
         self, tmp_path, monkeypatch, baseline
@@ -262,15 +260,15 @@ class TestShadowVerification:
         assert stored is not None
 
     def test_unhealable_mismatch_raises(self, tmp_path, monkeypatch):
-        # Force the suspect onto the verify engine itself: a mismatch
+        # Force the suspect onto the reference engine itself: a mismatch
         # then has no more-trusted engine to heal from.
         monkeypatch.setenv(
             FAULT_PLAN_ENV,
             f"corrupt_result=1;dir={tmp_path / 'ledger'}",
         )
-        ex = Executor(jobs=1, verify_fraction=1.0, verify_engine="stream")
+        ex = Executor(jobs=1, verify_fraction=1.0)
         with pytest.raises(VerificationError, match="no trusted engine"):
-            ex.run(all_keys(engine="stream"))
+            ex.run(all_keys(engine="loop"))
 
     def test_on_verify_callback_streams_outcomes(self, tmp_path, monkeypatch):
         events = []
