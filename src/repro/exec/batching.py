@@ -19,25 +19,18 @@ executor absorbs a task member by member), and every member's
 ``RunResult`` is assembled by :func:`repro.sim.system.build_result`,
 the same function :meth:`repro.sim.system.Simulator.run` ends in.
 
-Zero-copy trace sharing rides along for tasks of two or more members:
-the executor publishes each group's column arrays once per host into a
-:mod:`multiprocessing.shared_memory` segment named by the trace's
-content address (:func:`publish_trace`), and workers attach
-(:func:`attach_trace`) instead of re-reading or regenerating the trace
-per job. A worker that cannot attach (segment unlinked, shm
-unavailable) falls back to the per-process trace factory — the shared
-disk cache makes that a read, not a regeneration — so shared memory is
-never load-bearing for correctness.
+Every task gets its trace the way a one-job run does, from the
+worker's trace factory (:func:`repro.exec.jobs._trace_factory`): a
+warm trace-cache entry is memory-mapped, so each worker reads the
+shared page-cache copy rather than one of its own, and a cold one is
+generated once and written back for every other process.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.exec.faults import SITE_ENGINE_RESULT, SITE_JOB, fault_point
@@ -53,7 +46,6 @@ from repro.sim.engines.multi import (
 )
 from repro.sim.system import RunResult, build_dram_cache, build_result
 from repro.sim.trace import Trace
-from repro.workloads.trace_cache import TraceKey
 
 #: Largest number of jobs packed into one worker task. Bounds both the
 #: fused kernel's config axis (memory scales with K × touched sets ×
@@ -64,8 +56,8 @@ DEFAULT_BATCH_SIZE = 16
 def batch_group(key: JobKey) -> Tuple:
     """Grouping identity: jobs in one group share trace AND geometry.
 
-    The trace half mirrors :func:`trace_key_for` (workload + the knobs
-    feeding generation); the geometry half is the design's way count
+    The trace half is the workload plus the knobs feeding its
+    generation; the geometry half is the design's way count
     (with ``scale`` fixed, ways determine the set layout and therefore
     the split columns and step plan). ``warmup``/``epoch`` ride along
     so one batch shares its measurement plan too.
@@ -74,46 +66,6 @@ def batch_group(key: JobKey) -> Tuple:
         key.workload, key.scale, key.num_accesses, key.seed,
         key.footprint_scale, key.design.ways, key.warmup, key.epoch,
     )
-
-
-def trace_key_for(key: JobKey) -> TraceKey:
-    """The :class:`TraceKey` a job's trace is cached (and shared) under.
-
-    Must mirror :func:`repro.exec.jobs._trace_factory` +
-    :meth:`repro.sim.runner.TraceFactory._build`: traces are generated
-    against the 1-way scaled system's cache capacity.
-    """
-    config = scaled_system(ways=1, scale=key.scale)
-    footprint = (
-        key.footprint_scale
-        if key.footprint_scale is not None
-        else config.scale
-    )
-    return TraceKey(
-        workload=key.workload,
-        capacity_bytes=config.dram_cache.capacity_bytes,
-        num_accesses=key.num_accesses,
-        seed=key.seed,
-        footprint_scale=footprint,
-    )
-
-
-@dataclass(frozen=True)
-class TraceRef:
-    """Locator for a trace published to a shared-memory segment.
-
-    The segment holds ``length`` int64 addresses followed by ``length``
-    uint8 write flags. ``token`` is the trace's content address (the
-    :class:`TraceKey` digest) — it keys the per-worker attach memo and
-    the engines' plan memos, so every job of a sweep that shares a
-    trace also shares one plan per (worker, geometry).
-    """
-
-    shm_name: str
-    length: int
-    trace_name: str
-    instructions_per_access: float
-    token: str
 
 
 @dataclass(frozen=True)
@@ -129,7 +81,6 @@ class BatchTask:
     """
 
     jobs: Tuple[JobKey, ...]
-    trace_ref: Optional[TraceRef] = None
 
     def digest(self) -> str:
         if len(self.jobs) == 1:
@@ -174,99 +125,6 @@ def plan_batches(
         for members in groups.values()
         for start in range(0, len(members), batch_size)
     ]
-
-
-# -- shared-memory trace plumbing --------------------------------------------
-
-
-def _segment_name(token: str) -> str:
-    # Content-addressed but pid-scoped: two executors on one host never
-    # race to fill the same segment mid-write. The worker-side attach
-    # memo still collapses every task of one sweep onto one mapping.
-    return f"repro-{token[:16]}-{os.getpid()}"
-
-
-def publish_trace(trace: Trace, token: str):
-    """Copy a trace's columns into a named shared-memory segment.
-
-    Returns ``(shm, ref)``; the caller owns the segment and must
-    ``close()`` + ``unlink()`` it when the sweep is done (the executor
-    does this on shutdown). Raises ``OSError`` when shared memory is
-    unavailable — callers degrade to factory-rebuilt traces.
-    """
-    from multiprocessing import shared_memory
-
-    n = len(trace)
-    if n == 0:
-        raise ValueError("cannot publish an empty trace")
-    name = _segment_name(token)
-    size = 9 * n  # 8 bytes per address + 1 write flag
-    try:
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-    except FileExistsError:
-        # A sibling executor in this process already published this
-        # trace; the bytes are content-determined, so re-filling below
-        # is an idempotent no-op either way.
-        shm = shared_memory.SharedMemory(name=name, create=False)
-    addrs = np.ndarray((n,), dtype=np.int64, buffer=shm.buf)
-    writes = np.ndarray((n,), dtype=np.uint8, buffer=shm.buf, offset=8 * n)
-    addrs[:] = trace.numpy_addrs()
-    writes[:] = trace.numpy_writes()
-    ref = TraceRef(
-        shm_name=name,
-        length=n,
-        trace_name=trace.name,
-        instructions_per_access=trace.instructions_per_access,
-        token=token,
-    )
-    return shm, ref
-
-
-#: shm_name -> (segment, Trace). Process-lifetime by design: the
-#: attached mapping and its Trace (with all derived caches) serve every
-#: batch of the sweep that lands on this worker.
-_ATTACHED: Dict[str, Tuple[object, Trace]] = {}
-
-
-def attach_trace(ref: TraceRef) -> Optional[Trace]:
-    """Attach to a published trace; None when the segment is gone.
-
-    The returned Trace is memoized per segment name, so every batch a
-    worker executes over one trace sees the *same object* — plan memos
-    keyed by identity or by ``cache_token`` both collapse to one entry.
-
-    Attaching registers the name with ``multiprocessing``'s resource
-    tracker again (bpo-39959), which is deliberately left alone: pool
-    workers inherit the parent's tracker, whose name set collapses the
-    duplicate, and the parent's ``unlink()`` balances it — worker-side
-    unregistering would instead erase the parent's registration from
-    the shared tracker.
-    """
-    entry = _ATTACHED.get(ref.shm_name)
-    if entry is not None:
-        return entry[1]
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=ref.shm_name, create=False)
-    except (FileNotFoundError, OSError):
-        return None
-    n = ref.length
-    if shm.size < 9 * n:
-        return None  # truncated segment: fall back to the factory
-    addrs = np.ndarray((n,), dtype=np.int64, buffer=shm.buf)
-    writes = np.ndarray((n,), dtype=np.uint8, buffer=shm.buf, offset=8 * n)
-    trace = Trace(
-        ref.trace_name, addrs, writes, ref.instructions_per_access,
-        cache_token=ref.token,
-    )
-    _ATTACHED[ref.shm_name] = (shm, trace)
-    return trace
-
-
-def attached_segment_count() -> int:
-    """How many shared-memory segments this process has attached."""
-    return len(_ATTACHED)
 
 
 # -- batch execution ---------------------------------------------------------
@@ -356,11 +214,7 @@ def execute_batch(task: BatchTask) -> List[RunResult]:
     keys = task.jobs
     for key in keys:
         fault_point(SITE_JOB, token=key.digest())
-    trace = None
-    if task.trace_ref is not None:
-        trace = attach_trace(task.trace_ref)
-    if trace is None:
-        trace = _trace_factory(keys[0]).trace_for(keys[0].workload)
+    trace = _trace_factory(keys[0]).trace_for(keys[0].workload)
     results = run_batch(keys, trace)
     for key, result in zip(keys, results):
         fault_point(SITE_ENGINE_RESULT, token=key.digest(), obj=result)
@@ -386,14 +240,9 @@ def execute_batch_traced(task: BatchTask, claims_dir: str) -> List[RunResult]:
 __all__ = [
     "BatchTask",
     "DEFAULT_BATCH_SIZE",
-    "TraceRef",
-    "attach_trace",
-    "attached_segment_count",
     "batch_group",
     "execute_batch",
     "execute_batch_traced",
     "plan_batches",
-    "publish_trace",
     "run_batch",
-    "trace_key_for",
 ]

@@ -35,12 +35,13 @@ One worker pool serves every executor in a process. It is forked on the
 first parallel run and reused by every later run whose identity — the
 worker count plus every ``REPRO_*`` environment variable, which workers
 read as they were when forked — matches. It is retired (its workers
-joined, its shared-memory trace segments unlinked) on a pool break, on
-a watchdog kill, when the identity changes (a circuit-breaker trip
-rewrites ``REPRO_ENGINE_DENY``), on :meth:`Executor.shutdown`,
-:func:`retire_pool`, and at interpreter exit. Parallel runs hold one
-module-level lock, so retiring the pool never cancels another
-executor's tasks.
+joined) on a pool break, on a watchdog kill, when the identity changes
+(a circuit-breaker trip rewrites ``REPRO_ENGINE_DENY``), on
+:meth:`Executor.shutdown`, :func:`retire_pool`, and at interpreter
+exit. Parallel runs hold one module-level lock, so retiring the pool
+never cancels another executor's tasks. Workers get every trace
+themselves, through their trace factory and the shared trace cache;
+the dispatching process builds none.
 
 With ``verify_fraction > 0`` a deterministic sample of executed jobs
 is additionally *shadow-verified*: each sampled result is compared (by
@@ -63,7 +64,6 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import resource_tracker
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -77,14 +77,11 @@ from repro.errors import (
 from repro.exec.batching import (
     DEFAULT_BATCH_SIZE,
     BatchTask,
-    TraceRef,
     execute_batch,
     execute_batch_traced,
     plan_batches,
-    publish_trace,
-    trace_key_for,
 )
-from repro.exec.jobs import JobKey, _trace_factory, resolve_job_engine
+from repro.exec.jobs import JobKey, resolve_job_engine
 from repro.exec.resilience import (
     BackoffPolicy,
     SweepJournal,
@@ -168,57 +165,18 @@ def usable_cpus() -> int:
 # -- the process-wide worker pool ---------------------------------------------
 
 
-def _unlink_segment(shm) -> None:
-    try:
-        shm.close()
-        shm.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-
-
 class _WorkerPool:
-    """Forked workers plus the shared-memory traces published for them.
-
-    Segments are unlinked after the workers are joined, so a worker's
-    attach memo never outlives its segment. Only the cap unlinks one
-    earlier; workers that attached it keep a valid mapping.
-    """
-
-    #: Cap on concurrently published trace segments (a long-lived pool
-    #: sweeps many workloads); oldest unlink first.
-    SEGMENT_LIMIT = 32
+    """The forked workers, tagged with the identity they were forked under."""
 
     def __init__(self, identity: Tuple):
         self.identity = identity
-        # Workers fork on the first submission. Forked with the tracker
-        # already running, a worker that attaches a segment registers it
-        # with the parent's tracker; otherwise it starts its own, which
-        # unlinks the parent's segments and warns when the worker exits.
-        resource_tracker.ensure_running()
         self.processes = ProcessPoolExecutor(
             max_workers=identity[0], initializer=mark_worker_process
         )
-        #: trace token -> (SharedMemory, TraceRef).
-        self.segments: Dict[str, Tuple] = {}
-
-    def publish(self, key: JobKey) -> TraceRef:
-        """The segment holding ``key``'s trace, published on first use."""
-        token = trace_key_for(key).digest()
-        entry = self.segments.get(token)
-        if entry is None:
-            trace = _trace_factory(key).trace_for(key.workload)
-            entry = self.segments[token] = publish_trace(trace, token)
-            while len(self.segments) > self.SEGMENT_LIMIT:
-                oldest = next(iter(self.segments))
-                _unlink_segment(self.segments.pop(oldest)[0])
-        return entry[1]
 
     def close(self) -> None:
-        """Join the workers (queued tasks cancelled), then unlink."""
+        """Join the workers; queued tasks are cancelled."""
         self.processes.shutdown(wait=True, cancel_futures=True)
-        segments, self.segments = self.segments, {}
-        for shm, _ref in segments.values():
-            _unlink_segment(shm)
 
 
 #: Held by every parallel run and by :func:`retire_pool`. Reentrant, so
@@ -255,7 +213,7 @@ def _shared_pool(workers: int) -> _WorkerPool:
 
 
 def retire_pool() -> None:
-    """Join the shared worker pool and unlink its trace segments.
+    """Join the shared worker pool.
 
     A no-op without a pool; the next parallel run forks a fresh one.
     Waits for a parallel run in progress on another thread to finish.
@@ -408,8 +366,7 @@ class Executor:
         if not pending:
             return results
         if self.jobs == 1 or len(pending) == 1:
-            # Inline tasks still share one trace + plan per group (no
-            # shared memory needed in-process).
+            # Inline tasks still share one trace + plan per group.
             for task in self._plan_tasks(pending):
                 self._absorb(task, self._execute_inline(task), results)
         else:
@@ -565,34 +522,6 @@ class Executor:
         ``batch=False``)."""
         return plan_batches(pending, self.batch_size if self.batch else 1)
 
-    def _publish_for(
-        self, pool: _WorkerPool, key: JobKey
-    ) -> Optional[TraceRef]:
-        """The pool's shared-memory segment for a job's trace, or None.
-
-        None — the worker then falls back to its trace factory — when
-        shared memory is unavailable or the trace cannot be resolved
-        here; publishing is an optimization, never a correctness
-        dependency.
-        """
-        try:
-            return pool.publish(key)
-        except (OSError, ValueError, ReproError) as exc:
-            self._note("shm_degraded", key=key.digest(), error=str(exc))
-            return None
-
-    def _submit(self, pool: _WorkerPool, task: BatchTask, claims: str):
-        """Queue a task on the pool, a multi-job one over a published trace.
-
-        Publishing happens per submission, so a task resubmitted after a
-        pool break finds its segment republished on the fresh pool.
-        """
-        if len(task.jobs) > 1:
-            ref = self._publish_for(pool, task.jobs[0])
-            if ref is not None:
-                task = replace(task, trace_ref=ref)
-        return pool.processes.submit(execute_batch_traced, task, claims)
-
     def _absorb(
         self,
         task: BatchTask,
@@ -662,7 +591,9 @@ class Executor:
                     for task in remaining:
                         clear_claim(claims, task.digest())
                     futures = {
-                        self._submit(pool, task, claims): task
+                        pool.processes.submit(
+                            execute_batch_traced, task, claims
+                        ): task
                         for task in remaining
                     }
                     try:
@@ -714,7 +645,9 @@ class Executor:
                 if now >= ready_at:
                     del backoff_until[task]
                     clear_claim(claims, task.digest())
-                    future = self._submit(pool, task, claims)
+                    future = pool.processes.submit(
+                        execute_batch_traced, task, claims
+                    )
                     futures[future] = task
                     outstanding.add(future)
             if not outstanding:

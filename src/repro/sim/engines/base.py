@@ -75,8 +75,8 @@ class TraceStream:
     never touch them (the per-address loop driving a cache without an
     access path) do not pay for the per-geometry decomposition, and the
     ``writes``/``addrs`` lists so array engines driving an array-backed
-    trace (mmap'd cache entry or shared-memory segment) never force the
-    per-element list materialization. The lists are
+    trace (e.g. an mmap'd trace-cache entry) never force the per-element
+    list materialization. The lists are
     :meth:`Trace.scalar_columns` and :meth:`Trace.split_columns`, held
     by the stream and not the trace, so a memoized trace does not keep
     them after the drive.

@@ -219,9 +219,9 @@ def _build_plan(cache) -> Optional[_Plan]:
 _TRACE_PLANS: dict = {}
 
 #: cache_token -> per-trace plan dict, for traces that carry a content
-#: identity (loaded from the trace cache or attached from a shared
-#: memory segment): distinct Trace objects with the same token are
-#: byte-identical by construction, so their plans are interchangeable.
+#: identity (built by a trace factory or loaded from the trace cache):
+#: distinct Trace objects with the same token are byte-identical by
+#: construction, so their plans are interchangeable.
 #: Bounded LRU — entries pin the column arrays.
 _TOKEN_PLANS: "OrderedDict[str, dict]" = OrderedDict()
 _TOKEN_PLAN_LIMIT = 8

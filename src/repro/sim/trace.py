@@ -83,8 +83,8 @@ class Trace:
 
     ``addrs``/``writes`` may be supplied either as Python sequences
     (a list of ints / a bytearray) or as 1-D numpy columns (int64 /
-    uint8) — e.g. freshly generated traces, memory-mapped arrays from
-    the trace cache or views of a shared-memory segment. Whichever form
+    uint8) — e.g. freshly generated traces or memory-mapped arrays from
+    the trace cache, shared through the page cache. Whichever form
     is supplied, the other is materialized lazily on first access and
     then cached: array engines that only touch
     :meth:`numpy_addrs`/:meth:`numpy_writes` never pay the per-element
@@ -100,9 +100,10 @@ class Trace:
     Columns must not be mutated after construction: the write count
     and the numpy column views are cached.
 
-    ``cache_token`` optionally carries a content identity (the
-    :class:`~repro.workloads.trace_cache.TraceKey` digest) so plan
-    memos can recognize the same trace across distinct loads.
+    ``cache_token`` carries a content identity (the
+    :class:`~repro.workloads.trace_cache.TraceKey` digest) when the
+    trace factory or the trace cache sets it, so plan memos can
+    recognize the same trace across distinct loads.
     """
 
     __slots__ = (
@@ -118,12 +119,10 @@ class Trace:
         addrs,
         writes,
         instructions_per_access: float,
-        *,
-        cache_token: Optional[str] = None,
     ):
         self.name = name
         self.instructions_per_access = instructions_per_access
-        self.cache_token = cache_token
+        self.cache_token: Optional[str] = None
         if isinstance(addrs, np.ndarray):
             if addrs.ndim != 1:
                 raise TraceError(f"trace {name!r}: address column must be 1-D")

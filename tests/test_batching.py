@@ -6,8 +6,8 @@ every caller-visible artifact — results, store entries, journal lines,
 progress — at per-:class:`JobKey` granularity. These tests pin both
 halves: bit-identical results across the batched and per-job paths
 over the full heterogeneous :data:`BENCH_DESIGNS` grid, and the
-resource story (one step-plan build and one shared-memory segment per
-trace, released on shutdown, surviving pool rebuilds).
+resource story (one step-plan build and one split per trace, and no
+trace built by the dispatching process).
 
 Every executor job runs as a :class:`BatchTask` (``batch=False`` only
 chunks groups into ones), so the reference for bit-identity is
@@ -23,7 +23,6 @@ from repro.exec.batching import (
     BatchTask,
     batch_group,
     plan_batches,
-    trace_key_for,
 )
 from repro.exec.faults import FAULT_PLAN_ENV
 from repro.exec.jobs import execute_job, resolve_job_engine
@@ -247,63 +246,41 @@ class TestPlanMemoReuse:
             assert result.to_dict() == reference(key).to_dict()
 
 
-class TestSharedMemorySegments:
-    def _segment_gone(self, name):
-        from multiprocessing import shared_memory
+class TestTraceTransport:
+    def test_dispatching_process_builds_no_trace(
+        self, tmp_path, monkeypatch
+    ):
+        """Workers build or read every trace; the parent only dispatches.
 
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=False)
-        except FileNotFoundError:
-            return True
-        shm.close()
-        return False
+        The counter lives in this process: forked workers inherit the
+        patched method but count into their own copies of the list.
+        """
+        from repro.workloads.synthetic import SyntheticWorkload
 
-    def _pool_tokens(self):
-        from repro.exec import executor as executor_module
+        traces = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(traces))
+        calls = []
+        generate = SyntheticWorkload.generate
 
-        return list(executor_module._POOL.segments)
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return generate(self, *args, **kwargs)
 
-    def test_one_segment_per_trace_released_with_the_pool(self):
-        from repro.exec import retire_pool
-        from repro.exec.batching import _segment_name
-
-        keys = sweep_keys(12)
-        token = trace_key_for(keys[0]).digest()
-        Executor(jobs=2, batch=True, backoff=fast_backoff()).run(keys)
-        # the segment lives as long as the pool whose workers attach it
-        assert self._pool_tokens() == [token]
-        assert not self._segment_gone(_segment_name(token))
-        retire_pool()
-        assert self._segment_gone(_segment_name(token))
-
-    def test_persistent_executor_releases_on_shutdown(self):
-        from repro.exec.batching import _segment_name
-
-        keys = sweep_keys(12)
-        token = trace_key_for(keys[0]).digest()
-        with Executor(jobs=2, batch=True, backoff=fast_backoff()) as ex:
-            ex.run(keys)
-            ex.run(sweep_keys(12, workload="libq"))
-            assert len(self._pool_tokens()) == 2
-        assert self._segment_gone(_segment_name(token))
-
-    def test_no_leak_across_pool_rebuild(self, tmp_path, monkeypatch):
-        from repro.exec import retire_pool
-        from repro.exec.batching import _segment_name
-
-        monkeypatch.setenv(
-            FAULT_PLAN_ENV, f"crash=1;dir={tmp_path / 'ledger'}"
-        )
-        keys = sweep_keys(12)
-        token = trace_key_for(keys[0]).digest()
-        ex = Executor(jobs=2, batch=True, retries=3, backoff=fast_backoff())
-        resolved = ex.run(keys)
-        assert ex.stats.pool_breaks >= 1  # the crash really happened
-        assert len(resolved) == len(keys)
-        # the broken pool unlinked its copy; the rebuilt one republished
-        assert self._pool_tokens() == [token]
-        retire_pool()
-        assert self._segment_gone(_segment_name(token))
+        monkeypatch.setattr(SyntheticWorkload, "generate", counting)
+        # A seed no other test uses: no factory memo here holds it.
+        keys = [
+            JobKey(
+                design=design, workload="soplex", num_accesses=ACCESSES,
+                warmup=0.3, seed=31,
+            )
+            for design in SWEEP[:4]
+        ]
+        ex = Executor(jobs=2, batch=True, backoff=fast_backoff())
+        results = ex.run(keys)
+        assert len(results) == ex.stats.executed == len(keys)
+        assert ex.stats.batches == 1
+        assert calls == []
+        assert list(traces.glob("*/*.npz"))  # a worker built the trace
 
 
 class TestProgressGranularity:

@@ -21,7 +21,7 @@ SRC = REPO / "src"
 ROOT_PACKAGES = ("repro.experiments", "repro.service", "repro.tools")
 ROOT_DIRS = ("examples", "benchmarks", "perfbench")
 
-# The cycle-level timing stack: kept until ROADMAP item 3 either makes
+# The cycle-level timing stack: kept until ROADMAP item 6 either makes
 # it an oracle for the interval model or deletes it.
 ALLOWED_UNREACHED = {"repro.analysis.validation", "repro.sim.detailed"}
 
