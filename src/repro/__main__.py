@@ -23,8 +23,8 @@ knobs (``--retries``, ``--timeout``) and the sweep journal
 as is the trust layer (``--verify-fraction`` shadow verification and
 the ``audit`` subcommand).
 
-Exit codes: 0 on success, :data:`EXIT_CONFIG` (2) for bad flags or
-configuration, :data:`EXIT_EXECUTION` (3) when a sweep fails while
+Exit codes: 0 on success, 2 (argparse's own error exit code) for bad
+flags or configuration, :data:`EXIT_EXECUTION` (3) when a sweep fails while
 executing, :data:`EXIT_VERIFICATION` (4) when verification or an audit
 finds an integrity failure that fallback cannot heal.
 """
@@ -38,8 +38,6 @@ from typing import List, Optional
 
 from repro.experiments import EXPERIMENT_MODULES
 
-#: Bad flags / configuration (argparse's own error exit code).
-EXIT_CONFIG = 2
 #: A sweep accepted its configuration but failed while executing.
 EXIT_EXECUTION = 3
 #: Shadow verification caught an unhealable mismatch, or an audit
@@ -352,9 +350,8 @@ def _cmd_sweep(args: argparse.Namespace,
 def _cmd_bench(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     from repro.errors import ReproError
+    from repro.exec.jobs import QUICK_ACCESSES
     from repro.sim.bench import (
-        DEFAULT_ACCESSES,
-        QUICK_ACCESSES,
         SWEEP_CONFIGS,
         compare_hit_rates,
         compare_sweep_to_baseline,
@@ -366,6 +363,7 @@ def _cmd_bench(args: argparse.Namespace,
         run_sweep_bench,
         save_report,
     )
+    from repro.sim.runner import DEFAULT_ACCESSES
 
     accesses = args.accesses
     if accesses is None:

@@ -115,10 +115,3 @@ def cyclic_pws_hit_rates(pip: float, iterations: Sequence[int]) -> List[float]:
         if n in wanted:
             totals[n] = expected_hits
     return [totals[n] / (2.0 * n) for n in iterations]
-
-
-def cyclic_direct_mapped_hit_rate(iterations: int) -> float:
-    """The kernel on a direct-mapped cache always thrashes: 0%."""
-    if iterations < 1:
-        raise PolicyError("iterations must be >= 1")
-    return 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.report import FIGURE_WORKLOAD_ORDER
 from repro.errors import SimulationError
@@ -51,61 +51,6 @@ def save_series_csv(
     """Write :func:`series_to_csv` output to a file."""
     with open(path, "w", encoding="ascii") as handle:
         handle.write(series_to_csv(columns, value_name))
-
-
-def load_series_csv(path: str) -> Dict[str, Dict[str, float]]:
-    """Inverse of :func:`save_series_csv`."""
-    columns: Dict[str, Dict[str, float]] = {}
-    with open(path, "r", encoding="ascii") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "workload" or header[1] != "series":
-            raise SimulationError(f"{path}: not a repro series CSV")
-        for row in reader:
-            if len(row) != 3:
-                raise SimulationError(f"{path}: malformed row {row!r}")
-            workload, series, value = row
-            columns.setdefault(series, {})[workload] = float(value)
-    return columns
-
-
-def runs_to_csv(
-    results: Dict[str, "RunResult"],  # noqa: F821 - documented duck type
-    metrics: Optional[Dict[str, str]] = None,
-) -> str:
-    """Export RunResults as CSV: one row per workload, one column per
-    metric. ``metrics`` maps column name -> a key path into
-    :meth:`RunResult.to_dict` (supports ``stats.<field>`` and
-    ``timing.<field>`` plus the derived top-level values)."""
-    if not results:
-        raise SimulationError("no results to export")
-    metrics = metrics or {
-        "hit_rate": "hit_rate",
-        "prediction_accuracy": "prediction_accuracy",
-        "runtime_ns": "runtime_ns",
-        "nvm_reads": "stats.nvm_reads",
-        "dram_utilization": "timing.dram_utilization",
-    }
-
-    def resolve(record, path: str):
-        value = record
-        for part in path.split("."):
-            try:
-                value = value[part]
-            except (KeyError, TypeError):
-                raise SimulationError(f"unknown metric path {path!r}") from None
-        return value
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["workload"] + list(metrics))
-    for workload in sorted(results):
-        record = results[workload].to_dict()
-        row = [workload]
-        for path in metrics.values():
-            row.append(repr(resolve(record, path)))
-        writer.writerow(row)
-    return buffer.getvalue()
 
 
 # Columns of the phase-resolved CSV, in order. Raw counters come first,

@@ -161,12 +161,5 @@ class ColumnAssociativeCache:
 
     # -- introspection ------------------------------------------------------
 
-    def contains(self, addr: int) -> bool:
-        line = self.geometry.line_addr(addr)
-        return (
-            self._lines.get(self.preferred_index(addr)) == line
-            or self._lines.get(self.rehash_index(addr)) == line
-        )
-
     def storage_overhead_bits(self) -> int:
         return 0  # hash-rehash needs no SRAM metadata (Table X)

@@ -130,15 +130,6 @@ class DramCache:
 
     # -- introspection ------------------------------------------------------
 
-    def contains(self, addr: int) -> bool:
-        """True if the line holding ``addr`` is resident."""
-        set_index, tag = self.geometry.split(addr)
-        return self.store.find_way(set_index, tag) is not None
-
-    def resident_way(self, addr: int) -> Optional[int]:
-        set_index, tag = self.geometry.split(addr)
-        return self.store.find_way(set_index, tag)
-
     def storage_overhead_bits(self) -> int:
         """SRAM overhead of steering + prediction (Table IX)."""
         total = self.steering.storage_bits()

@@ -74,19 +74,6 @@ class CacheGeometry:
             raise GeometryError(f"set index {set_index} out of range")
         return ((tag << self.index_bits) | set_index) << self.offset_bits
 
-    def conflicts(self, addr_a: int, addr_b: int) -> bool:
-        """True if two addresses compete for the same set."""
-        return self.set_index(addr_a) == self.set_index(addr_b)
-
-    def way_span_bytes(self) -> int:
-        """Byte distance after which set indices repeat (one way's span).
-
-        Two lines whose addresses differ by a multiple of this span map
-        to the same set — used by workload generators to construct
-        deliberate conflict (thrash) groups.
-        """
-        return self.num_sets * self.line_size
-
     def with_ways(self, ways: int) -> "CacheGeometry":
         """Same capacity reorganized with a different associativity."""
         return CacheGeometry(self.capacity_bytes, ways, self.line_size)

@@ -61,6 +61,3 @@ class CacheHierarchy:
             return
         stats.dram_cache_reads += 1
         self.dram_cache.read(addr)
-
-    def l3_miss_rate(self) -> float:
-        return 1.0 - self.l3.hit_rate()

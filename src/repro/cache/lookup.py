@@ -194,14 +194,3 @@ class WayPredictedLookup:
             transfers=probes,
             predicted_way=predicted,
         )
-
-
-def make_lookup(kind: LookupKind):
-    """Factory for lookup flows."""
-    if kind is LookupKind.PARALLEL:
-        return ParallelLookup()
-    if kind is LookupKind.SERIAL:
-        return SerialLookup()
-    if kind is LookupKind.WAY_PREDICTED:
-        return WayPredictedLookup()
-    raise PolicyError(f"unknown lookup kind {kind!r}")

@@ -64,10 +64,6 @@ class SramCache:
         ways.append([tag, is_write])
         return SramAccessResult(hit=False, evicted_dirty_addr=victim_addr)
 
-    def contains(self, addr: int) -> bool:
-        set_index, tag = self.geometry.split(addr)
-        return any(slot[0] == tag for slot in self._set(set_index))
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses

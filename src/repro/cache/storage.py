@@ -23,7 +23,7 @@ from repro.errors import GeometryError
 _INVALID = -1
 _DENSE_LIMIT_LINES = 64 * 1024 * 1024  # above this, switch to sparse storage
 
-# Tag used by prefill_junk(): far above any tag a real (<=2^52-byte)
+# Tag of a junk-prefilled slot: far above any tag a real (<=2^52-byte)
 # address space can produce, so it never matches a lookup.
 JUNK_TAG = 1 << 60
 
@@ -42,7 +42,14 @@ class _JunkDefaultDict(dict):
 
 
 class TagStore:
-    """Valid/dirty/tag state for every (set, way) slot."""
+    """Valid/dirty/tag state for every (set, way) slot.
+
+    ``prefill=True`` marks every slot valid with a never-matching tag.
+    That models the warm state of a long-running DRAM cache: a gigascale
+    cache is effectively always full, so replacement decisions start
+    from "evict something" rather than "use an empty way". Junk lines
+    are clean and never hit, so they only influence victim selection.
+    """
 
     def __init__(
         self, geometry: CacheGeometry, dense: Optional[bool] = None, prefill: bool = False
@@ -52,20 +59,16 @@ class TagStore:
         if dense is None:
             dense = geometry.num_lines <= _DENSE_LIMIT_LINES
         self.dense = dense
-        self._fill(prefill)
-
-    def _fill(self, junk: bool) -> None:
-        """(Re)build the backing: every slot invalid, or junk-filled."""
-        lines = self.geometry.num_lines
-        if self.dense:
-            self._tags: Optional[List[int]] = [JUNK_TAG if junk else _INVALID] * lines
+        lines = geometry.num_lines
+        if dense:
+            self._tags: Optional[List[int]] = [JUNK_TAG if prefill else _INVALID] * lines
             self._dirty: Optional[bytearray] = bytearray(lines)
             self._sparse: Optional[Dict[int, List[List[int]]]] = None
         else:
             self._tags = None
             self._dirty = None
-            self._sparse = _JunkDefaultDict(self.ways) if junk else {}
-        self.valid_lines = lines if junk else 0
+            self._sparse = _JunkDefaultDict(self.ways) if prefill else {}
+        self.valid_lines = lines if prefill else 0
 
     # -- set access -------------------------------------------------------
 
@@ -131,14 +134,6 @@ class TagStore:
                 return way
         return None
 
-    def invalid_ways(self, set_index: int) -> List[int]:
-        """Ways of a set that currently hold no line."""
-        return [
-            way
-            for way in range(self.geometry.ways)
-            if self.tag_at(set_index, way) == _INVALID
-        ]
-
     # -- mutation ---------------------------------------------------------
 
     def install(self, set_index: int, way: int, tag: int, dirty: bool = False) -> None:
@@ -199,19 +194,3 @@ class TagStore:
                 self.valid_lines -= 1
             entry[0] = _INVALID
             entry[1] = 0
-
-    def occupancy(self) -> float:
-        """Fraction of slots holding a valid line."""
-        return self.valid_lines / self.geometry.num_lines
-
-    def prefill_junk(self) -> None:
-        """Mark every slot valid with a never-matching tag.
-
-        Models the warm state of a long-running DRAM cache: a gigascale
-        cache is effectively always full, so replacement decisions start
-        from "evict something" rather than "use an empty way". Junk
-        lines are clean and never hit, so they only influence victim
-        selection. ``TagStore(geometry, prefill=True)`` builds the same
-        state without first allocating the all-invalid backing.
-        """
-        self._fill(True)

@@ -5,7 +5,7 @@ Jobs are independent (design, workload) simulations named by
 :class:`ResultStore` (and, when resuming, from a
 :class:`~repro.exec.resilience.SweepJournal`), chunks the cold ones
 into :class:`~repro.exec.batching.BatchTask` work items — same-trace
-groups of up to ``batch_size`` jobs, or one job each under
+groups of up to ``DEFAULT_BATCH_SIZE`` jobs, or one job each under
 ``batch=False`` — fans the tasks out over the process-wide worker pool
 (or runs them inline for ``jobs=1``), and reports progress through an
 optional callback. A task is the only unit the retry, claim, watchdog
@@ -240,17 +240,13 @@ class Executor:
         timeout: Optional[float] = None,
         backoff: Optional[BackoffPolicy] = None,
         journal: Optional[SweepJournal] = None,
-        pool_break_limit: Optional[int] = None,
         poll_interval: float = 0.2,
         verify_fraction: float = 0.0,
         on_verify: Optional[VerifyFn] = None,
         batch: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
         if not 0.0 <= verify_fraction <= 1.0:
@@ -269,20 +265,12 @@ class Executor:
         self.progress = progress
         self.timeout = timeout
         self.journal = journal
-        self.pool_break_limit = (
-            pool_break_limit if pool_break_limit is not None
-            else max(3, retries + 2)
-        )
-        if self.pool_break_limit < 1:
-            raise ConfigError(
-                f"pool_break_limit must be >= 1, got {self.pool_break_limit}"
-            )
+        self.pool_break_limit = max(3, retries + 2)
         self._backoff = backoff if backoff is not None else BackoffPolicy()
         self._poll = poll_interval
         self.verify_fraction = verify_fraction
         self.on_verify = on_verify
         self.batch = batch
-        self.batch_size = batch_size
         self.stats = ExecutorStats()
         self._forced_timeouts: Set[BatchTask] = set()
         self._lock = threading.Lock()
@@ -518,9 +506,9 @@ class Executor:
     # -- parallel path ----------------------------------------------------
 
     def _plan_tasks(self, pending: Sequence[JobKey]) -> List[BatchTask]:
-        """Same-trace tasks of up to ``batch_size`` jobs (one under
-        ``batch=False``)."""
-        return plan_batches(pending, self.batch_size if self.batch else 1)
+        """Same-trace tasks of up to ``DEFAULT_BATCH_SIZE`` jobs (one
+        under ``batch=False``)."""
+        return plan_batches(pending, DEFAULT_BATCH_SIZE if self.batch else 1)
 
     def _absorb(
         self,

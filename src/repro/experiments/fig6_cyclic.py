@@ -133,11 +133,6 @@ def simulated_hit_rates(
     ]
 
 
-def simulated_hit_rate(pip: float, iterations: int, trials: int = 32) -> float:
-    """Replay (a,b)^N against a real 2-way PWS cache, averaged."""
-    return simulated_hit_rates((pip,), iterations, trials)[0]
-
-
 def cached_rates(
     pips: Sequence[float], iterations: int, trials: int = 32
 ) -> Tuple[List[float], List[float]]:

@@ -164,9 +164,6 @@ class ServiceClient:
             )
         return payload
 
-    def health(self) -> Dict[str, Any]:
-        return self._get_json("/healthz")
-
     def metrics(self) -> Dict[str, Any]:
         return self._get_json("/metrics")
 

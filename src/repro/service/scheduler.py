@@ -121,7 +121,6 @@ class JobManager:
         executor: Executor,
         store: Optional[ResultStore],
         max_pending: int = 256,
-        journal_batches: bool = True,
     ):
         if max_pending < 1:
             raise ConfigError(
@@ -130,10 +129,7 @@ class JobManager:
         self.executor = executor
         self.store = store
         self.max_pending = max_pending
-        self._journal_dir = (
-            store.root / "service"
-            if (store is not None and journal_batches) else None
-        )
+        self._journal_dir = store.root / "service" if store is not None else None
         self._inflight: Dict[str, _Entry] = {}
         self._queue: Deque[_Entry] = deque()
         self._resume: Deque[Tuple[List[_Entry], SweepJournal, Any]] = deque()

@@ -106,7 +106,6 @@ class SweepService:
             executor,
             store,
             max_pending=config.max_pending,
-            journal_batches=config.use_store,
         )
         self.limiter = RateLimiter(config.rate, config.burst)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -148,12 +147,6 @@ class SweepService:
             await self._server.wait_closed()
             self._server = None
         await self.manager.close()
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
 
     # -- request handling --------------------------------------------------
 

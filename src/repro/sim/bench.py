@@ -39,20 +39,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.accord import AccordDesign
 from repro.errors import ReproError
+from repro.exec.jobs import GRID_SCALE, GRID_SEED
 from repro.params.system import scaled_system
 from repro.sim.engines import resolve_engine
-from repro.sim.runner import TraceFactory
+from repro.sim.runner import DEFAULT_ACCESSES, DEFAULT_WARMUP, TraceFactory
 from repro.sim.system import Simulator, build_dram_cache
 from repro.verify.digest import result_digest
 
 BENCH_SCHEMA_VERSION = 1
 
 DEFAULT_WORKLOAD = "soplex"
-DEFAULT_ACCESSES = 150_000
-QUICK_ACCESSES = 40_000
-DEFAULT_SEED = 7
-DEFAULT_SCALE = 1.0 / 128.0
-DEFAULT_WARMUP = 0.3
 DEFAULT_REPEATS = 3
 
 #: The benchmark's 16 design variants: every kind at its canonical
@@ -82,8 +78,8 @@ BENCH_DESIGNS: Tuple[AccordDesign, ...] = (
 def run_bench(
     workload: str = DEFAULT_WORKLOAD,
     num_accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-    scale: float = DEFAULT_SCALE,
+    seed: int = GRID_SEED,
+    scale: float = GRID_SCALE,
     warmup: float = DEFAULT_WARMUP,
     repeats: int = DEFAULT_REPEATS,
     designs: Sequence[AccordDesign] = BENCH_DESIGNS,
@@ -277,8 +273,8 @@ def sweep_designs(configs: int = SWEEP_CONFIGS) -> Tuple[AccordDesign, ...]:
 def run_sweep_bench(
     workload: str = DEFAULT_WORKLOAD,
     num_accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-    scale: float = DEFAULT_SCALE,
+    seed: int = GRID_SEED,
+    scale: float = GRID_SCALE,
     warmup: float = DEFAULT_WARMUP,
     repeats: int = DEFAULT_REPEATS,
     configs: int = SWEEP_CONFIGS,

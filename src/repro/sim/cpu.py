@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import SimulationError
-from repro.params.system import CoreConfig
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,6 @@ class CorePerformance:
         """Instructions per nanosecond."""
         return self.instructions / self.runtime_ns
 
-    def cpi(self, config: CoreConfig) -> float:
-        """Cycles per instruction at the configured frequency."""
-        cycles = self.runtime_ns * config.frequency_ghz
-        return cycles / self.instructions
-
-    def ipc(self, config: CoreConfig) -> float:
-        return 1.0 / self.cpi(config)
-
 
 def weighted_speedup(
     cores: Sequence[CorePerformance],
@@ -62,13 +53,3 @@ def weighted_speedup(
         raise SimulationError("need at least one core")
     total = sum(c.ips / b.ips for c, b in zip(cores, baselines))
     return total / len(cores)
-
-
-def rate_mode_performance(
-    instructions: float, runtime_ns: float, num_cores: int
-) -> Sequence[CorePerformance]:
-    """Replicate one measured core across a rate-mode system."""
-    if num_cores <= 0:
-        raise SimulationError("need at least one core")
-    one = CorePerformance(instructions, runtime_ns)
-    return [one] * num_cores

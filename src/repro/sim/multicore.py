@@ -45,10 +45,6 @@ class MultiCoreResult:
     def num_cores(self) -> int:
         return len(self.per_core_stats)
 
-    @property
-    def makespan_ns(self) -> float:
-        return max(self.per_core_runtime_ns)
-
     def performances(self) -> List[CorePerformance]:
         return [
             CorePerformance(instr, runtime)

@@ -58,11 +58,6 @@ class PhaseSample:
             else 0.0
         )
 
-    @property
-    def nvm_traffic(self) -> int:
-        """Total 64B NVM line transfers (reads + writes) in the epoch."""
-        return self.nvm_reads + self.nvm_writes
-
 
 #: PhaseSample's (all-integer) fields in declaration order, read once
 #: rather than introspected per sample on every (de)serialization.

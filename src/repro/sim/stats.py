@@ -68,11 +68,6 @@ class CacheStats:
         return self.hits + self.misses
 
     @property
-    def extra_probes(self) -> int:
-        """All follow-up probes regardless of outcome."""
-        return self.hit_extra_probes + self.miss_extra_probes
-
-    @property
     def hit_rate(self) -> float:
         total = self.accesses
         return self.hits / total if total else 0.0
@@ -95,17 +90,6 @@ class CacheStats:
             + self.swap_transfers
         )
 
-    @property
-    def probes_per_read(self) -> float:
-        """Average serialized DRAM accesses per demand read."""
-        if not self.demand_reads:
-            return 0.0
-        return (self.first_probes + self.extra_probes) / self.demand_reads
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Increment a free-form extra counter."""
-        self.extras[name] = self.extras.get(name, 0) + amount
-
     def to_dict(self) -> Dict[str, object]:
         """Raw counters only (no derived metrics); inverse of :meth:`from_dict`."""
         out: Dict[str, object] = dict(
@@ -125,16 +109,6 @@ class CacheStats:
         stats = cls(**{k: int(v) for k, v in kwargs.items()})
         stats.extras = {str(k): int(v) for k, v in dict(extras).items()}
         return stats
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary of raw and derived values (for reports)."""
-        out: Dict[str, float] = dict(zip(_COUNTER_FIELDS, _get_counters(self)))
-        out.update(self.extras)
-        out["hit_rate"] = self.hit_rate
-        out["prediction_accuracy"] = self.prediction_accuracy
-        out["total_cache_transfers"] = self.total_cache_transfers
-        out["probes_per_read"] = self.probes_per_read
-        return out
 
 
 #: The integer counter fields, in declaration order (``extras``, the last

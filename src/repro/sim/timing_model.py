@@ -45,11 +45,6 @@ class TimingBreakdown:
     dram_queue_ns: float
     nvm_queue_ns: float
 
-    def cycles_per_instruction(self, instructions: float, frequency_ghz: float) -> float:
-        if instructions <= 0:
-            raise SimulationError("instruction count must be positive")
-        return self.runtime_ns * frequency_ghz / instructions
-
 
 class IntervalTimingModel:
     """Fixed-point runtime estimator for one workload run."""

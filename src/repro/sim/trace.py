@@ -93,8 +93,7 @@ class Trace:
     silently change their wrapping arithmetic). Scalar passes take
     :meth:`scalar_columns`, which does not cache the list form on an
     array-backed trace. ``len``,
-    :attr:`read_count`, :attr:`write_count`,
-    :attr:`total_instructions` and :meth:`footprint_lines` work on the
+    :attr:`write_count` and :meth:`footprint_lines` work on the
     supplied form and never build the other.
 
     Columns must not be mutated after construction: the write count
@@ -222,10 +221,6 @@ class Trace:
             yield TraceRecord(addr, bool(w))
 
     @property
-    def read_count(self) -> int:
-        return len(self) - self.write_count
-
-    @property
     def write_count(self) -> int:
         """Number of writeback records (cached; O(1) after first use)."""
         count = self._write_count
@@ -239,28 +234,6 @@ class Trace:
                 count = sum(1 for w in flags if w)
             self._write_count = count
         return count
-
-    @property
-    def total_instructions(self) -> float:
-        """Instructions represented by the read (demand) portion."""
-        return self.read_count * self.instructions_per_access
-
-    def slice(self, start: int, stop: int) -> "Trace":
-        """A sub-trace covering [start, stop) (array-backed parents stay
-        array-backed; no list materialization)."""
-        if self._addrs_list is None or self._writes_list is None:
-            return Trace(
-                name=f"{self.name}[{start}:{stop}]",
-                addrs=np.ascontiguousarray(self.numpy_addrs()[start:stop]),
-                writes=np.ascontiguousarray(self.numpy_writes()[start:stop]),
-                instructions_per_access=self.instructions_per_access,
-            )
-        return Trace(
-            name=f"{self.name}[{start}:{stop}]",
-            addrs=self._addrs_list[start:stop],
-            writes=self._writes_list[start:stop],
-            instructions_per_access=self.instructions_per_access,
-        )
 
     def footprint_lines(self, line_size: int = 64) -> int:
         """Number of distinct 64B lines touched."""

@@ -62,19 +62,9 @@ class XorShift64:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
         return self.next_float() < probability
 
-    def choice(self, items):
-        """Return a uniformly chosen element of a non-empty sequence."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return items[self.next_below(len(items))]
-
     def getstate(self) -> int:
         """Return the internal 64-bit state (for snapshot/restore)."""
         return self._state
-
-    def setstate(self, state: int) -> None:
-        """Restore a state previously returned by :meth:`getstate`."""
-        self._state = (state & _MASK64) or 0x9E3779B97F4A7C15
 
 
 class SetLocalRng:

@@ -51,8 +51,3 @@ def format_table(
 def format_percent(value: float, digits: int = 1) -> str:
     """Format a ratio in [0, 1] as a percentage string like '74.2%'."""
     return f"{100.0 * value:.{digits}f}%"
-
-
-def format_speedup(value: float, digits: int = 3) -> str:
-    """Format a speedup ratio like '1.073'."""
-    return f"{value:.{digits}f}"

@@ -14,18 +14,6 @@ from repro.errors import WorkloadError
 from repro.sim.trace import Trace
 
 
-def conflicting_addresses(cache_capacity_bytes: int, count: int = 2,
-                          set_offset_bytes: int = 0) -> List[int]:
-    """``count`` line addresses that map to the same set in any
-    organization of the given capacity (they differ by whole capacities).
-    """
-    if count < 1:
-        raise WorkloadError("need at least one address")
-    if set_offset_bytes % 64 != 0:
-        raise WorkloadError("set offset must be line-aligned")
-    return [set_offset_bytes + i * cache_capacity_bytes for i in range(count)]
-
-
 def same_preferred_conflicting_addresses(
     cache_capacity_bytes: int, ways: int = 2, count: int = 2
 ) -> List[int]:

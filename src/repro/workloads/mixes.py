@@ -19,11 +19,6 @@ from repro.utils.rng import XorShift64
 from repro.workloads.spec import get_workload
 from repro.workloads.synthetic import SyntheticWorkload
 
-# The 16 SPEC workloads with >= 2 MPKI in our catalog.
-_HIGH_MPKI_POOL = [
-    "soplex", "leslie", "libq", "gcc", "zeusmp", "wrf", "omnet", "xalanc",
-    "mcf", "sphinx", "milc", "bzip2", "bwaves", "gems", "lbm", "astar",
-]
 
 MIX_RECIPES: Dict[str, List[str]] = {
     "mix1": ["soplex", "mcf", "libq", "sphinx"],

@@ -102,4 +102,4 @@ class TestAccordBehaviour:
             cache.read(i * 64)
         stats = cache.stats
         assert stats.cache_read_transfers == stats.demand_reads
-        assert stats.extra_probes == 0
+        assert stats.hit_extra_probes == stats.miss_extra_probes == 0

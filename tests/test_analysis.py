@@ -4,7 +4,6 @@ report formatting."""
 import pytest
 
 from repro.analysis.analytic import (
-    cyclic_direct_mapped_hit_rate,
     cyclic_pws_hit_rate,
     cyclic_pws_hit_rates,
     lookup_cost_table,
@@ -44,7 +43,10 @@ class TestLookupCostTable:
 
 class TestCyclicModel:
     def test_direct_mapped_is_zero(self):
-        assert cyclic_direct_mapped_hit_rate(100) == 0.0
+        """PIP 1 installs every line in its preferred way: direct-mapped."""
+        from repro.experiments.fig6_cyclic import simulated_hit_rates
+
+        assert simulated_hit_rates((1.0,), 100, trials=2) == [0.0]
 
     def test_pip_one_is_direct_mapped(self):
         assert cyclic_pws_hit_rate(1.0, 64) == 0.0
@@ -73,12 +75,11 @@ class TestCyclicModel:
 
     def test_matches_simulation(self):
         """The DP must agree with the real PWS cache on the kernel."""
-        from repro.experiments.fig6_cyclic import simulated_hit_rate
+        from repro.experiments.fig6_cyclic import simulated_hit_rates
 
-        for pip in (0.5, 0.8):
-            analytic = cyclic_pws_hit_rate(pip, 16)
-            simulated = simulated_hit_rate(pip, 16, trials=64)
-            assert abs(analytic - simulated) < 0.08
+        simulated = simulated_hit_rates((0.5, 0.8), 16, trials=64)
+        for pip, rate in zip((0.5, 0.8), simulated):
+            assert abs(cyclic_pws_hit_rate(pip, 16) - rate) < 0.08
 
     def test_validation(self):
         with pytest.raises(PolicyError):

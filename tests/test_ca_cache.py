@@ -7,6 +7,15 @@ from repro.cache.geometry import CacheGeometry
 from repro.errors import PolicyError
 
 
+def resident(cache, addr):
+    """True if the line holding ``addr`` sits at either of its indices."""
+    line = cache.geometry.line_addr(addr)
+    return line in (
+        cache._lines.get(cache.preferred_index(addr)),
+        cache._lines.get(cache.rehash_index(addr)),
+    )
+
+
 @pytest.fixture
 def cache():
     return ColumnAssociativeCache(CacheGeometry(8 * 1024, 1))
@@ -31,17 +40,17 @@ class TestReads:
     def test_miss_installs_at_preferred(self, cache):
         outcome = cache.read(0x2000)
         assert not outcome.hit
-        assert cache.contains(0x2000)
+        assert resident(cache, 0x2000)
         assert cache.read(0x2000).prediction_correct
 
     def test_conflicting_pair_coresides(self, cache):
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         a, b = 0x0, span  # same preferred index
         cache.read(a)
         cache.read(b)  # a is displaced to... evicted; b at preferred
         # After the pair settles, both can live (one at rehash index)
         # only if the rehash slot was free; CA keeps one of them.
-        assert cache.contains(b)
+        assert resident(cache, b)
 
     def test_rehash_hit_swaps(self, cache):
         # Install x, then a conflicting y (x evicted), then refill x;
@@ -64,7 +73,7 @@ class TestReads:
         b = cache.geometry.addr_of(cache.rehash_index(a), 5)
         cache.read(b)
         # Evict a from its preferred slot with a conflicting line c.
-        c = a + cache.geometry.way_span_bytes()
+        c = a + cache.geometry.num_sets * cache.geometry.line_size
         cache.read(c)
         assert cache.stats.swap_transfers >= 0  # counter exists and is sane
 
@@ -89,19 +98,19 @@ class TestWriteback:
         assert cache.stats.nvm_writes == 1
 
     def test_displacement_preserves_dirty_line(self, cache):
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         cache.read(0x0)
         cache.writeback(0x0)
         cache.read(span)  # displaces dirty 0x0 to the rehash slot
-        assert cache.contains(0x0)
+        assert resident(cache, 0x0)
         assert cache.stats.dirty_evictions == 0
 
     def test_dirty_eviction_from_rehash_slot(self, cache):
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         cache.read(0x0)
         cache.writeback(0x0)
         cache.read(span)  # 0x0 displaced to rehash slot (still dirty)
         cache.read(2 * span)  # displaces `span` there, evicting dirty 0x0
-        assert not cache.contains(0x0)
+        assert not resident(cache, 0x0)
         assert cache.stats.dirty_evictions == 1
         assert cache.stats.nvm_writes == 1

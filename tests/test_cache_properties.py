@@ -34,9 +34,8 @@ class DramCacheMachine(RuleBasedStateMachine):
         addr = line * 64
         outcome = self.cache.read(addr)
         # After a read the line is resident, whatever the outcome was.
-        assert self.cache.contains(addr)
-        way = self.cache.resident_way(addr)
         set_index, tag = self.geometry.split(addr)
+        way = self.cache.store.find_way(set_index, tag)
         assert way in self.cache.steering.candidate_ways(set_index, tag)
         if outcome.hit:
             assert not outcome.nvm_read
@@ -44,12 +43,12 @@ class DramCacheMachine(RuleBasedStateMachine):
     @rule(line=_ADDRS)
     def writeback(self, line):
         addr = line * 64
-        was_resident = self.cache.contains(addr)
+        set_index, tag = self.geometry.split(addr)
+        way = self.cache.store.find_way(set_index, tag)
         absorbed = self.cache.writeback(addr)
-        assert absorbed == was_resident
+        assert absorbed == (way is not None)
         if absorbed:
-            set_index, _ = self.geometry.split(addr)
-            assert self.cache.store.is_dirty(set_index, self.cache.resident_way(addr))
+            assert self.cache.store.is_dirty(set_index, way)
 
     @invariant()
     def counters_consistent(self):

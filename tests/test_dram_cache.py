@@ -31,7 +31,7 @@ class TestReadPath:
         outcome = cache.read(0x1000)
         assert not outcome.hit
         assert outcome.nvm_read
-        assert cache.contains(0x1000)
+        assert cache.store.find_way(*cache.geometry.split(0x1000)) is not None
         assert cache.stats.misses == 1
         assert cache.stats.nvm_reads == 1
         assert cache.stats.installs == 1
@@ -86,16 +86,16 @@ class TestReadPath:
 class TestEviction:
     def test_conflict_evicts(self):
         cache = make_cache(ways=1)
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         cache.read(0x0)
         cache.read(span)  # same set, different tag
-        assert not cache.contains(0x0)
+        assert cache.store.find_way(*cache.geometry.split(0x0)) is None
         assert cache.stats.evictions == 1
         assert cache.stats.nvm_writes == 0  # clean victim
 
     def test_dirty_eviction_writes_nvm(self):
         cache = make_cache(ways=1)
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         cache.read(0x0)
         cache.writeback(0x0)  # make it dirty
         cache.read(span)  # evicts the dirty line
@@ -132,7 +132,7 @@ class TestWriteback:
 
     def test_dcp_tracks_eviction(self):
         cache = make_cache(ways=1)
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         cache.read(0x0)
         cache.read(span)
         # 0x0 was evicted; its writeback must bypass.
@@ -150,7 +150,7 @@ class TestCostIdentities:
         stats = cache.stats
         assert stats.cache_read_transfers == 4 * stats.demand_reads
         assert stats.first_probes == stats.demand_reads
-        assert stats.extra_probes == 0
+        assert stats.hit_extra_probes == stats.miss_extra_probes == 0
 
     def test_direct_mapped_single_transfer(self):
         geometry = CacheGeometry(8 * 1024, 1)
@@ -174,7 +174,9 @@ class TestCostIdentities:
         cache = make_cache(ways=2)
         for i in range(200):
             cache.read((i % 30) * 64)
-        assert 1.0 <= cache.stats.probes_per_read <= 2.0
+        stats = cache.stats
+        probes = stats.first_probes + stats.hit_extra_probes + stats.miss_extra_probes
+        assert stats.demand_reads <= probes <= 2 * stats.demand_reads
 
 
 class TestStorageOverhead:

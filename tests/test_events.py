@@ -90,7 +90,7 @@ class TestEventStream:
 
     def test_conflict_emits_evict_between_lookup_and_fill(self):
         cache, recorder = make_cache(ways=1, predictor=None), Recorder()
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         cache.read(0x0)
         cache.add_observer(recorder)
         cache.read(span)  # same set, different tag: evicts 0x0
@@ -102,7 +102,7 @@ class TestEventStream:
 
     def test_dirty_eviction_flagged(self):
         cache, recorder = make_cache(ways=1, predictor=None), Recorder()
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         cache.read(0x0)
         cache.writeback(0x0)
         cache.add_observer(recorder)
@@ -119,7 +119,7 @@ class TestEventStream:
         assert isinstance(event, WritebackEvent)
         assert event.absorbed and event.dcp_hit
         assert event.probes == 0
-        assert event.way == cache.resident_way(0x3000)
+        assert event.way == cache.store.find_way(*cache.geometry.split(0x3000))
 
     def test_bypassed_writeback_event(self):
         cache, recorder = make_cache(), Recorder()

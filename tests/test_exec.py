@@ -194,7 +194,7 @@ class TestRecordSerialization:
         design = AccordDesign(kind=kind, ways=1 if kind == "direct" else 2,
                               label=f"{kind} label")
         result = execute_job(key_for(design=design, epoch=epoch))
-        result.stats.bump("custom_counter", 3)
+        result.stats.extras["custom_counter"] = 3
         return result
 
     @pytest.mark.parametrize("epoch", [None, 500], ids=["flat", "phased"])

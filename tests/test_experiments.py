@@ -65,14 +65,14 @@ class TestAnalyticExperiments:
                 cache.read(addr)
             total += cache.stats.hit_rate
         expected = total / trials
-        assert fig6_cyclic.simulated_hit_rate(pip, iterations, trials) == expected
+        assert fig6_cyclic.simulated_hit_rates((pip,), iterations, trials) == [expected]
 
     def test_fig6_pips_fuse_like_single_pip_runs(self):
         from repro.experiments import fig6_cyclic
 
         rates = fig6_cyclic.simulated_hit_rates(fig6_cyclic.PIPS, 8, trials=3)
         assert rates == [
-            fig6_cyclic.simulated_hit_rate(pip, 8, trials=3)
+            fig6_cyclic.simulated_hit_rates((pip,), 8, trials=3)[0]
             for pip in fig6_cyclic.PIPS
         ]
 
@@ -436,7 +436,7 @@ class TestFig12Suite:
         assert "30 workloads" in fig12.run(Settings(suite=suite))
 
 
-class TestSuiteRunnerMachinery:
+class TestRunMatrixMachinery:
     """:func:`run_matrix`, the suite runner every experiment calls."""
 
     def test_traces_shared_across_designs(self, tmp_path, monkeypatch):

@@ -78,7 +78,7 @@ class TestParseArgs:
             parse_args("d", ["-j", "0"])
 
 
-class TestSuiteRunnerExecution:
+class TestRunMatrixExecution:
     """:func:`run_matrix` on the executor: parallel, warm and storeless."""
 
     MATRIX = {"direct": baseline_design()}

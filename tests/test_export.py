@@ -1,13 +1,10 @@
-"""Tests for CSV export/import of experiment series."""
+"""Tests for CSV export of experiment series."""
+
+import csv
 
 import pytest
 
-from repro.analysis.export import (
-    load_series_csv,
-    runs_to_csv,
-    save_series_csv,
-    series_to_csv,
-)
+from repro.analysis.export import save_series_csv, series_to_csv
 from repro.errors import SimulationError
 
 
@@ -29,39 +26,12 @@ class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "series.csv")
         save_series_csv(SERIES, path)
-        loaded = load_series_csv(path)
+        loaded = {}
+        with open(path, newline="") as handle:
+            for row in csv.DictReader(handle):
+                loaded.setdefault(row["series"], {})[row["workload"]] = float(row["value"])
         assert loaded == SERIES
-
-    def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope,nope,nope\n")
-        with pytest.raises(SimulationError):
-            load_series_csv(str(path))
 
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
             series_to_csv({})
-
-
-class TestRunsCsv:
-    def test_export_run_results(self):
-        from repro.core.accord import AccordDesign
-        from repro.params.system import scaled_system
-        from repro.sim.runner import run_suite
-
-        config = scaled_system(ways=2, scale=1.0 / 1024.0)
-        results = run_suite(
-            AccordDesign(kind="accord", ways=2), ["sphinx"],
-            config=config, num_accesses=10_000,
-        )
-        text = runs_to_csv(results)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("workload,hit_rate")
-        assert lines[1].startswith("sphinx,")
-        # Values parse back as floats.
-        fields = lines[1].split(",")
-        assert 0.0 <= float(fields[1]) <= 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            runs_to_csv({})

@@ -60,17 +60,17 @@ class TestMapping:
 
     def test_way_span(self):
         g = CacheGeometry(8 * 1024, 2)
-        assert g.way_span_bytes() == 64 * 64
         addr = 12345 & ~63
-        assert g.conflicts(addr, addr + g.way_span_bytes())
+        assert g.set_index(addr) == g.set_index(addr + 64 * 64)
+        assert g.set_index(addr) != g.set_index(addr + 64)
 
     def test_capacity_aliases_in_all_organizations(self):
         # Lines one capacity apart share a set regardless of ways —
         # the invariant workload conflict groups rely on.
         for ways in (1, 2, 4, 8):
             g = CacheGeometry(32 * 1024, ways)
-            assert g.conflicts(0, 32 * 1024)
-            assert g.conflicts(4096, 4096 + 32 * 1024)
+            assert g.set_index(0) == g.set_index(32 * 1024)
+            assert g.set_index(4096) == g.set_index(4096 + 32 * 1024)
 
     def test_with_ways(self):
         g = CacheGeometry(8 * 1024, 1)
@@ -93,11 +93,3 @@ def test_property_split_consistency(capacity_exp, ways_exp, addr):
     # Reconstruction recovers the line-aligned address.
     assert reconstructed == (addr >> g.offset_bits) << g.offset_bits
 
-
-@given(
-    addr_a=st.integers(min_value=0, max_value=2**40),
-    addr_b=st.integers(min_value=0, max_value=2**40),
-)
-def test_property_conflict_symmetry(addr_a, addr_b):
-    g = CacheGeometry(64 * 1024, 4)
-    assert g.conflicts(addr_a, addr_b) == g.conflicts(addr_b, addr_a)

@@ -4,11 +4,9 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.lookup import (
-    LookupKind,
     ParallelLookup,
     SerialLookup,
     WayPredictedLookup,
-    make_lookup,
 )
 from repro.cache.storage import TagStore
 from repro.core.prediction import StaticPreferredPredictor
@@ -116,10 +114,3 @@ class TestWayPredicted:
     def test_requires_predictor(self, store):
         with pytest.raises(PolicyError):
             WayPredictedLookup().lookup(5, 77, 0, store, ALL_WAYS, None)
-
-
-class TestFactory:
-    def test_all_kinds(self):
-        assert isinstance(make_lookup(LookupKind.PARALLEL), ParallelLookup)
-        assert isinstance(make_lookup(LookupKind.SERIAL), SerialLookup)
-        assert isinstance(make_lookup(LookupKind.WAY_PREDICTED), WayPredictedLookup)

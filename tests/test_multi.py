@@ -272,8 +272,7 @@ class TestLazyTagStore:
 
     def test_scalar_touch_materializes_prefilled_store(self):
         cache = self._build()
-        eager = TagStore(cache.geometry)
-        eager.prefill_junk()
+        eager = TagStore(cache.geometry, prefill=True)
         store = cache.store  # first touch materializes
         assert "store" in cache.__dict__
         assert store.dense == eager.dense
@@ -287,8 +286,7 @@ class TestLazyTagStore:
         trace = _trace()
         lazy = self._build()
         eager = self._build()
-        eager.store = TagStore(eager.geometry)
-        eager.store.prefill_junk()
+        eager.store = TagStore(eager.geometry, prefill=True)
         for cache in (lazy, eager):
             stream = TraceStream(trace, cache.geometry)
             get_engine(engine).drive(

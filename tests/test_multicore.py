@@ -77,12 +77,6 @@ class TestMultiCore:
         ws = better.weighted_speedup_over(base)
         assert ws > 0.9  # sane range; accord shouldn't collapse
 
-    def test_makespan_is_max(self):
-        sim = MultiCoreSimulator(config(), AccordDesign(kind="accord", ways=2))
-        cap = config().dram_cache.capacity_bytes
-        result = sim.run([hot_trace("a", 0), hot_trace("b", cap // 4)])
-        assert result.makespan_ns == max(result.per_core_runtime_ns)
-
     def test_synthetic_mix_runs(self):
         cfg = config()
         cap = cfg.dram_cache.capacity_bytes

@@ -446,7 +446,7 @@ def test_cyclic_chain_values():
 def test_figure6_simulation_matches_the_chain(pip, rounds):
     from repro.analysis.analytic import cyclic_pws_hit_rate
     from repro.experiments.fig6_cyclic import (
-        simulated_hit_rate,
+        simulated_hit_rates,
         trial_hit_rates,
     )
 
@@ -456,7 +456,7 @@ def test_figure6_simulation_matches_the_chain(pip, rounds):
         expected, abs=1e-12
     )
     (rates,) = trial_hit_rates((pip,), rounds, CYCLIC_TRIALS)
-    mean = simulated_hit_rate(pip, rounds, CYCLIC_TRIALS)
+    (mean,) = simulated_hit_rates((pip,), rounds, CYCLIC_TRIALS)
     assert mean == sum(rates) / CYCLIC_TRIALS
     spread = float(np.std(rates, ddof=1))
     assert spread > 0.0

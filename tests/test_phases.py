@@ -119,7 +119,6 @@ class TestPhaseSeries:
     def test_derived_properties(self):
         sample = self.sample()
         assert sample.misses == 3
-        assert sample.nvm_traffic == 5
 
     def test_series_extraction(self):
         series = PhaseSeries(epoch=10, samples=(

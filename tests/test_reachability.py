@@ -1,20 +1,39 @@
-"""Every ``repro`` module must be reachable from something that runs.
+"""Every ``repro`` module and definition must be used by something that runs.
 
 The paper's results come out of ``repro.experiments``, reached through
 the CLI (``repro.__main__``), the sweep service and the tools, and the
-examples, benchmarks and perfbench drive the library from outside. A
-module that only its own tests import is code nobody runs; this test
-walks the static ``import``/``from`` graph from those roots and names
-any such module so it is deleted rather than left to rot.
+examples, benchmarks and perfbench drive the library from outside. Code
+that only its own tests use is code nobody runs; the two gates here
+name it so it is deleted rather than left to rot.
 
-Only ``import`` statements count, at any depth (function-level imports
-included). Strings, such as the names in ``repro.sim``'s ``_LAZY``
-re-export table or perfbench's span targets, are not uses.
+The module gate walks the static ``import``/``from`` graph from those
+roots and fails on any module that only tests import. Only ``import``
+statements count, at any depth (function-level imports included).
+Strings, such as the names in ``repro.sim``'s ``_LAZY`` re-export table
+or perfbench's span targets, are not uses.
+
+The function-level gate fails on any function, method, class or
+module-level constant in ``src/repro`` whose name nothing live uses. A
+name is used where it appears as a ``Name``, an ``Attribute``, an
+import alias, or an identifier token in a string literal that is not a
+docstring. Strings count so that perfbench's ``"module",
+"Class.method"`` span targets, ``__all__`` and ``_LAZY`` keep what they
+name. Uses count from all of ``examples/``, ``benchmarks/`` and
+``perfbench/`` (its tests included), and from ``src/`` outside the
+definition's own body and outside definitions that are themselves
+unused, iterated to a fixpoint. Tests under ``tests/`` never count.
+Dunders are exempt, and so are the modules in ``ALLOWED_UNREACHED``.
+``ALLOWED_UNUSED`` maps each definition kept on purpose to its reason.
+The rule is by name, so a definition reached only through ``getattr``
+on a computed name would look unused. The one such path is
+``PhaseSeries.series``, which reads any ``PhaseSample`` field or
+property by its caller's name.
 """
 
 import ast
+import re
 from pathlib import Path
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -25,11 +44,28 @@ ROOT_DIRS = ("examples", "benchmarks", "perfbench")
 # it an oracle for the interval model or deletes it.
 ALLOWED_UNREACHED = {"repro.analysis.validation", "repro.sim.detailed"}
 
+# Definitions that only tests use, kept on purpose, keyed
+# "<module>:<qualified name>".
+ALLOWED_UNUSED = {
+    "repro.sim.frontend:run_frontend":
+        "unmemoized reference that tests check filtered_frontend against",
+    "repro.cache.storage:TagStore.is_dirty":
+        "reference that tests check TagStore.evict_slot against",
+    "repro.cache.storage:TagStore.invalidate":
+        "reference that tests check TagStore.evict_slot against",
+    "repro.sim.engines.vector:plan_build_count":
+        "process counter that ROADMAP item 10 folds into its registry",
+    "repro.sim.scheduled:ScheduledEngine.replay_trace":
+        "cycle-level timing stack, kept whole until ROADMAP item 6",
+    "repro.mem.scheduler:FrFcfsScheduler.oldest_arrival":
+        "cycle-level timing stack, kept whole until ROADMAP item 6",
+}
 
-def _module_files() -> Dict[str, Path]:
+
+def _module_files(root: Path = SRC) -> Dict[str, Path]:
     modules = {}
-    for path in (SRC / "repro").rglob("*.py"):
-        parts = path.relative_to(SRC).with_suffix("").parts
+    for path in (root / "repro").rglob("*.py"):
+        parts = path.relative_to(root).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
         modules[".".join(parts)] = path
@@ -87,6 +123,140 @@ def _reachable(modules: Dict[str, Path]) -> Set[str]:
     return seen
 
 
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+class _Definition(NamedTuple):
+    key: str  # "<module>:<qualified name>"
+    name: str
+    module: str
+    parent: Optional[str]  # the key of the enclosing class, if any
+    uses: Set[str]  # the names its own code uses, nested definitions aside
+
+
+def _parse(path: Path):
+    """``path``'s AST and the ids of its docstring nodes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module,) + _SCOPES) and node.body:
+            first = node.body[0]
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                docstrings.add(id(first.value))
+    return tree, docstrings
+
+
+def _names(nodes: Iterable[ast.AST], docstrings: Set[int]) -> Set[str]:
+    found: Set[str] = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.update(node.name.split("."))
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+            ):
+                found.update(IDENTIFIER.findall(node.value))
+    return found
+
+
+def _assigned(stmt: ast.stmt) -> List[str]:
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _definitions(module: str, path: Path, found: List[_Definition]) -> Set[str]:
+    """Append ``path``'s definitions to ``found``; return the names its
+    module-level code uses.
+
+    Module-level functions, classes and constants are definitions, and
+    so are the functions and classes in a class body. Every other
+    statement belongs to the module or class that holds it.
+    """
+    tree, docstrings = _parse(path)
+
+    def split(body, prefix: str, parent: Optional[str]) -> Set[str]:
+        own = []
+        for stmt in body:
+            if isinstance(stmt, _SCOPES):
+                names = [stmt.name]
+            else:
+                names = [] if parent else _assigned(stmt)
+            if not names:
+                own.append(stmt)
+            for name in names:
+                key = prefix + name
+                if isinstance(stmt, ast.ClassDef):
+                    header = stmt.bases + stmt.keywords + stmt.decorator_list
+                    uses = _names(header, docstrings) | split(stmt.body, key + ".", key)
+                else:
+                    uses = _names([stmt], docstrings)
+                found.append(_Definition(key, name, module, parent, uses))
+        return _names(own, docstrings)
+
+    return split(tree.body, f"{module}:", None)
+
+
+def _unused(
+    modules: Dict[str, Path], use_files: Iterable[Path], keep: Iterable[str] = ()
+) -> Set[str]:
+    """The definitions in ``modules`` whose names nothing live uses.
+
+    Uses count from ``use_files``, from module-level code in
+    ``modules`` and from the bodies of used definitions, iterated to a
+    fixpoint. Dunders, the definitions in ``ALLOWED_UNREACHED`` modules
+    and the keys in ``keep`` count as used. A method of an unused class
+    is not reported apart from its class.
+    """
+    used: Set[str] = set()
+    for path in use_files:
+        tree, docstrings = _parse(path)
+        used |= _names([tree], docstrings)
+    definitions: List[_Definition] = []
+    for module, path in modules.items():
+        used |= _definitions(module, path, definitions)
+    keep = set(keep)
+    live: Set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for item in definitions:
+            if item.key in live or (item.parent and item.parent not in live):
+                continue
+            if (
+                item.name in used
+                or item.key in keep
+                or item.module in ALLOWED_UNREACHED
+                or (item.name.startswith("__") and item.name.endswith("__"))
+            ):
+                live.add(item.key)
+                used |= item.uses
+                grew = True
+    return {
+        item.key for item in definitions
+        if item.key not in live and (not item.parent or item.parent in live)
+    }
+
+
+def _use_files(root: Path = REPO) -> List[Path]:
+    return [path for name in ROOT_DIRS for path in (root / name).rglob("*.py")]
+
+
 def test_every_module_is_reachable_from_a_runnable_root():
     modules = _module_files()
     unreached = set(modules) - _reachable(modules) - ALLOWED_UNREACHED
@@ -111,3 +281,55 @@ def test_walk_counts_function_level_imports_not_strings(tmp_path):
     )
     found = _imported(source, _module_files())
     assert found == {"repro", "repro.sim", "repro.sim.runner"}
+
+
+def test_every_definition_is_used_by_something_that_runs():
+    unused = _unused(_module_files(), _use_files(), keep=ALLOWED_UNUSED)
+    assert not unused, (
+        "definitions that only tests use; delete them or give a reason in "
+        f"ALLOWED_UNUSED: {sorted(unused)}"
+    )
+
+
+def test_unused_allowlist_names_only_unused_definitions():
+    assert set(ALLOWED_UNUSED) <= _unused(_module_files(), _use_files())
+
+
+def test_definition_gate_on_probe_files(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "probe.py").write_text(
+        '"""Mentions only_in_docstring."""\n'
+        "LIVE_CONSTANT = 1\n"
+        "DEAD_CONSTANT = 2\n"
+        "def only_in_test(): pass\n"
+        "def only_in_docstring(): pass\n"
+        "def dead_caller(): return dead_callee()\n"
+        "def dead_callee(): pass\n"
+        "def recursive(): return recursive()\n"
+        "class Probe:\n"
+        "    def __repr__(self): return helper()\n"
+        "    def span_target(self): pass\n"
+        "    def unused_method(self): pass\n"
+        "def helper(): return LIVE_CONSTANT\n"
+        "class DeadClass:\n"
+        "    def method(self): pass\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_probe.py").write_text(
+        "from repro.probe import only_in_test\n"
+    )
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "layers.py").write_text(
+        "from repro import probe\n"
+        "TARGETS = [('repro.probe', 'Probe.span_target')]\n"
+    )
+    unused = _unused(_module_files(tmp_path / "src"), _use_files(tmp_path))
+    assert unused == {
+        f"repro.probe:{name}" for name in (
+            "DEAD_CONSTANT", "only_in_test", "only_in_docstring",
+            "dead_caller", "dead_callee", "recursive",
+            "Probe.unused_method", "DeadClass",
+        )
+    }

@@ -226,9 +226,7 @@ def drain(sub):
 class TestJobManager:
     def test_duplicate_concurrent_submissions_execute_once(self, tmp_path):
         async def scenario():
-            manager = JobManager(
-                Executor(jobs=1), store=None, journal_batches=False
-            )
+            manager = JobManager(Executor(jobs=1), store=None)
             keys = expand_spec(spec_for())[0]
             try:
                 # Submit twice before the dispatcher exists: the second
@@ -262,7 +260,6 @@ class TestJobManager:
         async def scenario():
             manager = JobManager(
                 Executor(jobs=1), store=None, max_pending=1,
-                journal_batches=False,
             )
             try:
                 keys = expand_spec(spec_for())[0]  # 4 cold keys > bound 1
@@ -430,7 +427,7 @@ class TestServiceHTTP:
 
     def test_rate_limit_answers_429(self, tmp_path):
         def body(client, service):
-            client.health()  # health is never rate limited
+            client._get_json("/healthz")  # health is never rate limited
             assert len(client.submit(spec_for(workloads="soplex"))) == 2
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(spec_for(workloads="libq"))
@@ -474,7 +471,7 @@ class TestServiceHTTP:
 
     def test_health_metrics_and_unknown_endpoint(self, tmp_path):
         def body(client, service):
-            health = client.health()
+            health = client._get_json("/healthz")
             assert health["status"] == "ok"
             assert health["schema_version"] == RESULT_SCHEMA_VERSION
             client.submit(spec_for(designs="direct", workloads="soplex"))
@@ -734,7 +731,7 @@ class TestKeepAlive:
         def body(client, service):
             client.submit(self.WARM)  # cold: close-delimited stream
             assert not client._idle
-            client.health()
+            client._get_json("/healthz")
             assert service.manager.counters["connections"] == 2
             # SSE always streams, even when every key is warm.
             answer = raw_exchange(
@@ -748,7 +745,7 @@ class TestKeepAlive:
             assert b"Connection: close" in head
             assert b"Content-Length" not in head
             assert events.count(b"data: ") == 3
-            client.health()  # the pooled connection is still good
+            client._get_json("/healthz")  # the pooled connection is still good
             assert service.manager.counters["connections"] == 3
 
         serve(self.config(tmp_path), body)
@@ -766,11 +763,11 @@ class TestKeepAlive:
                 await writer.wait_closed()
 
             def body():
-                client.health()
+                client._get_json("/healthz")
                 assert len(client._idle) == 1
                 # The daemon drops the idle connection under the client.
                 asyncio.run_coroutine_threadsafe(drop_idle(), loop).result(10)
-                assert client.health()["status"] == "ok"
+                assert client._get_json("/healthz")["status"] == "ok"
 
             try:
                 await loop.run_in_executor(None, body)
@@ -794,8 +791,8 @@ class TestKeepAlive:
         server = ScriptedServer([answer_then_drop, answer])
         client = ServiceClient(port=server.port, timeout=10)
         try:
-            assert client.health() == {"status": "ok"}
-            assert client.health() == {"status": "ok"}
+            assert client._get_json("/healthz") == {"status": "ok"}
+            assert client._get_json("/healthz") == {"status": "ok"}
             assert server.accepted == 2
         finally:
             client.close()
@@ -814,9 +811,9 @@ class TestKeepAlive:
         server = ScriptedServer([answer_then_truncate, count_only])
         client = ServiceClient(port=server.port, timeout=10)
         try:
-            client.health()
+            client._get_json("/healthz")
             with pytest.raises(ServiceError, match="mid-response"):
-                client.health()  # short body: IncompleteRead
+                client._get_json("/healthz")  # short body: IncompleteRead
             assert server.accepted == 1
         finally:
             client.close()
@@ -839,7 +836,7 @@ class TestKeepAlive:
         server = ScriptedServer([answer_then_truncate, count_only])
         client = ServiceClient(port=server.port, timeout=10)
         try:
-            client.health()
+            client._get_json("/healthz")
             with pytest.raises(ServiceError, match="'done' event"):
                 list(client.stream_job(self.WARM))
             assert server.accepted == 1
@@ -853,7 +850,7 @@ class TestKeepAlive:
             await service.start()
             client = ServiceClient(port=service.port, timeout=60)
             loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, client.health)
+            await loop.run_in_executor(None, client._get_json, "/healthz")
             (conn,) = client._idle  # held open by the client
             started = time.monotonic()
             await asyncio.wait_for(service.close(), timeout=2)

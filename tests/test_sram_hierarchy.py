@@ -21,20 +21,20 @@ class TestSramCache:
     def test_lru_eviction_order(self):
         geometry = CacheGeometry(2 * 64 * 2, 2)  # 2 sets x 2 ways
         cache = SramCache(geometry)
-        span = geometry.way_span_bytes()
+        span = geometry.num_sets * geometry.line_size
         a, b, c = 0, span, 2 * span  # same set
         cache.access(a)
         cache.access(b)
         cache.access(a)  # a is MRU
         cache.access(c)  # evicts b (LRU)
-        assert cache.contains(a)
-        assert not cache.contains(b)
-        assert cache.contains(c)
+        assert cache.access(a).hit
+        assert cache.access(c).hit
+        assert not cache.access(b).hit
 
     def test_dirty_eviction_returns_victim(self):
         geometry = CacheGeometry(2 * 64 * 2, 2)
         cache = SramCache(geometry)
-        span = geometry.way_span_bytes()
+        span = geometry.num_sets * geometry.line_size
         cache.access(0, is_write=True)
         cache.access(span)
         result = cache.access(2 * span)  # evicts dirty line 0
@@ -44,7 +44,7 @@ class TestSramCache:
     def test_clean_eviction_no_victim(self):
         geometry = CacheGeometry(2 * 64 * 2, 2)
         cache = SramCache(geometry)
-        span = geometry.way_span_bytes()
+        span = geometry.num_sets * geometry.line_size
         cache.access(0)
         cache.access(span)
         result = cache.access(2 * span)
@@ -53,7 +53,7 @@ class TestSramCache:
     def test_write_hit_sets_dirty(self):
         geometry = CacheGeometry(2 * 64 * 2, 2)
         cache = SramCache(geometry)
-        span = geometry.way_span_bytes()
+        span = geometry.num_sets * geometry.line_size
         cache.access(0)
         cache.access(0, is_write=True)  # hit-write marks dirty
         cache.access(span)
@@ -115,4 +115,5 @@ class TestHierarchy:
         hierarchy = CacheHierarchy(self._dram_cache())
         for i in range(1000):
             hierarchy.access(i * 64 * 64)
-        assert 0.0 <= hierarchy.l3_miss_rate() <= 1.0
+        assert hierarchy.l3.misses > 0
+        assert 0.0 <= hierarchy.l3.hit_rate() < 1.0

@@ -17,7 +17,7 @@ class TestBasics:
         assert not store.is_valid(0, 0)
         assert store.tag_at(0, 0) == -1
         assert store.find_way(0, 5) is None
-        assert store.occupancy() == 0.0
+        assert store.valid_lines == 0
 
     def test_install_and_find(self, store):
         store.install(3, 1, 42)
@@ -52,46 +52,39 @@ class TestBasics:
         store.set_dirty(1, 0, False)
         assert not store.is_dirty(1, 0)
 
+    def test_invalid_ways(self, store):
+        assert not store.is_valid(5, 0) and not store.is_valid(5, 1)
+        store.install(5, 0, 1)
+        assert store.is_valid(5, 0) and not store.is_valid(5, 1)
+
     def test_find_way_among(self, store):
         store.install(4, 1, 11)
         assert store.find_way_among(4, 11, (0,)) is None
         assert store.find_way_among(4, 11, (0, 1)) == 1
 
-    def test_invalid_ways(self, store):
-        assert store.invalid_ways(5) == [0, 1]
-        store.install(5, 0, 1)
-        assert store.invalid_ways(5) == [1]
+
+def prefilled(store):
+    return TagStore(store.geometry, dense=store.dense, prefill=True)
 
 
 class TestPrefill:
     def test_prefill_marks_everything_valid(self, store):
-        store.prefill_junk()
-        assert store.occupancy() == 1.0
+        store = prefilled(store)
+        assert store.valid_lines == store.geometry.num_lines
         assert store.is_valid(0, 0)
         assert store.tag_at(0, 0) == JUNK_TAG
         assert not store.is_dirty(0, 0)
 
     def test_junk_never_matches_real_tags(self, store):
-        store.prefill_junk()
+        store = prefilled(store)
         for tag in (0, 1, 2**40):
             assert store.find_way(7, tag) is None
 
     def test_install_over_junk(self, store):
-        store.prefill_junk()
+        store = prefilled(store)
         store.install(7, 1, 99)
         assert store.find_way(7, 99) == 1
         assert store.valid_lines == store.geometry.num_lines
-
-    def test_prefill_at_construction_matches_prefill_junk(self, store):
-        built = TagStore(store.geometry, dense=store.dense, prefill=True)
-        store.prefill_junk()
-        assert built.valid_lines == store.valid_lines
-        assert built._tags == store._tags
-        assert built._dirty == store._dirty
-        assert type(built._sparse) is type(store._sparse)
-        for set_index in (0, 9):
-            for way in (0, 1):
-                assert built.tag_at(set_index, way) == store.tag_at(set_index, way)
 
 
 class TestEvictSlot:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.params.system import CoreConfig, scaled_system
-from repro.sim.cpu import CorePerformance, rate_mode_performance, weighted_speedup
+from repro.sim.cpu import CorePerformance, weighted_speedup
 from repro.sim.stats import CacheStats
 from repro.sim.timing_model import IntervalTimingModel
 
@@ -90,17 +90,14 @@ class TestSensitivities:
     def test_cpi_helper(self, model):
         stats = stats_for(1000, 0.75)
         breakdown = model.evaluate(stats, instructions=40_000)
-        cpi = breakdown.cycles_per_instruction(40_000, 3.0)
+        cpi = breakdown.runtime_ns * CoreConfig().frequency_ghz / 40_000
         assert cpi > 0.7  # cannot beat the base CPI
 
 
 class TestCpuModel:
     def test_core_performance_metrics(self):
         perf = CorePerformance(instructions=3000.0, runtime_ns=1000.0)
-        config = CoreConfig()
         assert perf.ips == 3.0
-        assert perf.cpi(config) == pytest.approx(1.0)
-        assert perf.ipc(config) == pytest.approx(1.0)
 
     def test_rejects_bad_values(self):
         with pytest.raises(SimulationError):
@@ -109,8 +106,8 @@ class TestCpuModel:
             CorePerformance(10.0, 0.0)
 
     def test_weighted_speedup_rate_mode(self):
-        base = rate_mode_performance(1000.0, 200.0, 16)
-        faster = rate_mode_performance(1000.0, 100.0, 16)
+        base = [CorePerformance(1000.0, 200.0)] * 16
+        faster = [CorePerformance(1000.0, 100.0)] * 16
         assert weighted_speedup(faster, base) == pytest.approx(2.0)
 
     def test_weighted_speedup_heterogeneous(self):

@@ -12,9 +12,7 @@ class TestTrace:
     def test_basic_properties(self):
         trace = trace_from_arrays("t", [0, 64, 128], [0, 1, 0], 50.0)
         assert len(trace) == 3
-        assert trace.read_count == 2
         assert trace.write_count == 1
-        assert trace.total_instructions == 100.0
 
     def test_from_arrays_builds_numpy_columns(self):
         trace = trace_from_arrays("t", iter([0, 64, 128]), [0, 2, False], 50.0)
@@ -29,12 +27,6 @@ class TestTrace:
         records = list(trace)
         assert records[0].addr == 0 and not records[0].is_write
         assert records[1].addr == 64 and records[1].is_write
-
-    def test_slice(self):
-        trace = trace_from_arrays("t", list(range(0, 640, 64)), [0] * 10, 10.0)
-        sub = trace.slice(2, 5)
-        assert len(sub) == 3
-        assert sub.addrs == [128, 192, 256]
 
     def test_footprint(self):
         trace = trace_from_arrays("t", [0, 1, 63, 64, 128], [0] * 5, 10.0)
@@ -109,15 +101,3 @@ class TestCacheStats:
         )
         assert stats.total_cache_transfers == 10
 
-    def test_probes_per_read(self):
-        stats = CacheStats(demand_reads=10, first_probes=10, hit_extra_probes=3,
-                           miss_extra_probes=2)
-        assert stats.probes_per_read == 1.5
-        assert stats.extra_probes == 5
-
-    def test_as_dict_includes_derived(self):
-        stats = CacheStats(hits=1, misses=1, demand_reads=2, first_probes=2)
-        d = stats.as_dict()
-        assert d["hit_rate"] == 0.5
-        assert "probes_per_read" in d
-        assert "total_cache_transfers" in d

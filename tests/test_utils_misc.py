@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.utils.fixedpoint import solve_fixed_point
-from repro.utils.tables import format_percent, format_speedup, format_table
+from repro.utils.tables import format_percent, format_table
 
 
 class TestFormatTable:
@@ -32,9 +32,6 @@ class TestFormatHelpers:
     def test_percent(self):
         assert format_percent(0.742) == "74.2%"
         assert format_percent(1.0, digits=0) == "100%"
-
-    def test_speedup(self):
-        assert format_speedup(1.0734) == "1.073"
 
 
 class TestFixedPoint:

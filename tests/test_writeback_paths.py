@@ -40,7 +40,7 @@ class TestDcpBypass:
     def test_out_of_sync_dcp_raises(self):
         cache = make_cache()
         cache.read(0x5000)
-        way = cache.resident_way(0x5000)
+        way = cache.store.find_way(*cache.geometry.split(0x5000))
         line = cache.geometry.line_addr(0x5000)
         # Corrupt the directory: claim the line lives in the other way.
         cache.dcp.insert(line, (way + 1) % cache.geometry.ways)
@@ -51,7 +51,7 @@ class TestDcpBypass:
 class TestFiniteDcp:
     def test_forgotten_line_probes_then_relearns(self):
         cache = make_cache(dcp=FiniteDcpDirectory(capacity=1))
-        span = cache.geometry.way_span_bytes()
+        span = cache.geometry.num_sets * cache.geometry.line_size
         cache.read(0x0)
         cache.read(span * 2)  # second line: capacity-evicts 0x0's DCP entry
         assert cache.dcp.lookup(cache.geometry.line_addr(0x0)) is None
@@ -94,7 +94,7 @@ class TestCandidateIterables:
         cache = make_cache(dcp=None, steering=None)
         cache.steering = GeneratorSteering(cache.geometry)
         cache.read(0x3000)
-        way = cache.resident_way(0x3000)
+        way = cache.store.find_way(*cache.geometry.split(0x3000))
         assert cache.writeback(0x3000)
         # Serialized probe: ways 0..way are read before the hit.
         assert cache.stats.writeback_probe_accesses == way + 1
