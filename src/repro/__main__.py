@@ -636,6 +636,7 @@ def _add_endpoint_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.exec.jobs import GRID_SCALE, GRID_SEED
     from repro.experiments.common import add_settings_arguments
 
     parser = argparse.ArgumentParser(
@@ -682,8 +683,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 help="workload or mix name (see workloads/)")
     profile_parser.add_argument("--accesses", type=int, default=150_000,
                                 help="trace length to generate (default 150000)")
-    profile_parser.add_argument("--seed", type=int, default=7)
-    profile_parser.add_argument("--scale", type=float, default=1.0 / 128.0,
+    profile_parser.add_argument("--seed", type=int, default=GRID_SEED)
+    profile_parser.add_argument("--scale", type=float, default=GRID_SCALE,
                                 help="system scale factor in (0, 1] "
                                      "(default 1/128: 32MB cache)")
     profile_parser.add_argument("--region-window", type=int, default=64,
@@ -703,8 +704,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "or 40000 with --quick)")
     bench_parser.add_argument("--quick", action="store_true",
                               help="short benchmark for CI smoke runs")
-    bench_parser.add_argument("--seed", type=int, default=7)
-    bench_parser.add_argument("--scale", type=float, default=1.0 / 128.0,
+    bench_parser.add_argument("--seed", type=int, default=GRID_SEED)
+    bench_parser.add_argument("--scale", type=float, default=GRID_SCALE,
                               help="system scale factor in (0, 1] "
                                    "(default 1/128: 32MB cache)")
     bench_parser.add_argument("--repeats", type=int, default=3,

@@ -49,6 +49,19 @@ _DESIGN_FIELDS = tuple(
 )
 
 
+#: The grid knobs a caller leaves out: ``JobKey``, ``Settings`` (every
+#: experiment and ``repro sweep``), the service's job specs and the
+#: ``profile``/``bench`` commands read the same constants, so one
+#: designs x workloads grid names the same keys on every path.
+GRID_ACCESSES = 200_000
+GRID_WARMUP = 0.5
+GRID_SEED = 7
+GRID_SCALE = 1.0 / 128.0
+#: The ``--quick`` grid: shorter traces over a four-workload suite.
+QUICK_ACCESSES = 40_000
+QUICK_SUITE = ("soplex", "libq", "mcf", "sphinx")
+
+
 @dataclass(frozen=True)
 class JobKey:
     """Names one (design, workload, knobs) simulation deterministically."""
@@ -57,8 +70,8 @@ class JobKey:
     workload: str
     num_accesses: int
     warmup: float = DEFAULT_WARMUP
-    seed: int = 7
-    scale: float = 1.0 / 128.0
+    seed: int = GRID_SEED
+    scale: float = GRID_SCALE
     # None normalizes to ``scale``; cache-size sweeps pin it elsewhere.
     footprint_scale: Optional[float] = None
     # Demand reads per phase-metrics sample; None disables the observer.
@@ -296,18 +309,6 @@ def parse_design_specs(
     ]
     return designs, labels
 
-
-#: The grid knobs a caller leaves out: ``Settings`` (every experiment
-#: and ``repro sweep``) and the service's job specs read the same
-#: constants, so one designs x workloads grid names the same keys on
-#: every path.
-GRID_ACCESSES = 200_000
-GRID_WARMUP = 0.5
-GRID_SEED = 7
-GRID_SCALE = 1.0 / 128.0
-#: The ``--quick`` grid: shorter traces over a four-workload suite.
-QUICK_ACCESSES = 40_000
-QUICK_SUITE = ("soplex", "libq", "mcf", "sphinx")
 
 #: A matrix cell: a design at the grid's scale, or a (design, scale)
 #: pair whose cache scale is its own (Table VIII's size sweep).

@@ -4,7 +4,9 @@ Values follow Table III of the paper:
 
 * DRAM cache: HBM-like, 8 channels x 128-bit bus at 500MHz (DDR 1GHz),
   128 GB/s aggregate, tCAS-tRCD-tRP-tRAS = 13-13-13-30 ns (typical HBM
-  numbers for the listed configuration).
+  numbers for the listed configuration). The interval timing model
+  charges a first probe activate + CAS and a follow-up probe CAS only,
+  so tCAS and tRCD are the two it keeps.
 * Main memory: PCM-like NVM, 2 channels x 64-bit at 1GHz (DDR 2GHz),
   32 GB/s aggregate, read latency 2-4x DRAM and write latency 4x DRAM.
 """
@@ -68,11 +70,9 @@ class DramTiming:
 
     t_cas: float = 13.0
     t_rcd: float = 13.0
-    t_rp: float = 13.0
-    t_ras: float = 30.0
 
     def __post_init__(self):
-        for name in ("t_cas", "t_rcd", "t_rp", "t_ras"):
+        for name in ("t_cas", "t_rcd"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
@@ -80,11 +80,6 @@ class DramTiming:
     def row_hit_ns(self) -> float:
         """Latency of a column access when the row is already open."""
         return self.t_cas
-
-    @property
-    def row_miss_ns(self) -> float:
-        """Latency when a different row is open (precharge + activate + CAS)."""
-        return self.t_rp + self.t_rcd + self.t_cas
 
     @property
     def row_empty_ns(self) -> float:

@@ -28,8 +28,6 @@ __all__ = [
     "run_suite",
     "geometric_mean",
     "TraceFactory",
-    "DetailedEngine",
-    "ScheduledEngine",
     "MultiCoreSimulator",
     "profile_trace",
     "TraceProfile",
@@ -46,8 +44,6 @@ _LAZY = {
     "run_suite": ("repro.sim.runner", "run_suite"),
     "geometric_mean": ("repro.sim.runner", "geometric_mean"),
     "TraceFactory": ("repro.sim.runner", "TraceFactory"),
-    "DetailedEngine": ("repro.sim.detailed", "DetailedEngine"),
-    "ScheduledEngine": ("repro.sim.scheduled", "ScheduledEngine"),
     "MultiCoreSimulator": ("repro.sim.multicore", "MultiCoreSimulator"),
     "profile_trace": ("repro.sim.profile", "profile_trace"),
     "TraceProfile": ("repro.sim.profile", "TraceProfile"),

@@ -78,14 +78,6 @@ class PhaseSeries:
     def __iter__(self):
         return iter(self.samples)
 
-    def series(self, metric: str) -> List[float]:
-        """One metric as a list, epoch order (any PhaseSample attribute)."""
-        if metric not in _SAMPLE_FIELD_SET and not isinstance(
-            getattr(PhaseSample, metric, None), property
-        ):
-            raise SimulationError(f"unknown phase metric {metric!r}")
-        return [getattr(sample, metric) for sample in self.samples]
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation; inverse of :meth:`from_dict`."""
         return {

@@ -199,7 +199,7 @@ class Trace:
         Returns the cached list form when the trace has one; otherwise
         fresh lists that the trace does not keep, so a per-access pass
         over an array-backed trace (the ``loop`` and ``stream`` engines,
-        the cycle-level models) leaves it at ~9 bytes per access once
+        the multi-core simulator) leaves it at ~9 bytes per access once
         the caller drops them.
         """
         addrs = self._addrs_list

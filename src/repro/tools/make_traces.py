@@ -16,6 +16,7 @@ import argparse
 import os
 from typing import List, Optional, Sequence
 
+from repro.exec.jobs import GRID_SCALE, GRID_SEED
 from repro.params.system import scaled_system
 from repro.sim.runner import TraceFactory
 from repro.sim.trace import save_trace
@@ -26,8 +27,8 @@ def make_traces(
     workloads: Sequence[str],
     out_dir: str,
     num_accesses: int = 100_000,
-    seed: int = 7,
-    scale: float = 1.0 / 128.0,
+    seed: int = GRID_SEED,
+    scale: float = GRID_SCALE,
 ) -> List[str]:
     """Generate and save traces; returns the written file paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -49,7 +50,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default="traces",
                         help="output directory (default: ./traces)")
     parser.add_argument("--accesses", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=GRID_SEED)
     args = parser.parse_args(argv)
 
     workloads = args.workloads or main_suite()

@@ -58,8 +58,3 @@ class TestExamples:
         assert module.pretty_bytes(0) == "0"
         assert module.pretty_bytes(4 * 1024 * 1024) == "4MB"
         assert module.pretty_bytes(320) == "320B"
-
-    def test_row_buffer_study(self):
-        out = run_example("row_buffer_study.py")
-        assert "row-hit rate" in out
-        assert "FR-FCFS" in out

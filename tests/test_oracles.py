@@ -3,7 +3,9 @@
 Every engine is pinned to the reference loop, so an error in semantics
 they share (geometry split, set-local RNG streams, warmup accounting)
 would pass every engine-equivalence check. These tests compare
-simulated hit rates with expectations derived from probability alone.
+simulated hit rates with expectations derived from probability alone,
+and the interval timing model's unloaded read latency with Table III's
+numbers worked out by hand.
 
 Uniform-reference oracle: feed a read-only trace of i.i.d. uniform
 line addresses over F lines to any demand-fetch cache that holds C
@@ -23,9 +25,11 @@ import pytest
 from repro.analysis.analytic import lookup_cost_table
 from repro.core.steering import preferred_way
 from repro.exec.jobs import parse_design_spec
-from repro.params.system import scaled_system
+from repro.params.system import paper_system, scaled_system
 from repro.sim.engines import ENGINES
+from repro.sim.stats import CacheStats
 from repro.sim.system import Simulator, build_dram_cache
+from repro.sim.timing_model import IntervalTimingModel
 from repro.sim.trace import Trace
 
 LINE_BYTES = 64
@@ -461,3 +465,36 @@ def test_figure6_simulation_matches_the_chain(pip, rounds):
     spread = float(np.std(rates, ddof=1))
     assert spread > 0.0
     assert abs(mean - expected) < MAX_Z * spread / math.sqrt(CYCLIC_TRIALS)
+
+
+# -- Table III latency oracle -------------------------------------------------
+#
+# The interval timing model against Table III's numbers, worked out by
+# hand rather than through DramTiming/BusConfig. At vanishing load (one
+# core, 1e12 instructions over a thousand reads) both channels' queues
+# are empty, so a read costs its device latencies and its own transfer:
+#
+# * a hit: activate + CAS (tRCD 13 + tCAS 13 ns), then one 72 B tag+data
+#   unit over a 128-bit (16 B) DDR bus at 500 MHz, 1 ns per beat:
+#   26 + 72 / 16 = 30.5 ns
+# * a miss: the same, plus the NVM read (180 ns) and one 64 B line over
+#   a 64-bit (8 B) DDR bus at 1 GHz, 0.5 ns per beat:
+#   30.5 + 180 + 64 / 8 * 0.5 = 214.5 ns
+
+
+@pytest.mark.parametrize("miss_fraction, expected", [(0.0, 30.5), (1.0, 214.5)])
+def test_unloaded_read_latency_is_table3(miss_fraction, expected):
+    reads = 1000
+    misses = int(reads * miss_fraction)
+    stats = CacheStats(
+        demand_reads=reads,
+        hits=reads - misses,
+        misses=misses,
+        first_probes=reads,
+        cache_read_transfers=reads,
+        nvm_reads=misses,
+    )
+    breakdown = IntervalTimingModel(paper_system(ways=1)).evaluate(
+        stats, instructions=1e12, num_cores=1
+    )
+    assert breakdown.avg_read_latency_ns == pytest.approx(expected, abs=1e-6)

@@ -10,7 +10,7 @@ from repro.params.system import (
     paper_system,
     scaled_system,
 )
-from repro.params.timing import DramTiming, NvmTiming
+from repro.params.timing import BusConfig, DramTiming, NvmTiming, hbm_bus, nvm_bus
 
 
 class TestCoreConfig:
@@ -45,13 +45,14 @@ class TestCacheGeometryConfig:
 class TestTimings:
     def test_dram_latency_ordering(self):
         timing = DramTiming()
-        assert timing.row_hit_ns < timing.row_empty_ns < timing.row_miss_ns
+        assert timing.row_hit_ns < timing.row_empty_ns
+        assert timing.row_empty_ns == timing.t_rcd + timing.t_cas
 
     def test_nvm_slower_than_dram(self):
         dram = DramTiming()
         nvm = NvmTiming()
         # Paper: NVM read 2-4x, write 4x DRAM latency.
-        assert nvm.read_ns >= 2 * dram.row_miss_ns
+        assert nvm.read_ns >= 2 * dram.row_empty_ns
         assert nvm.write_ns >= nvm.read_ns
 
     def test_validation(self):
@@ -59,6 +60,27 @@ class TestTimings:
             DramTiming(t_cas=0)
         with pytest.raises(ConfigError):
             NvmTiming(read_ns=-1)
+
+
+class TestBusConfig:
+    def test_paper_bandwidths(self):
+        assert hbm_bus().aggregate_bandwidth_gbps == pytest.approx(128.0)
+        assert nvm_bus().aggregate_bandwidth_gbps == pytest.approx(32.0)
+
+    def test_sustainable_below_peak(self):
+        assert hbm_bus().sustainable_bandwidth_gbps < hbm_bus().aggregate_bandwidth_gbps
+
+    def test_transfer_time(self):
+        bus = hbm_bus()  # 16 B/ns per channel
+        assert bus.transfer_ns(72) == pytest.approx(72 / 32.0 * 2.0)
+
+    def test_validation(self):
+        with pytest.raises(Exception):
+            BusConfig(channels=0, bus_bits=64, frequency_mhz=100)
+        with pytest.raises(Exception):
+            BusConfig(channels=1, bus_bits=63, frequency_mhz=100)
+        with pytest.raises(Exception):
+            BusConfig(channels=1, bus_bits=64, frequency_mhz=100, efficiency=1.5)
 
 
 class TestSystemConfig:

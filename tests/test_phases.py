@@ -120,17 +120,13 @@ class TestPhaseSeries:
         sample = self.sample()
         assert sample.misses == 3
 
-    def test_series_extraction(self):
+    def test_samples_in_epoch_order(self):
         series = PhaseSeries(epoch=10, samples=(
             self.sample(), self.sample(index=1, start_access=10, hits=5),
         ))
-        assert series.series("hits") == [7, 5]
-        assert series.series("hit_rate") == [0.7, 0.5]
-
-    def test_series_rejects_unknown_metric(self):
-        series = PhaseSeries(epoch=10, samples=(self.sample(),))
-        with pytest.raises(SimulationError):
-            series.series("latency")
+        assert [s.hits for s in series.samples] == [7, 5]
+        assert [s.hit_rate for s in series.samples] == [0.7, 0.5]
+        assert [s["hits"] for s in series.to_dict()["samples"]] == [7, 5]
 
     def test_round_trip(self):
         series = PhaseSeries(epoch=10, samples=(

@@ -15,19 +15,18 @@ or perfbench's span targets, are not uses.
 The function-level gate fails on any function, method, class or
 module-level constant in ``src/repro`` whose name nothing live uses. A
 name is used where it appears as a ``Name``, an ``Attribute``, an
-import alias, or an identifier token in a string literal that is not a
-docstring. Strings count so that perfbench's ``"module",
-"Class.method"`` span targets, ``__all__`` and ``_LAZY`` keep what they
-name. Uses count from all of ``examples/``, ``benchmarks/`` and
-``perfbench/`` (its tests included), and from ``src/`` outside the
-definition's own body and outside definitions that are themselves
-unused, iterated to a fixpoint. Tests under ``tests/`` never count.
-Dunders are exempt, and so are the modules in ``ALLOWED_UNREACHED``.
-``ALLOWED_UNUSED`` maps each definition kept on purpose to its reason.
-The rule is by name, so a definition reached only through ``getattr``
-on a computed name would look unused. The one such path is
-``PhaseSeries.series``, which reads any ``PhaseSample`` field or
-property by its caller's name.
+import alias, or a part of a string literal that is not a docstring
+and that, stripped, is a whole name or dotted name. Such strings count
+so that perfbench's ``"module", "Class.method"`` span targets,
+``__all__`` and ``_LAZY`` keep what they name; other text, such as the
+route ``"/health"``, keeps nothing. Uses count from all of
+``examples/``, ``benchmarks/`` and ``perfbench/`` (its tests included),
+and from ``src/`` outside the definition's own body and outside
+definitions that are themselves unused, iterated to a fixpoint. Tests
+under ``tests/`` never count. Dunders are exempt. ``ALLOWED_UNUSED``
+maps each definition kept on purpose to its reason. The rule is by
+name, so a definition reached only through ``getattr`` on a computed
+name would look unused; no such path exists.
 """
 
 import ast
@@ -40,10 +39,6 @@ SRC = REPO / "src"
 ROOT_PACKAGES = ("repro.experiments", "repro.service", "repro.tools")
 ROOT_DIRS = ("examples", "benchmarks", "perfbench")
 
-# The cycle-level timing stack: kept until ROADMAP item 6 either makes
-# it an oracle for the interval model or deletes it.
-ALLOWED_UNREACHED = {"repro.analysis.validation", "repro.sim.detailed"}
-
 # Definitions that only tests use, kept on purpose, keyed
 # "<module>:<qualified name>".
 ALLOWED_UNUSED = {
@@ -55,10 +50,6 @@ ALLOWED_UNUSED = {
         "reference that tests check TagStore.evict_slot against",
     "repro.sim.engines.vector:plan_build_count":
         "process counter that ROADMAP item 10 folds into its registry",
-    "repro.sim.scheduled:ScheduledEngine.replay_trace":
-        "cycle-level timing stack, kept whole until ROADMAP item 6",
-    "repro.mem.scheduler:FrFcfsScheduler.oldest_arrival":
-        "cycle-level timing stack, kept whole until ROADMAP item 6",
 }
 
 
@@ -123,7 +114,7 @@ def _reachable(modules: Dict[str, Path]) -> Set[str]:
     return seen
 
 
-IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", re.ASCII)
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -165,8 +156,9 @@ def _names(nodes: Iterable[ast.AST], docstrings: Set[int]) -> Set[str]:
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and id(node) not in docstrings
+                and DOTTED_NAME.fullmatch(node.value.strip())
             ):
-                found.update(IDENTIFIER.findall(node.value))
+                found.update(node.value.strip().split("."))
     return found
 
 
@@ -219,9 +211,8 @@ def _unused(
 
     Uses count from ``use_files``, from module-level code in
     ``modules`` and from the bodies of used definitions, iterated to a
-    fixpoint. Dunders, the definitions in ``ALLOWED_UNREACHED`` modules
-    and the keys in ``keep`` count as used. A method of an unused class
-    is not reported apart from its class.
+    fixpoint. Dunders and the keys in ``keep`` count as used. A method
+    of an unused class is not reported apart from its class.
     """
     used: Set[str] = set()
     for path in use_files:
@@ -241,7 +232,6 @@ def _unused(
             if (
                 item.name in used
                 or item.key in keep
-                or item.module in ALLOWED_UNREACHED
                 or (item.name.startswith("__") and item.name.endswith("__"))
             ):
                 live.add(item.key)
@@ -259,17 +249,11 @@ def _use_files(root: Path = REPO) -> List[Path]:
 
 def test_every_module_is_reachable_from_a_runnable_root():
     modules = _module_files()
-    unreached = set(modules) - _reachable(modules) - ALLOWED_UNREACHED
+    unreached = set(modules) - _reachable(modules)
     assert not unreached, (
         "modules that no experiment, command, service path, tool, example, "
         f"benchmark or perfbench file imports: {sorted(unreached)}"
     )
-
-
-def test_allowlist_names_only_unreached_modules():
-    modules = _module_files()
-    assert ALLOWED_UNREACHED <= set(modules)
-    assert not ALLOWED_UNREACHED & _reachable(modules)
 
 
 def test_walk_counts_function_level_imports_not_strings(tmp_path):
@@ -277,7 +261,7 @@ def test_walk_counts_function_level_imports_not_strings(tmp_path):
     source.write_text(
         "def f():\n"
         "    from repro.sim import runner\n"
-        "x = 'repro.sim.detailed'\n"
+        "x = 'repro.sim.multicore'\n"
     )
     found = _imported(source, _module_files())
     assert found == {"repro", "repro.sim", "repro.sim.runner"}
@@ -315,6 +299,7 @@ def test_definition_gate_on_probe_files(tmp_path):
         "def helper(): return LIVE_CONSTANT\n"
         "class DeadClass:\n"
         "    def method(self): pass\n"
+        "def health(): pass\n"
     )
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_probe.py").write_text(
@@ -324,12 +309,13 @@ def test_definition_gate_on_probe_files(tmp_path):
     (tmp_path / "perfbench" / "layers.py").write_text(
         "from repro import probe\n"
         "TARGETS = [('repro.probe', 'Probe.span_target')]\n"
+        "ROUTE = '/health'\n"
     )
     unused = _unused(_module_files(tmp_path / "src"), _use_files(tmp_path))
     assert unused == {
         f"repro.probe:{name}" for name in (
             "DEAD_CONSTANT", "only_in_test", "only_in_docstring",
             "dead_caller", "dead_callee", "recursive",
-            "Probe.unused_method", "DeadClass",
+            "Probe.unused_method", "DeadClass", "health",
         )
     }
