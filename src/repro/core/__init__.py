@@ -16,7 +16,6 @@ from repro.core.steering import (
     InstallSteering,
     UnbiasedSteering,
     preferred_way,
-    region_id,
 )
 from repro.core.prediction import (
     MruPredictor,
@@ -47,7 +46,6 @@ __all__ = [
     "ensure_policy_conformance",
     "UnbiasedSteering",
     "preferred_way",
-    "region_id",
     "WayPredictor",
     "RandomPredictor",
     "StaticPreferredPredictor",

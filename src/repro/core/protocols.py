@@ -166,11 +166,6 @@ def unvectorizable_roles(cache) -> list:
     ]
 
 
-def cache_is_vectorizable(cache) -> bool:
-    """True when every policy role of ``cache`` declares ``vectorizable``."""
-    return not unvectorizable_roles(cache)
-
-
 def policy_is_replay_vectorizable(policy) -> bool:
     """The ``replay_vectorizable`` capability of one policy.
 
@@ -292,7 +287,6 @@ __all__ = [
     "ensure_policy_conformance",
     "policy_is_vectorizable",
     "unvectorizable_roles",
-    "cache_is_vectorizable",
     "policy_is_replay_vectorizable",
     "unreplayable_roles",
     "cache_is_replay_vectorizable",

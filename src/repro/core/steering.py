@@ -20,7 +20,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import ReplacementPolicy
 from repro.cache.storage import TagStore
 from repro.errors import PolicyError
-from repro.params.system import REGION_SIZE
 from repro.utils.bitops import ilog2
 
 
@@ -47,11 +46,6 @@ def tag_hash(tag: int) -> int:
 def preferred_way(tag: int, ways: int) -> int:
     """ACCORD's preferred-way function: a stateless hash of the tag."""
     return tag_hash(tag) & (ways - 1)
-
-
-def region_id(addr: int, region_size: int = REGION_SIZE) -> int:
-    """4KB-region identifier of a byte address (GWS granularity)."""
-    return addr // region_size
 
 
 class InstallSteering:
@@ -99,7 +93,7 @@ class UnbiasedSteering(InstallSteering):
     name = "unbiased"
     # Delegates entirely to the replacement policy; whether the combined
     # stack vectorizes is the replacement policy's call, checked
-    # separately by cache_is_vectorizable().
+    # separately by unvectorizable_roles().
     vectorizable = True
 
     def choose_install_way(

@@ -82,7 +82,6 @@ __all__ = [
     "fault_point",
     "install",
     "suppressed",
-    "uninstall",
 ]
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -320,11 +319,6 @@ def install(plan: Optional[FaultPlan]) -> None:
     """Activate a plan for this process, overriding the environment."""
     global _installed
     _installed = plan
-
-
-def uninstall() -> None:
-    """Deactivate any programmatically installed plan."""
-    install(None)
 
 
 def active_plan() -> Optional[FaultPlan]:

@@ -25,7 +25,7 @@ from typing import (
 from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.core.accord import DCP_MODES, DESIGN_KINDS, AccordDesign
 from repro.errors import ConfigError
-from repro.params.system import scaled_system
+from repro.params.system import GRID_SCALE, GRID_SEED, scaled_system
 from repro.sim.runner import DEFAULT_WARMUP, TraceFactory
 from repro.sim.system import RunResult
 
@@ -51,12 +51,11 @@ _DESIGN_FIELDS = tuple(
 
 #: The grid knobs a caller leaves out: ``JobKey``, ``Settings`` (every
 #: experiment and ``repro sweep``), the service's job specs and the
-#: ``profile``/``bench`` commands read the same constants, so one
-#: designs x workloads grid names the same keys on every path.
+#: ``profile`` command read the same constants, so one designs x
+#: workloads grid names the same keys on every path. ``GRID_SEED`` and
+#: ``GRID_SCALE`` live in :mod:`repro.params.system`, below ``exec``.
 GRID_ACCESSES = 200_000
 GRID_WARMUP = 0.5
-GRID_SEED = 7
-GRID_SCALE = 1.0 / 128.0
 #: The ``--quick`` grid: shorter traces over a four-workload suite.
 QUICK_ACCESSES = 40_000
 QUICK_SUITE = ("soplex", "libq", "mcf", "sphinx")

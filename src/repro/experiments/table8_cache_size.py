@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 
 from repro.core.accord import AccordDesign
 from repro.experiments.common import Settings, baseline_design, parse_args, run_matrix
+from repro.params.system import GRID_SCALE
 from repro.sim.runner import gmean_speedup
 from repro.utils.tables import format_table
 
 SIZES_GB = (1.0, 2.0, 4.0, 8.0)
-BASE_SCALE = 1.0 / 128.0
 
 
 def run(settings: Optional[Settings] = None) -> str:
@@ -30,8 +30,8 @@ def run(settings: Optional[Settings] = None) -> str:
         ("accord", AccordDesign(kind="sws", ways=8, hashes=2)),
     ):
         for size_gb in SIZES_GB:
-            matrix[f"{kind}@{size_gb}"] = (design, BASE_SCALE * (size_gb / 4.0))
-    results = run_matrix(settings, matrix, footprint_scale=BASE_SCALE)
+            matrix[f"{kind}@{size_gb}"] = (design, GRID_SCALE * (size_gb / 4.0))
+    results = run_matrix(settings, matrix, footprint_scale=GRID_SCALE)
     rows = []
     for size_gb in SIZES_GB:
         speedup = gmean_speedup(

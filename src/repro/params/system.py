@@ -23,6 +23,12 @@ TRANSFER_BYTES = LINE_SIZE + TAG_ECC_BYTES
 PAGE_SIZE = 4096
 REGION_SIZE = 4096  # GWS region granularity
 
+#: The seed and system scale every experiment grid uses unless told
+#: otherwise (``repro.exec.jobs`` names its other grid knobs beside
+#: them). 1/128 turns the 4GB cache into 32MB.
+GRID_SEED = 7
+GRID_SCALE = 1.0 / 128.0
+
 
 @dataclass(frozen=True)
 class CoreConfig:
@@ -112,11 +118,11 @@ def paper_system(ways: int = 1) -> SystemConfig:
     return SystemConfig().with_dram_cache(4 * 1024 * 1024 * 1024, ways)
 
 
-def scaled_system(ways: int = 1, scale: float = 1.0 / 128.0) -> SystemConfig:
+def scaled_system(ways: int = 1, scale: float = GRID_SCALE) -> SystemConfig:
     """A geometry-scaled system for tractable simulation.
 
-    The default scale of 1/128 turns the 4GB cache into 32MB. Workload
-    footprints are scaled by the same factor in
+    The default scale, :data:`GRID_SCALE`, turns the 4GB cache into
+    32MB. Workload footprints are scaled by the same factor in
     :mod:`repro.workloads.spec`, preserving footprint/capacity ratios.
     """
     if scale <= 0 or scale > 1:

@@ -20,7 +20,6 @@ __all__ = [
     "trace_from_arrays",
     "IntervalTimingModel",
     "TimingBreakdown",
-    "DesignSpec",
     "RunResult",
     "Simulator",
     "build_dram_cache",
@@ -36,7 +35,6 @@ __all__ = [
 _LAZY = {
     "IntervalTimingModel": ("repro.sim.timing_model", "IntervalTimingModel"),
     "TimingBreakdown": ("repro.sim.timing_model", "TimingBreakdown"),
-    "DesignSpec": ("repro.sim.system", "DesignSpec"),
     "RunResult": ("repro.sim.system", "RunResult"),
     "Simulator": ("repro.sim.system", "Simulator"),
     "build_dram_cache": ("repro.sim.system", "build_dram_cache"),

@@ -84,16 +84,6 @@ def mark_worker_process() -> None:
     os.environ[WORKER_ENV] = "1"
 
 
-def get_engine(name: str) -> Engine:
-    """The engine registered under ``name`` (not "auto")."""
-    try:
-        return ENGINES[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
-        ) from None
-
-
 def warn_engine_fallback(design, cache, requested: str, fallback: str) -> None:
     """One-time warning that an explicit engine request was downgraded.
 
@@ -213,7 +203,6 @@ __all__ = [
     "TraceStream",
     "VectorEngine",
     "WORKER_ENV",
-    "get_engine",
     "in_worker_process",
     "mark_worker_process",
     "resolve_engine",

@@ -56,11 +56,6 @@ class MultiCoreResult:
     def weighted_speedup_over(self, baseline: "MultiCoreResult") -> float:
         return weighted_speedup(self.performances(), baseline.performances())
 
-    def combined_hit_rate(self) -> float:
-        hits = sum(s.hits for s in self.per_core_stats)
-        accesses = sum(s.accesses for s in self.per_core_stats)
-        return hits / accesses if accesses else 0.0
-
 
 class MultiCoreSimulator:
     """Interleaves per-core traces through one shared cache design."""

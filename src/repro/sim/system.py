@@ -3,8 +3,7 @@
 :class:`Simulator` drives one cache design with one trace (with a
 warmup region excluded from statistics) and evaluates the interval
 timing model on the measured counters. Designs are named by
-:class:`repro.core.accord.AccordDesign` (re-exported here as
-``DesignSpec`` for the public API).
+:class:`repro.core.accord.AccordDesign`.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from repro.sim.stats import CacheStats
 from repro.sim.timing_model import IntervalTimingModel, TimingBreakdown
 from repro.sim.trace import Trace
 from repro.verify.digest import payload_digest
-
-DesignSpec = AccordDesign  # public alias
 
 #: Field names that (de)serialize a result's design and timing blocks,
 #: read once here rather than introspected on every store read or

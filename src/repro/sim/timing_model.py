@@ -10,7 +10,10 @@ simulation:
   row buffer) plus, on a miss, the NVM read.
 * Every 72B tag+data transfer consumes stacked-DRAM bus bandwidth and
   every 64B line consumes NVM bus bandwidth; queueing delay grows with
-  utilization (M/M/1 shape).
+  utilization ``rho`` (against sustainable bandwidth, capped at 0.98):
+  ``S * rho**3 / (1 - rho)`` on the stacked DRAM and the M/M/1
+  ``S * rho / (1 - rho)`` on the NVM, where ``S`` is one channel's
+  transfer time for one unit.
 * Utilization depends on runtime and runtime depends on queueing, so
   runtime is solved as a fixed point.
 

@@ -12,11 +12,36 @@ generators are calibrated against (see DESIGN.md §2).
 from __future__ import annotations
 
 import argparse
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.sim.profile import profile_trace
 from repro.sim.trace import load_trace
-from repro.utils.charts import histogram
+
+
+def histogram(
+    samples: Iterable[float], bins: int = 10, title: Optional[str] = None
+) -> str:
+    """Bucket samples into equal-width bins and render 40-wide bar counts."""
+    data = list(samples)
+    if not data:
+        raise ValueError("no samples")
+    if bins < 1:
+        raise ValueError("need at least one bin")
+    lo = min(data)
+    hi = max(data)
+    span = (hi - lo) or 1.0
+    counts = [0] * bins
+    for sample in data:
+        index = min(int((sample - lo) / span * bins), bins - 1)
+        counts[index] += 1
+    peak = max(counts)
+    lines = [title] if title else []
+    for i, count in enumerate(counts):
+        low_edge = lo + span * i / bins
+        high_edge = lo + span * (i + 1) / bins
+        bar = "#" * int(round(40 * count / peak)) if peak else ""
+        lines.append(f"[{low_edge:10.2f}, {high_edge:10.2f}) |{bar} {count}")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

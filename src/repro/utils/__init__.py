@@ -10,12 +10,10 @@ from repro.utils.bitops import (
     ilog2,
     is_pow2,
     mask,
-    popcount,
 )
 from repro.utils.rng import XorShift64
 from repro.utils.tables import format_table
 from repro.utils.fixedpoint import solve_fixed_point
-from repro.utils.charts import bar_chart, histogram, sparkline
 
 __all__ = [
     "bit_field",
@@ -23,11 +21,7 @@ __all__ = [
     "ilog2",
     "is_pow2",
     "mask",
-    "popcount",
     "XorShift64",
     "format_table",
     "solve_fixed_point",
-    "bar_chart",
-    "histogram",
-    "sparkline",
 ]

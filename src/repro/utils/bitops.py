@@ -40,13 +40,6 @@ def bit_field(value: int, low: int, width: int) -> int:
     return (value >> low) & mask(width)
 
 
-def popcount(value: int) -> int:
-    """Return the number of set bits in ``value``."""
-    if value < 0:
-        raise GeometryError("popcount is defined for non-negative values")
-    return bin(value).count("1")
-
-
 def ceil_div(numerator: int, denominator: int) -> int:
     """Integer division rounding up."""
     if denominator <= 0:

@@ -17,7 +17,7 @@ from repro.workloads.spec import (
     main_suite,
     extended_suite,
 )
-from repro.workloads.synthetic import SyntheticWorkload, generate_trace
+from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.mixes import MIX_RECIPES, build_mix_trace
 from repro.workloads.cyclic import cyclic_trace
 
@@ -29,7 +29,6 @@ __all__ = [
     "main_suite",
     "extended_suite",
     "SyntheticWorkload",
-    "generate_trace",
     "MIX_RECIPES",
     "build_mix_trace",
     "cyclic_trace",

@@ -154,16 +154,3 @@ class SyntheticWorkload:
             writes=np.frombuffer(writes, dtype=np.uint8),
             instructions_per_access=spec.instructions_per_access,
         )
-
-
-def generate_trace(
-    spec: WorkloadSpec,
-    cache_capacity_bytes: int,
-    num_accesses: int,
-    seed: int = 1,
-    scale: float = 1.0,
-) -> Trace:
-    """Convenience wrapper: scale the spec's footprint, then generate."""
-    scaled = spec.scaled(scale) if scale != 1.0 else spec
-    workload = SyntheticWorkload(scaled, cache_capacity_bytes, seed=seed)
-    return workload.generate(num_accesses)

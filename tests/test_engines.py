@@ -19,7 +19,7 @@ import pytest
 
 from repro.cache.dcp import FiniteDcpDirectory
 from repro.cache.events import StatsObserver
-from repro.core.accord import AccordDesign
+from repro.core.accord import DESIGN_KINDS, AccordDesign
 from repro.core.protocols import ensure_policy_conformance
 from repro.core.sws import SkewedWaySteering
 from repro.errors import ConfigError, SimulationError
@@ -31,7 +31,6 @@ from repro.sim.engines import (
     ENGINES,
     WORKER_ENV,
     TraceStream,
-    get_engine,
     in_worker_process,
     mark_worker_process,
     resolve_engine,
@@ -138,6 +137,9 @@ class TestEngineEquivalenceMatrix:
             )
         assert result.to_dict() == loop_reference(design)
 
+    def test_design_set_covers_every_kind(self):
+        assert {d.kind for d in BENCH_DESIGNS} == set(DESIGN_KINDS)
+
 
 @pytest.fixture(scope="module")
 def conflict():
@@ -190,7 +192,7 @@ class TestReplacementMatrix:
 
 def _drive(cache, trace, engine_name, warm_frac=0.3, epoch=None):
     """Drive a hand-assembled cache with one engine; return its outputs."""
-    engine = get_engine(engine_name)
+    engine = ENGINES[engine_name]
     assert engine.supports(cache)
     warm = int(len(trace) * warm_frac)
     stream = TraceStream(trace, cache.geometry)
@@ -535,10 +537,6 @@ class TestResolver:
         cache, _ = self._cache(AccordDesign(kind="pws", ways=2))
         with pytest.raises(SimulationError, match="unknown engine"):
             resolve_engine(cache, requested="warp")
-        with pytest.raises(SimulationError, match="unknown engine"):
-            get_engine("warp")
-        with pytest.raises(SimulationError, match="unknown engine"):
-            get_engine("auto")  # registry holds concrete engines only
 
     def test_observer_disables_vector(self, trace):
         """An attached observer must force a non-vector engine (the

@@ -521,6 +521,7 @@ class TestOneMatrixPerPiece:
     def test_table8_baseline_cells_come_first(self, tmp_path, monkeypatch):
         from repro.exec import Executor
         from repro.experiments import table8_cache_size
+        from repro.params.system import GRID_SCALE
 
         seen = []
         run = Executor.run
@@ -534,5 +535,5 @@ class TestOneMatrixPerPiece:
                                        jobs=1, results_dir=str(tmp_path)))
         sizes = len(table8_cache_size.SIZES_GB)
         assert [k.design.kind for k in seen] == ["direct"] * sizes + ["sws"] * sizes
-        assert {k.footprint_scale for k in seen} == {table8_cache_size.BASE_SCALE}
+        assert {k.footprint_scale for k in seen} == {GRID_SCALE}
         assert len({k.scale for k in seen}) == sizes

@@ -25,7 +25,7 @@ from repro.core.accord import AccordDesign
 from repro.core.steering import UnbiasedSteering
 from repro.params.system import scaled_system
 from repro.sim.bench import BENCH_DESIGNS
-from repro.sim.engines import TraceStream, get_engine, serial_segments
+from repro.sim.engines import ENGINES, TraceStream, serial_segments
 from repro.sim.system import Simulator, build_dram_cache
 from repro.sim.trace import Trace
 from repro.utils.rng import XorShift64
@@ -156,7 +156,7 @@ class TestRunStream:
         patched = build_dram_cache(design, config, seed=3)
         patched.steering = GeneratorSteering(patched.geometry)
         for cache in (reference, patched):
-            get_engine("stream").drive(
+            ENGINES["stream"].drive(
                 cache, TraceStream(trace, cache.geometry), 0,
                 serial_segments(trace, 0, None), None,
             )

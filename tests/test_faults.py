@@ -18,14 +18,13 @@ from repro.exec.faults import (
     active_plan,
     fault_point,
     install,
-    uninstall,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_install():
     yield
-    uninstall()
+    install(None)
 
 
 class TestParse:
@@ -165,7 +164,7 @@ class TestActivePlan:
         mine = FaultPlan([])
         install(mine)
         assert active_plan() is mine
-        uninstall()
+        install(None)
         assert active_plan() is not mine
 
     def test_malformed_env_raises_config_error(self, monkeypatch):

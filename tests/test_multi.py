@@ -17,8 +17,8 @@ from repro.core.sws import SkewedWaySteering
 from repro.errors import SimulationError
 from repro.params.system import scaled_system
 from repro.sim.engines import (
+    ENGINES,
     TraceStream,
-    get_engine,
     resolve_engine,
     serial_segments,
 )
@@ -125,7 +125,7 @@ def _solo(builder, trace, epoch=None):
     warm = int(len(trace) * WARMUP)
     segments = serial_segments(trace, warm, epoch)
     stream = TraceStream(trace, cache.geometry)
-    phases = get_engine("loop").drive(cache, stream, warm, segments, epoch)
+    phases = ENGINES["loop"].drive(cache, stream, warm, segments, epoch)
     return cache.stats, phases
 
 
@@ -289,7 +289,7 @@ class TestLazyTagStore:
         eager.store = TagStore(eager.geometry, prefill=True)
         for cache in (lazy, eager):
             stream = TraceStream(trace, cache.geometry)
-            get_engine(engine).drive(
+            ENGINES[engine].drive(
                 cache, stream, 0, serial_segments(trace, 0, None), None
             )
         assert lazy.stats.to_dict() == eager.stats.to_dict()

@@ -2,9 +2,9 @@
 
 The paper's results come out of ``repro.experiments``, reached through
 the CLI (``repro.__main__``), the sweep service and the tools, and the
-examples, benchmarks and perfbench drive the library from outside. Code
-that only its own tests use is code nobody runs; the two gates here
-name it so it is deleted rather than left to rot.
+examples and perfbench drive the library from outside. Code that only
+its own tests use is code nobody runs; the two gates here name it so it
+is deleted rather than left to rot.
 
 The module gate walks the static ``import``/``from`` graph from those
 roots and fails on any module that only tests import. Only ``import``
@@ -17,16 +17,21 @@ module-level constant in ``src/repro`` whose name nothing live uses. A
 name is used where it appears as a ``Name``, an ``Attribute``, an
 import alias, or a part of a string literal that is not a docstring
 and that, stripped, is a whole name or dotted name. Such strings count
-so that perfbench's ``"module", "Class.method"`` span targets,
-``__all__`` and ``_LAZY`` keep what they name; other text, such as the
-route ``"/health"``, keeps nothing. Uses count from all of
-``examples/``, ``benchmarks/`` and ``perfbench/`` (its tests included),
-and from ``src/`` outside the definition's own body and outside
-definitions that are themselves unused, iterated to a fixpoint. Tests
-under ``tests/`` never count. Dunders are exempt. ``ALLOWED_UNUSED``
-maps each definition kept on purpose to its reason. The rule is by
-name, so a definition reached only through ``getattr`` on a computed
-name would look unused; no such path exists.
+so that perfbench's ``"module", "Class.method"`` span targets keep
+what they name; other text, such as the route ``"/health"``, keeps
+nothing. A re-export is not a use: the strings of an ``__all__``, and
+the import aliases and strings of an ``__init__`` module (such as
+``repro.sim``'s ``_LAZY`` table), keep nothing, so a name a package
+re-exports stays live only if something else uses it. Uses count from
+all of ``examples/`` and ``perfbench/`` (its tests included), and from
+``src/`` outside the definition's own body and outside definitions that
+are themselves unused, iterated to a fixpoint. Tests under ``tests/``
+never count. Dunders are exempt. ``ALLOWED_UNUSED`` maps each
+definition kept on purpose to its reason. The rule is by name, so a
+definition reached only through ``getattr`` on a computed name would
+look unused. The one such path, ``repro.sim``'s lazy ``__getattr__``,
+serves ``repro.sim.<name>`` attribute reads, which count where they
+are written.
 """
 
 import ast
@@ -37,7 +42,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 ROOT_PACKAGES = ("repro.experiments", "repro.service", "repro.tools")
-ROOT_DIRS = ("examples", "benchmarks", "perfbench")
+ROOT_DIRS = ("examples", "perfbench")
 
 # Definitions that only tests use, kept on purpose, keyed
 # "<module>:<qualified name>".
@@ -50,6 +55,16 @@ ALLOWED_UNUSED = {
         "reference that tests check TagStore.evict_slot against",
     "repro.sim.engines.vector:plan_build_count":
         "process counter that ROADMAP item 10 folds into its registry",
+    "repro.sim.engines.multi:fused_pass_count":
+        "process counter that ROADMAP item 10 folds into its registry",
+    "repro.cache.events:StatsObserver":
+        "reference observer that tests check the counters-only path against",
+    "repro.core.sws:alternate_way":
+        "the paper's alternate-way hash, which tests check skewed_candidates against",
+    "repro.sim.trace:trace_from_arrays":
+        "builds the hand-written address traces that engine tests drive",
+    "repro.verify.breaker:reset":
+        "clears the process-wide engine trips between tests",
 }
 
 
@@ -142,7 +157,9 @@ def _parse(path: Path):
     return tree, docstrings
 
 
-def _names(nodes: Iterable[ast.AST], docstrings: Set[int]) -> Set[str]:
+def _names(
+    nodes: Iterable[ast.AST], docstrings: Set[int], reexport: bool = False
+) -> Set[str]:
     found: Set[str] = set()
     for top in nodes:
         for node in ast.walk(top):
@@ -150,6 +167,8 @@ def _names(nodes: Iterable[ast.AST], docstrings: Set[int]) -> Set[str]:
                 found.add(node.id)
             elif isinstance(node, ast.Attribute):
                 found.add(node.attr)
+            elif reexport:
+                continue
             elif isinstance(node, ast.alias):
                 found.update(node.name.split("."))
             elif (
@@ -178,28 +197,36 @@ def _definitions(module: str, path: Path, found: List[_Definition]) -> Set[str]:
 
     Module-level functions, classes and constants are definitions, and
     so are the functions and classes in a class body. Every other
-    statement belongs to the module or class that holds it.
+    statement belongs to the module or class that holds it. An
+    ``__all__``, and the import aliases and strings of an ``__init__``
+    module, are re-exports, which use nothing.
     """
     tree, docstrings = _parse(path)
+    reexport = path.name == "__init__.py"
+
+    def names(nodes) -> Set[str]:
+        return _names(nodes, docstrings, reexport)
 
     def split(body, prefix: str, parent: Optional[str]) -> Set[str]:
         own = []
         for stmt in body:
             if isinstance(stmt, _SCOPES):
-                names = [stmt.name]
+                defined = [stmt.name]
             else:
-                names = [] if parent else _assigned(stmt)
-            if not names:
+                defined = [] if parent else _assigned(stmt)
+            if not defined:
                 own.append(stmt)
-            for name in names:
+            for name in defined:
                 key = prefix + name
                 if isinstance(stmt, ast.ClassDef):
                     header = stmt.bases + stmt.keywords + stmt.decorator_list
-                    uses = _names(header, docstrings) | split(stmt.body, key + ".", key)
+                    uses = names(header) | split(stmt.body, key + ".", key)
+                elif name == "__all__":
+                    uses = set()
                 else:
-                    uses = _names([stmt], docstrings)
+                    uses = names([stmt])
                 found.append(_Definition(key, name, module, parent, uses))
-        return _names(own, docstrings)
+        return names(own)
 
     return split(tree.body, f"{module}:", None)
 
@@ -251,8 +278,8 @@ def test_every_module_is_reachable_from_a_runnable_root():
     modules = _module_files()
     unreached = set(modules) - _reachable(modules)
     assert not unreached, (
-        "modules that no experiment, command, service path, tool, example, "
-        f"benchmark or perfbench file imports: {sorted(unreached)}"
+        "modules that no experiment, command, service path, tool, example "
+        f"or perfbench file imports: {sorted(unreached)}"
     )
 
 
@@ -282,7 +309,12 @@ def test_unused_allowlist_names_only_unused_definitions():
 def test_definition_gate_on_probe_files(tmp_path):
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
+    (package / "__init__.py").write_text(
+        "from repro.probe import reexported, reexported_and_used\n"
+        "__all__ = ['reexported', 'reexported_and_used', 'only_in_all']\n"
+        "_LAZY = {'only_lazy': ('repro.probe', 'only_lazy')}\n"
+        "def __getattr__(name): return _LAZY[name]\n"
+    )
     (package / "probe.py").write_text(
         '"""Mentions only_in_docstring."""\n'
         "LIVE_CONSTANT = 1\n"
@@ -300,6 +332,10 @@ def test_definition_gate_on_probe_files(tmp_path):
         "class DeadClass:\n"
         "    def method(self): pass\n"
         "def health(): pass\n"
+        "def reexported(): pass\n"
+        "def reexported_and_used(): pass\n"
+        "def only_in_all(): pass\n"
+        "def only_lazy(): pass\n"
     )
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_probe.py").write_text(
@@ -307,7 +343,7 @@ def test_definition_gate_on_probe_files(tmp_path):
     )
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "layers.py").write_text(
-        "from repro import probe\n"
+        "from repro import probe, reexported_and_used\n"
         "TARGETS = [('repro.probe', 'Probe.span_target')]\n"
         "ROUTE = '/health'\n"
     )
@@ -317,5 +353,6 @@ def test_definition_gate_on_probe_files(tmp_path):
             "DEAD_CONSTANT", "only_in_test", "only_in_docstring",
             "dead_caller", "dead_callee", "recursive",
             "Probe.unused_method", "DeadClass", "health",
+            "reexported", "only_in_all", "only_lazy",
         )
     }

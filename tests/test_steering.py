@@ -9,7 +9,6 @@ from repro.core.steering import (
     DirectMappedSteering,
     UnbiasedSteering,
     preferred_way,
-    region_id,
     tag_hash,
     ways_bits,
 )
@@ -54,15 +53,6 @@ class TestWaysBits:
         assert ways_bits(1) == 0
         assert ways_bits(2) == 1
         assert ways_bits(8) == 3
-
-
-class TestRegionId:
-    def test_4kb_default(self):
-        assert region_id(0) == region_id(4095)
-        assert region_id(4096) == region_id(0) + 1
-
-    def test_custom_size(self):
-        assert region_id(1024, region_size=1024) == 1
 
 
 class TestUnbiased:

@@ -2,9 +2,11 @@
 
 import os
 
+import pytest
+
 from repro.sim.trace import load_trace
 from repro.tools.make_traces import main as make_traces_main, make_traces
-from repro.tools.profile_trace import main as profile_main
+from repro.tools.profile_trace import histogram, main as profile_main
 
 
 class TestMakeTraces:
@@ -43,3 +45,22 @@ class TestProfileTrace:
         assert profile_main([paths[0], "--no-reuse", "--runs-histogram"]) == 0
         out = capsys.readouterr().out
         assert "run-length distribution" in out
+
+
+class TestHistogram:
+    def test_bucketing(self):
+        out = histogram([1, 1, 1, 9], bins=2, title="H")
+        lines = out.splitlines()
+        assert lines[0] == "H"
+        assert lines[1].endswith("3")
+        assert lines[2].endswith("1")
+
+    def test_single_value(self):
+        out = histogram([2.0, 2.0], bins=3)
+        assert "2" in out
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            histogram([])
+        with pytest.raises(ValueError):
+            histogram([1.0], bins=0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import GeometryError
-from repro.utils.bitops import bit_field, ceil_div, ilog2, is_pow2, mask, popcount
+from repro.utils.bitops import bit_field, ceil_div, ilog2, is_pow2, mask
 
 
 class TestIsPow2:
@@ -58,17 +58,6 @@ class TestBitField:
            st.integers(min_value=0, max_value=16))
     def test_bounded(self, value, low, width):
         assert 0 <= bit_field(value, low, width) < (1 << width) or width == 0
-
-
-class TestPopcount:
-    def test_values(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-        assert popcount((1 << 64) - 1) == 64
-
-    def test_negative_rejected(self):
-        with pytest.raises(GeometryError):
-            popcount(-5)
 
 
 class TestCeilDiv:

@@ -20,7 +20,7 @@ from repro.workloads.spec import (
     rate_mode_specs,
 )
 from repro.params.system import scaled_system
-from repro.workloads.synthetic import SyntheticWorkload, generate_trace
+from repro.workloads.synthetic import SyntheticWorkload
 
 CAPACITY = 4 * 1024 * 1024  # small cache capacity for generator tests
 
@@ -208,8 +208,8 @@ class TestTraceStorage:
         if name.startswith("mix"):
             return build_mix_trace(name, self.CAPACITY, 4000, seed=7,
                                    scale=1 / 64)
-        return generate_trace(get_workload(name), self.CAPACITY, 4000,
-                              seed=7, scale=1 / 64)
+        return SyntheticWorkload(get_workload(name).scaled(1 / 64),
+                                 self.CAPACITY, seed=7).generate(4000)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_columns_match_golden(self, name):
